@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import logging
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .audio_io import load_audio
 from .errors import ManifestError, VoiceQualityError

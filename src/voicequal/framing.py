@@ -24,8 +24,6 @@ class FrameSequence:
     frames: np.ndarray        # (n_frames, frame_length)
     raw_frames: np.ndarray    # same shape, unwindowed
     sample_rate_hz: int
-    frame_length_s: float = FRAME_LENGTH_S
-    hop_s: float = HOP_S
 
     @property
     def n_frames(self) -> int:
@@ -37,7 +35,12 @@ class FrameSequence:
 
     @property
     def hop_length(self) -> int:
-        return int(round(self.hop_s * self.sample_rate_hz))
+        return framing(self.sample_rate_hz)[1]
+
+
+def framing(sample_rate_hz: int) -> tuple[int, int]:
+    """Frame length and hop in samples at the given sample rate."""
+    return int(round(FRAME_LENGTH_S * sample_rate_hz)), int(round(HOP_S * sample_rate_hz))
 
 
 def frame_signal(signal: AudioSignal) -> FrameSequence:
@@ -47,8 +50,7 @@ def frame_signal(signal: AudioSignal) -> FrameSequence:
     is rejected.
     """
     fs = signal.sample_rate_hz
-    frame_len = int(round(FRAME_LENGTH_S * fs))
-    hop = int(round(HOP_S * fs))
+    frame_len, hop = framing(fs)
     x = signal.samples
     if len(x) < frame_len:
         raise AudioIOError(

@@ -86,8 +86,6 @@ def extract_llf_vector(signal: AudioSignal) -> LlfVector:
     for n in range(3):
         values[f"F{n + 1}frequency"] = float(track.frequencies_hz[:, n].mean())
         values[f"F{n + 1}bandwidth"] = float(track.bandwidths_hz[:, n].mean())
-        values[f"F{n + 1}amplitudeLogRelF0"] = float(
-            track.amplitudes_db_rel_f0[:, n].mean())
 
     ordered = {k: values[k] for k in LLF_KEYS}
     validate_llf(ordered)

@@ -12,8 +12,8 @@ import numpy as np
 
 from .audio_io import AudioSignal
 from .errors import InsufficientVoicingError
-from .framing import FRAME_LENGTH_S, HOP_S
-from .pitch import PitchTrack, normalized_autocorrelation
+from .framing import framing
+from .pitch import ACF_BLOCK, PitchTrack, frame_autocorrelation, parabolic_peak
 
 F0_REFERENCE_HZ = 27.5
 MIN_CONSECUTIVE_VOICED = 3
@@ -37,54 +37,45 @@ class PeriodMarks:
 
 def voiced_runs(voiced: np.ndarray, min_len: int = MIN_CONSECUTIVE_VOICED):
     """(start, end) frame-index pairs of voiced runs of at least min_len."""
-    runs = []
-    start = None
-    for i, v in enumerate(voiced):
-        if v and start is None:
-            start = i
-        elif not v and start is not None:
-            if i - start >= min_len:
-                runs.append((start, i))
-            start = None
-    if start is not None and len(voiced) - start >= min_len:
-        runs.append((start, len(voiced)))
-    return runs
+    edges = np.diff(np.concatenate(([0], np.asarray(voiced, dtype=np.int8), [0])))
+    starts, ends = np.nonzero(edges == 1)[0], np.nonzero(edges == -1)[0]
+    return [(int(a), int(b)) for a, b in zip(starts, ends) if b - a >= min_len]
 
 
-def _refine_peak(x: np.ndarray, m: int) -> tuple[float, float]:
-    """Parabolic sub-sample refinement of a peak at index m; returns (pos, amp)."""
-    if m <= 0 or m >= len(x) - 1:
-        return float(m), abs(float(x[m]))
-    s = 1.0 if x[m] >= 0 else -1.0
-    y0, y1, y2 = s * x[m - 1], s * x[m], s * x[m + 1]
-    denom = y0 - 2 * y1 + y2
-    if denom == 0:
-        return float(m), abs(float(x[m]))
-    delta = float(np.clip(0.5 * (y0 - y2) / denom, -0.5, 0.5))
-    amp = y1 - 0.25 * (y0 - y2) * delta
-    return m + delta, abs(amp)
+def _refine_marks(x: np.ndarray, marks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Parabolic sub-sample refinement of the peaks at sample indices marks.
+
+    Returns (positions, absolute amplitudes); a mark on the signal's edge
+    keeps its integer position and sample value.
+    """
+    inner = (marks > 0) & (marks < len(x) - 1)
+    m = np.clip(marks, 1, len(x) - 2)
+    s = np.where(x[m] >= 0, 1.0, -1.0)
+    delta, amp = parabolic_peak(s * x[m - 1], s * x[m], s * x[m + 1])
+    return np.where(inner, marks + delta, marks), np.abs(np.where(inner, amp, x[marks]))
 
 
 def find_period_marks(signal: AudioSignal, pitch: PitchTrack) -> list[PeriodMarks]:
     """Locate one glottal peak per pitch period within each voiced region."""
     fs = signal.sample_rate_hz
     x = signal.samples
-    frame_len = int(round(FRAME_LENGTH_S * fs))
-    hop = int(round(HOP_S * fs))
+    magnitude = np.abs(x)
+    frame_len, hop = framing(fs)
+    f0_hz = pitch.f0_hz.tolist()
 
     def period_at(pos: float, lo_frame: int, hi_frame: int) -> float:
-        frame = int(np.clip(round((pos - frame_len / 2) / hop), lo_frame, hi_frame - 1))
-        f0 = pitch.f0_hz[frame]
+        frame = min(max(round((pos - frame_len / 2) / hop), lo_frame), hi_frame - 1)
+        f0 = f0_hz[frame]
         return fs / f0 if f0 > 0 else fs / 100.0
 
     regions = []
     for lo_frame, hi_frame in voiced_runs(pitch.voiced):
         start = lo_frame * hop
         end = min((hi_frame - 1) * hop + frame_len, len(x))
-        seg = np.abs(x[start:end])
+        seg = magnitude[start:end]
         if not np.any(seg):
             continue
-        anchor = start + int(np.argmax(seg))
+        anchor = start + int(seg.argmax())
 
         marks = [anchor]
         # march forward, then backward, one expected period at a time
@@ -95,7 +86,7 @@ def find_period_marks(signal: AudioSignal, pitch: PitchTrack) -> list[PeriodMark
             hi = int(round(pos + t * (1 + SEARCH_FRACTION))) + 1
             if hi > end or lo <= int(pos):
                 break
-            m = lo + int(np.argmax(np.abs(x[lo:hi])))
+            m = lo + int(magnitude[lo:hi].argmax())
             marks.append(m)
             pos = float(m)
         pos = float(anchor)
@@ -105,14 +96,11 @@ def find_period_marks(signal: AudioSignal, pitch: PitchTrack) -> list[PeriodMark
             hi = int(round(pos - t * (1 - SEARCH_FRACTION))) + 1
             if lo < start or hi >= int(pos):
                 break
-            m = lo + int(np.argmax(np.abs(x[lo:hi])))
+            m = lo + int(magnitude[lo:hi].argmax())
             marks.append(m)
             pos = float(m)
 
-        marks.sort()
-        refined = [_refine_peak(x, m) for m in marks]
-        positions = np.array([p for p, _ in refined])
-        amplitudes = np.array([a for _, a in refined])
+        positions, amplitudes = _refine_marks(x, np.sort(marks))
         keep = amplitudes > 0
         if np.count_nonzero(keep) >= 2:
             regions.append(PeriodMarks(positions[keep], amplitudes[keep]))
@@ -120,26 +108,30 @@ def find_period_marks(signal: AudioSignal, pitch: PitchTrack) -> list[PeriodMark
 
 
 def _hnr_db(signal: AudioSignal, pitch: PitchTrack) -> float:
-    """Mean over voiced frames of 10 log10(r / (1 - r)) at the pitch lag."""
+    """Mean over voiced frames of 10 log10(r / (1 - r)) at the pitch lag.
+
+    r is the largest normalized autocorrelation over the integer lags
+    round(fs / f0) - 1 .. round(fs / f0) + 1 (none below 2).
+    """
     fs = signal.sample_rate_hz
+    frame_len, hop = framing(fs)
     x = signal.samples
-    frame_len = int(round(FRAME_LENGTH_S * fs))
-    hop = int(round(HOP_S * fs))
-    values = []
-    for i in np.nonzero(pitch.voiced)[0]:
-        f0 = pitch.f0_hz[i]
-        if f0 <= 0:
-            continue
-        frame = x[i * hop: i * hop + frame_len]
-        lag = int(round(fs / f0))
-        if lag + 2 >= len(frame):
-            continue
-        r = normalized_autocorrelation(frame, max(2, lag - 1), lag + 1).max()
-        r = float(np.clip(r, 1e-6, 1.0 - 1e-7))
-        values.append(10.0 * np.log10(r / (1.0 - r)))
-    if not values:
+    n = min(len(pitch), max(0, (len(x) - frame_len) // hop + 1))  # full frames only
+    idx = np.nonzero(pitch.voiced[:n] & (pitch.f0_hz[:n] > 0))[0]
+    lags = np.rint(fs / pitch.f0_hz[idx]).astype(int)
+    usable = lags + 2 < frame_len
+    idx, lags = idx[usable], lags[usable]
+    if len(idx) == 0:
         raise InsufficientVoicingError("no usable voiced frames for HNR")
-    return float(np.mean(values))
+
+    r = np.empty(len(idx))
+    for start in range(0, len(idx), ACF_BLOCK):
+        block = slice(start, start + ACF_BLOCK)
+        acf = frame_autocorrelation(x[idx[block, None] * hop + np.arange(frame_len)])
+        cols = np.maximum(lags[block, None] + np.arange(-1, 2), 2)
+        r[block] = np.take_along_axis(acf, cols, axis=1).max(axis=1)
+    r = np.clip(r, 1e-6, 1.0 - 1e-7)
+    return float(np.mean(10.0 * np.log10(r / (1.0 - r))))
 
 
 def compute_period_llfs(signal: AudioSignal, pitch: PitchTrack) -> dict[str, float]:

@@ -15,6 +15,12 @@ VOICING_RMS_FRACTION = 0.01
 # Shorter-lag peaks nearly as tall as the global maximum win, which keeps the
 # tracker off subharmonics of pulse-like excitation.
 PEAK_PREFERENCE = 0.85
+# Frames per autocorrelation block: bounds the FFT temporaries to a few
+# hundred kB whatever the utterance length.
+ACF_BLOCK = 16
+# Lags whose normalizer falls below this fraction of the frame energy get an
+# exact (direct-sum) numerator instead of the FFT one.
+ACF_DIRECT_BELOW = 1e-3
 
 
 @dataclass(frozen=True)
@@ -41,53 +47,70 @@ class PitchTrack:
         return int(np.count_nonzero(self.voiced))
 
 
-def normalized_autocorrelation(x: np.ndarray, lag_min: int, lag_max: int) -> np.ndarray:
-    """Normalized cross-correlation of a frame with itself for each lag.
+def frame_autocorrelation(raw_frames: np.ndarray) -> np.ndarray:
+    """Normalized autocorrelation of each row for lags 0..frame_len-1.
 
-    r[tau] = sum(x[n] x[n+tau]) / sqrt(sum_head(x^2) * sum_tail(x^2)), which
-    stays comparable across lags despite the shrinking overlap. Returns the
-    values for lags lag_min..lag_max inclusive.
+    Each row is mean-removed, then r[tau] = sum(x[n] x[n+tau]) /
+    sqrt(sum_head(x^2) * sum_tail(x^2)), which stays comparable across lags
+    despite the shrinking overlap; lags with no energy on either side read 0.
+    Numerators come from one FFT per row. Where the normalizer is small next
+    to the frame energy, the FFT's rounding (about 1e-15 of that energy)
+    would dominate the ratio, so those lags are summed directly instead.
     """
-    x = x - x.mean()
-    n = len(x)
-    lags = np.arange(lag_min, lag_max + 1)
-    full = np.correlate(x, x, mode="full")
-    num = full[n - 1 + lag_min: n - 1 + lag_max + 1]
-    e = x * x
-    cs = np.concatenate(([0.0], np.cumsum(e)))
-    head = cs[n - lags]            # sum of e[0 .. n-tau-1]
-    tail = cs[n] - cs[lags]        # sum of e[tau .. n-1]
+    x = raw_frames - raw_frames.mean(axis=1, keepdims=True)
+    n = x.shape[1]
+    nfft = 1 << (2 * n - 2).bit_length()
+    spectrum = np.fft.rfft(x, nfft, axis=1)
+    num = np.fft.irfft(spectrum.real ** 2 + spectrum.imag ** 2, nfft, axis=1)[:, :n]
+    cs = np.zeros((len(x), n + 1))
+    np.cumsum(x * x, axis=1, out=cs[:, 1:])
+    head = cs[:, n:0:-1]               # per lag tau: sum of e[0 .. n-tau-1]
+    tail = cs[:, n:] - cs[:, :n]       # per lag tau: sum of e[tau .. n-1]
     den = np.sqrt(head * tail)
-    out = np.zeros_like(num)
-    ok = den > 0
-    out[ok] = num[ok] / den[ok]
-    return out
+    for row, tau in zip(*np.nonzero((den > 0) & (den < ACF_DIRECT_BELOW * cs[:, n:]))):
+        num[row, tau] = np.dot(x[row, :n - tau], x[row, tau:])
+    return np.divide(num, den, out=np.zeros_like(num), where=den > 0)
 
 
-def _pick_peak(r: np.ndarray, lag_min: int) -> int | None:
-    """Index of the chosen local maximum inside r (excluding endpoints).
+def parabolic_peak(y0: np.ndarray, y1: np.ndarray,
+                   y2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Offset in [-0.5, 0.5] and height of the parabola through three
+    equally spaced samples around a peak at y1, elementwise."""
+    denom = y0 - 2 * y1 + y2
+    delta = np.divide(0.5 * (y0 - y2), denom, out=np.zeros_like(denom), where=denom != 0)
+    delta = np.clip(delta, -0.5, 0.5)
+    return delta, y1 - 0.25 * (y0 - y2) * delta
+
+
+def _interior_maxima(r: np.ndarray) -> np.ndarray:
+    """Per row, r at its interior local maxima (column j is r[:, j + 1]), -inf elsewhere."""
+    inner = r[:, 1:-1]
+    return np.where((inner >= r[:, :-2]) & (inner >= r[:, 2:]), inner, -np.inf)
+
+
+def _pick_peaks(r: np.ndarray, lag_min: int) -> np.ndarray:
+    """Per row of r, the column of the chosen interior local maximum, or -1.
 
     Among near-maximal peaks, the shortest lag wins only when the
     best-correlated lag is close to an integer multiple of it; that steps
     down from period multiples without being fooled by high-frequency
     ripple peaks next to the true period.
     """
-    if len(r) < 3:
-        return None
-    interior = (r[1:-1] >= r[:-2]) & (r[1:-1] >= r[2:])
-    idx = np.nonzero(interior)[0] + 1
-    if len(idx) == 0:
-        return None
-    best = idx[np.argmax(r[idx])]
-    r_max = r[best]
-    if r_max <= 0:
-        return None
-    best_lag = lag_min + best
-    for i in idx[r[idx] >= PEAK_PREFERENCE * r_max]:
-        ratio = best_lag / (lag_min + i)
-        if abs(ratio - round(ratio)) <= 0.12:
-            return int(i)
-    return int(best)
+    peaks = _interior_maxima(r)
+    best = np.argmax(peaks, axis=1)
+    r_max = peaks[np.arange(len(r)), best]
+    ratio = (lag_min + 1 + best)[:, None] / (lag_min + 1 + np.arange(peaks.shape[1]))
+    # the best peak itself always qualifies, so argmax finds a candidate
+    candidate = ((peaks >= PEAK_PREFERENCE * r_max[:, None])
+                 & (np.abs(ratio - np.round(ratio)) <= 0.12))
+    return np.where(r_max > 0, np.argmax(candidate, axis=1) + 1, -1)
+
+
+def _refine(r: np.ndarray, peak: np.ndarray, lag_min: int) -> tuple[np.ndarray, np.ndarray]:
+    """Parabolic refinement of each row's peak lag and correlation value."""
+    rows = np.arange(len(r))
+    delta, r_peak = parabolic_peak(r[rows, peak - 1], r[rows, peak], r[rows, peak + 1])
+    return lag_min + peak + delta, r_peak
 
 
 def track_pitch(frames: FrameSequence) -> PitchTrack:
@@ -108,28 +131,22 @@ def track_pitch(frames: FrameSequence) -> PitchTrack:
     f0 = np.zeros(n_frames)
     voiced = np.zeros(n_frames, dtype=bool)
     periodicity = np.zeros(n_frames)
+    if lag_max - lag_min < 2:  # too few lags for an interior peak
+        return PitchTrack(f0, voiced, periodicity)
 
-    def refine(r: np.ndarray, peak: int) -> tuple[float, float]:
-        """Parabolic refinement of the peak lag and its correlation value."""
-        y0, y1, y2 = r[peak - 1], r[peak], r[peak + 1]
-        denom = y0 - 2 * y1 + y2
-        delta = 0.5 * (y0 - y2) / denom if denom != 0 else 0.0
-        delta = float(np.clip(delta, -0.5, 0.5))
-        return lag_min + peak + delta, y1 - 0.25 * (y0 - y2) * delta
+    def lag_acf(idx):
+        return frame_autocorrelation(frames.raw_frames[idx])[:, lag_min:lag_max + 1]
 
-    for i in range(n_frames):
-        x = frames.raw_frames[i]
-        if not np.any(x - x.mean()):
-            continue
-        r = normalized_autocorrelation(x, lag_min, lag_max)
-        peak = _pick_peak(r, lag_min)
-        if peak is None:
-            continue
-        lag, r_peak = refine(r, peak)
-        periodicity[i] = float(np.clip(r_peak, 0.0, 1.0))
-        if r_peak >= VOICING_PEAK_THRESHOLD and rms[i] >= rms_floor and rms_floor > 0:
-            voiced[i] = True
-            f0[i] = float(np.clip(fs / lag, F0_MIN, F0_MAX))
+    for start in range(0, n_frames, ACF_BLOCK):
+        block = slice(start, start + ACF_BLOCK)
+        r = lag_acf(block)
+        peak = _pick_peaks(r, lag_min)
+        found = peak >= 0
+        lag, r_peak = _refine(r, np.where(found, peak, 1), lag_min)
+        periodicity[block] = np.where(found, np.clip(r_peak, 0.0, 1.0), 0.0)
+        v = found & (r_peak >= VOICING_PEAK_THRESHOLD) & (rms[block] >= rms_floor) & (rms_floor > 0)
+        voiced[block] = v
+        f0[block] = np.where(v, np.clip(fs / lag, F0_MIN, F0_MAX), 0.0)
 
     # Second pass: frames far from the voiced median get re-picked within a
     # window around the median lag, which suppresses occasional period
@@ -138,25 +155,19 @@ def track_pitch(frames: FrameSequence) -> PitchTrack:
         median_f0 = float(np.median(f0[voiced]))
         win_lo = max(lag_min, int(fs / (median_f0 * 1.25)))
         win_hi = min(lag_max, int(np.ceil(fs / (median_f0 * 0.8))))
-        for i in np.nonzero(voiced)[0]:
-            if abs(f0[i] - median_f0) <= 0.2 * median_f0 or win_hi - win_lo < 2:
-                continue
-            r = normalized_autocorrelation(frames.raw_frames[i], lag_min, lag_max)
-            a, b = win_lo - lag_min, win_hi - lag_min
-            seg = r[a:b + 1]
-            interior = (seg[1:-1] >= seg[:-2]) & (seg[1:-1] >= seg[2:])
-            idx = np.nonzero(interior)[0] + 1
-            if len(idx) == 0:
-                voiced[i] = False
-                f0[i] = 0.0
-                continue
-            peak = a + int(idx[np.argmax(seg[idx])])
-            lag, r_peak = refine(r, peak)
-            if r_peak >= VOICING_PEAK_THRESHOLD:
-                f0[i] = float(np.clip(fs / lag, F0_MIN, F0_MAX))
-                periodicity[i] = float(np.clip(r_peak, 0.0, 1.0))
-            else:
-                voiced[i] = False
-                f0[i] = 0.0
+        far = np.nonzero(voiced & (np.abs(f0 - median_f0) > 0.2 * median_f0))[0]
+        if win_hi - win_lo < 2:
+            far = far[:0]
+        a, b = win_lo - lag_min, win_hi - lag_min
+        for start in range(0, len(far), ACF_BLOCK):
+            idx = far[start:start + ACF_BLOCK]
+            r = lag_acf(idx)
+            peaks = _interior_maxima(r[:, a:b + 1])
+            found = np.isfinite(peaks).any(axis=1)
+            lag, r_peak = _refine(r, a + 1 + np.argmax(peaks, axis=1), lag_min)
+            keep = found & (r_peak >= VOICING_PEAK_THRESHOLD)
+            voiced[idx] = keep
+            f0[idx] = np.where(keep, np.clip(fs / lag, F0_MIN, F0_MAX), 0.0)
+            periodicity[idx] = np.where(keep, np.clip(r_peak, 0.0, 1.0), periodicity[idx])
 
     return PitchTrack(f0, voiced, periodicity)

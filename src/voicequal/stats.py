@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import datetime
+import math
 import os
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -90,31 +91,37 @@ def load_stats(path: str | os.PathLike) -> FeatureStats:
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        parts = line.split()
-        if parts[0] == "schema-version":
-            if parts[1:] != [str(SCHEMA_VERSION)]:
-                raise StatsError(f"{path}:{lineno}: unsupported schema version")
-        elif parts[0] == "corpus":
-            corpus = " ".join(parts[1:])
-        elif parts[0] == "utterances":
-            n_utt = int(parts[1])
-        elif parts[0] == "created":
-            created = parts[1] if len(parts) > 1 else ""
-        elif parts[0] == "stat":
-            if len(parts) != 4:
-                raise StatsError(f"{path}:{lineno}: malformed stat line")
-            key = parts[1]
+        directive, *args = line.split()
+        where = f"{path}:{lineno}"
+        if directive == "schema-version":
+            if args != [str(SCHEMA_VERSION)]:
+                raise StatsError(f"{where}: unsupported schema version")
+        elif directive == "corpus":
+            corpus = " ".join(args)
+        elif directive == "utterances":
+            if len(args) != 1 or not (args[0].isascii() and args[0].isdigit()):
+                raise StatsError(f"{where}: utterances needs one non-negative integer")
+            n_utt = int(args[0])
+        elif directive == "created":
+            if len(args) > 1:
+                raise StatsError(f"{where}: created takes one timestamp")
+            created = args[0] if args else ""
+        elif directive == "stat":
+            if len(args) != 3:
+                raise StatsError(f"{where}: malformed stat line")
+            key = args[0]
             if key not in LLF_KEYS:
-                raise StatsError(f"{path}:{lineno}: unknown feature key {key!r}")
+                raise StatsError(f"{where}: unknown feature key {key!r}")
             if key in mu:
-                raise StatsError(f"{path}:{lineno}: duplicate key {key!r}")
+                raise StatsError(f"{where}: duplicate key {key!r}")
             try:
-                mu[key] = float(parts[2])
-                sigma[key] = float(parts[3])
+                mu[key], sigma[key] = float(args[1]), float(args[2])
             except ValueError:
-                raise StatsError(f"{path}:{lineno}: malformed number for {key!r}")
+                raise StatsError(f"{where}: malformed number for {key!r}")
+            if not (math.isfinite(mu[key]) and math.isfinite(sigma[key])):
+                raise StatsError(f"{where}: non-finite number for {key!r}")
         else:
-            raise StatsError(f"{path}:{lineno}: unknown directive {parts[0]!r}")
+            raise StatsError(f"{where}: unknown directive {directive!r}")
 
     missing = [k for k in LLF_KEYS if k not in mu]
     if missing:

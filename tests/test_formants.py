@@ -3,7 +3,7 @@ import pytest
 
 from voicequal.audio_io import AudioSignal
 from voicequal.errors import InsufficientVoicingError
-from voicequal.formants import estimate_formants, lpc_coefficients
+from voicequal.formants import estimate_formants, levinson_durbin, lpc_coefficients
 from voicequal.framing import frame_signal
 from voicequal.pitch import track_pitch
 from voicequal.synth import pulse_train, vowel_filter
@@ -69,3 +69,46 @@ def test_sparse_pole_frames_are_skipped():
     frames = frame_signal(sig)
     with pytest.raises(InsufficientVoicingError):
         estimate_formants(frames, track_pitch(frames))
+
+
+def _levinson_row(r):
+    """Per-row Levinson-Durbin reference: stops once the error is not positive."""
+    order = len(r) - 1
+    a = np.zeros(order + 1)
+    a[0] = 1.0
+    err = r[0]
+    if err <= 0:
+        return a
+    for m in range(1, order + 1):
+        k = -(r[m] + np.dot(a[1:m], r[m - 1:0:-1])) / err
+        a[1:m + 1] = a[1:m + 1] + k * a[m - 1::-1][:m]
+        err *= 1.0 - k * k
+        if err <= 0:
+            break
+    return a
+
+
+def test_batched_levinson_matches_per_row_reference():
+    rng = np.random.default_rng(1)
+    order = 18
+    x = rng.standard_normal((4, 400))
+    x[1] = np.cumsum(x[1])                         # strongly correlated row
+    r = np.array([[np.dot(row[:400 - k], row[k:]) for k in range(order + 1)] for row in x])
+    r = np.vstack([r, np.zeros(order + 1), np.ones(order + 1)])
+    a = levinson_durbin(r)
+    for got, row in zip(a, r):
+        np.testing.assert_allclose(got, _levinson_row(row), rtol=1e-10, atol=1e-12)
+    # zero energy: untouched; constant lags: error reaches 0 after one step
+    np.testing.assert_array_equal(a[4], np.eye(1, order + 1)[0])
+    np.testing.assert_array_equal(a[5], np.r_[1.0, -1.0, np.zeros(order - 1)])
+
+
+def test_lpc_coefficients_is_one_row_of_the_batch():
+    rng = np.random.default_rng(2)
+    x = rng.standard_normal(400)
+    r = np.array([[np.dot(x[:400 - k], x[k:]) for k in range(11)]])
+    r[:, 0] *= 1.0 + 1e-9
+    np.testing.assert_allclose(lpc_coefficients(x, 10), levinson_durbin(r)[0],
+                               rtol=1e-12, atol=1e-14)
+    with pytest.raises(ValueError, match="zero-energy"):
+        lpc_coefficients(np.zeros(400), 10)

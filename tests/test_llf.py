@@ -83,3 +83,34 @@ def test_validate_llf_rejects_bad_vectors(vowel):
     nonfinite["mfcc1"] = float("nan")
     with pytest.raises(ValueError, match="mfcc1"):
         validate_llf(nonfinite)
+
+
+def test_block_stages_stay_below_spectral_peak_memory():
+    # the per-frame stages work in fixed frame blocks, so none of them may
+    # allocate more at its peak than the all-frame spectral stage does
+    import tracemalloc
+
+    from voicequal.formants import estimate_formants
+    from voicequal.framing import frame_signal
+    from voicequal.harmonics import compute_harmonic_llfs
+    from voicequal.pitch import track_pitch
+    from voicequal.spectral import compute_spectral_llfs
+
+    sig = generate_synthetic("clean", f0=130.0, duration=10.0, seed=4)
+    frames = frame_signal(sig)
+    pitch = track_pitch(frames)
+    track = estimate_formants(frames, pitch)
+
+    def peak_bytes(fn, *args):
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    spectral = peak_bytes(compute_spectral_llfs, frames)
+    for fn, args in ((track_pitch, (frames,)),
+                     (estimate_formants, (frames, pitch)),
+                     (compute_harmonic_llfs, (frames, pitch, track))):
+        assert peak_bytes(fn, *args) < spectral, fn.__name__

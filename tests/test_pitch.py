@@ -2,7 +2,7 @@ import numpy as np
 
 from voicequal.audio_io import AudioSignal
 from voicequal.framing import frame_signal
-from voicequal.pitch import F0_MAX, F0_MIN, track_pitch
+from voicequal.pitch import F0_MAX, F0_MIN, frame_autocorrelation, track_pitch
 
 from conftest import raw_pulse_train, sine_signal
 
@@ -49,3 +49,29 @@ def test_track_length_matches_frames():
     frames = frame_signal(sine_signal(150, duration=0.4))
     pitch = track_pitch(frames)
     assert len(pitch) == frames.n_frames
+
+
+def _direct_acf(x):
+    """Per-lag normalized autocorrelation by direct correlation of one frame."""
+    x = x - x.mean()
+    n = len(x)
+    num = np.correlate(x, x, mode="full")[n - 1:]
+    e = np.concatenate(([0.0], np.cumsum(x * x)))
+    lags = np.arange(n)
+    den = np.sqrt(e[n - lags] * (e[n] - e[lags]))
+    return np.divide(num, den, out=np.zeros(n), where=den > 0)
+
+
+def test_frame_autocorrelation_matches_direct_reference():
+    rng = np.random.default_rng(3)
+    frames = rng.standard_normal((6, 400))
+    frames[1] = 0.25                                   # zero variance
+    frames[2, :300] *= 1e-7                            # near-silent lead
+    frames[3] = sine_signal(220, duration=0.025).samples
+    frames[4, ::2] = 0.0
+    acf = frame_autocorrelation(frames)
+    assert acf.shape == frames.shape
+    for row, frame in zip(acf, frames):
+        np.testing.assert_allclose(row, _direct_acf(frame), rtol=0, atol=1e-12)
+    assert not acf[1].any()
+    assert np.all(np.abs(acf) <= 1.0 + 1e-12)

@@ -111,3 +111,37 @@ def test_load_malformed_file(tmp_path):
 def test_constructor_validates_keys():
     with pytest.raises(StatsError, match="missing"):
         FeatureStats(mu={}, sigma={})
+
+
+@pytest.mark.parametrize("bad_line", [
+    "utterances abc",
+    "utterances",
+    "utterances -3",
+    "utterances 4 5",
+    "created 2024-01-01 extra",
+    "schema-version",
+    "stat Loudness 1.0",
+    "stat Loudness nan 1.0",
+])
+def test_malformed_directive_exits_with_stats_code(tmp_path, capsys, bad_line):
+    from voicequal.audio_io import save_wav
+    from voicequal.cli import main
+    from voicequal.synth import generate_synthetic
+
+    rng = np.random.default_rng(6)
+    path = tmp_path / "stats.txt"
+    save_stats(fit_stats(_varied_vectors(rng, 5)), path)
+    directive = bad_line.split()[0]
+    lines = path.read_text().splitlines()
+    # replace the first line of the same directive (for stat: the Loudness line)
+    target = next(n for n, line in enumerate(lines)
+                  if line.startswith(directive) and (directive != "stat" or "Loudness" in line))
+    lines[target] = bad_line
+    path.write_text("\n".join(lines) + "\n")
+
+    with pytest.raises(StatsError, match=rf"stats\.txt:{target + 1}:"):
+        load_stats(path)
+    wav = tmp_path / "v.wav"
+    save_wav(generate_synthetic("clean", f0=140.0, seed=0), wav)
+    assert main(["score", str(wav), "--stats", str(path)]) == 5
+    assert f"stats.txt:{target + 1}" in capsys.readouterr().err
