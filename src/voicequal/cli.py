@@ -7,23 +7,20 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .audio_io import load_audio, save_wav
 from .errors import ManifestError, StatsError, VoiceQualityError
 from .evaluation import (
     NEUTRAL_LABEL,
-    SUITE_F0_BASE,
-    SUITE_F0_STEP,
-    SUITE_PARAMS,
     SUITE_QUALITY,
     build_synthetic_suite,
     evaluate_pairs,
     form_pairs,
     format_report,
     load_manifest,
+    synthetic_suite_pairs,
 )
-from .llf import LLF_KEYS, extract_llf_vector
+from .llf import extract_llf_vector
 from .quality import load_table, score_all
 from .stats import fit_stats, load_stats, save_stats
 from .synth import KINDS, generate_synthetic
@@ -48,21 +45,19 @@ def _collect_audio_paths(inputs: list[str]) -> list[str]:
     return paths
 
 
-def _extract_many(paths: list[str], jobs: int):
-    """Extract feature vectors for many files, preserving input order."""
-    def one(path):
-        return extract_llf_vector(load_audio(path))
-
-    if jobs <= 1:
-        return [one(p) for p in paths]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(one, paths))
+def _extract_many(paths: list[str]):
+    """Extract feature vectors for many files, in input order."""
+    return [extract_llf_vector(load_audio(p)) for p in paths]
 
 
-def _open_output(path: str | None):
+def _write_jsonl(path: str | None, records) -> None:
+    """One JSON line per record, to the file at ``path`` or to stdout."""
+    lines = [json.dumps(record) + "\n" for record in records]
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8"), True
+        sys.stdout.writelines(lines)
+        return
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(lines)
 
 
 def _resolve_stats(args) -> str:
@@ -75,16 +70,9 @@ def _resolve_stats(args) -> str:
 
 def cmd_extract(args) -> int:
     paths = _collect_audio_paths(args.inputs)
-    vectors = _extract_many(paths, args.jobs)
-    out, close = _open_output(args.output)
-    try:
-        for path, vector in zip(paths, vectors):
-            record = {"source": path}
-            record.update({k: vector[k] for k in LLF_KEYS})
-            out.write(json.dumps(record) + "\n")
-    finally:
-        if close:
-            out.close()
+    vectors = _extract_many(paths)
+    _write_jsonl(args.output, ({"source": path, **vector}
+                               for path, vector in zip(paths, vectors)))
     return 0
 
 
@@ -97,7 +85,7 @@ def cmd_fit_stats(args) -> int:
         n_files = len(samples)
     else:
         paths = _collect_audio_paths(args.inputs)
-        vectors = _extract_many(paths, args.jobs)
+        vectors = _extract_many(paths)
         n_files = len(paths)
     stats = fit_stats(vectors, corpus=args.corpus_label)
     save_stats(stats, args.output)
@@ -109,18 +97,14 @@ def cmd_score(args) -> int:
     stats = load_stats(_resolve_stats(args))
     table = load_table(args.table)
     paths = _collect_audio_paths(args.inputs)
-    vectors = _extract_many(paths, args.jobs)
-    out, close = _open_output(args.output)
-    try:
-        for path, vector in zip(paths, vectors):
-            result = score_all(vector, stats, table)
-            record = {"source": path, "scores": result.scores}
-            if args.with_contributions:
-                record["z_contributions"] = result.z_contributions
-            out.write(json.dumps(record) + "\n")
-    finally:
-        if close:
-            out.close()
+    records = []
+    for path, vector in zip(paths, _extract_many(paths)):
+        result = score_all(vector, stats, table)
+        record = {"source": path, "scores": result.scores}
+        if args.with_contributions:
+            record["z_contributions"] = result.z_contributions
+        records.append(record)
+    _write_jsonl(args.output, records)
     return 0
 
 
@@ -165,22 +149,17 @@ def cmd_synth(args) -> int:
         if not args.output_dir:
             raise ManifestError("--suite needs --output-dir")
         os.makedirs(args.output_dir, exist_ok=True)
-        samples = []
-        quality = SUITE_QUALITY[args.suite]
-        for i in range(args.count):
-            f0 = SUITE_F0_BASE + SUITE_F0_STEP * (i % 8)
-            pos = generate_synthetic(args.suite, f0=f0, seed=args.seed + i,
-                                     **SUITE_PARAMS[args.suite])
-            neg = generate_synthetic("clean", f0=f0, seed=args.seed + 1000 + i)
-            pos_name, neg_name = f"{args.suite}_{i:02d}.wav", f"clean_{i:02d}.wav"
-            save_wav(pos, os.path.join(args.output_dir, pos_name))
-            save_wav(neg, os.path.join(args.output_dir, neg_name))
-            samples.append((pos_name, quality))
-            samples.append((neg_name, NEUTRAL_LABEL))
+        rows = []
+        for i, (pos, neg) in enumerate(
+                synthetic_suite_pairs(args.suite, args.count, args.seed)):
+            for signal, name, label in (
+                    (pos, f"{args.suite}_{i:02d}.wav", SUITE_QUALITY[args.suite]),
+                    (neg, f"clean_{i:02d}.wav", NEUTRAL_LABEL)):
+                save_wav(signal, os.path.join(args.output_dir, name))
+                rows.append(f"{name},{label}\n")
         manifest = os.path.join(args.output_dir, "manifest.csv")
         with open(manifest, "w", encoding="utf-8") as fh:
-            for name, label in samples:
-                fh.write(f"{name},{label}\n")
+            fh.writelines(rows)
         print(f"wrote {2 * args.count} files and {manifest}")
         return 0
 
@@ -204,7 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extract", help="compute the 25 low-level features per file")
     p.add_argument("inputs", nargs="+", help="WAV files or directories")
     p.add_argument("--output", help="output file (default stdout)")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("fit-stats", help="fit reference statistics over a corpus")
@@ -212,7 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", help="CSV manifest instead of raw files")
     p.add_argument("--output", required=True, help="stats file to write")
     p.add_argument("--corpus-label", default="")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_fit_stats)
 
     p = sub.add_parser("score", help="score the 24 voice qualities per file")
@@ -222,7 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", help="output file (default stdout)")
     p.add_argument("--with-contributions", action="store_true",
                    help="include per-feature z contributions")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("evaluate", help="pairwise ranking evaluation")

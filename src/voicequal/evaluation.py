@@ -5,12 +5,16 @@ from __future__ import annotations
 import csv
 import logging
 import os
+from collections import Counter
 from dataclasses import dataclass
+from typing import Iterator
 
-from .audio_io import load_audio
+import numpy as np
+
+from .audio_io import AudioSignal, load_audio
 from .errors import ManifestError, VoiceQualityError
 from .llf import LlfVector, extract_llf_vector
-from .quality import QUALITY_IDS, CorrelationTable, score_quality
+from .quality import QUALITY_IDS, CorrelationTable, scores_from_z, z_scores
 from .stats import FeatureStats
 from .synth import generate_synthetic
 
@@ -81,28 +85,34 @@ def form_pairs(samples: list[LabeledSample], quality: str) -> list[EvalPair]:
 
 def evaluate_pairs(pairs: list[EvalPair], stats: FeatureStats,
                    table: CorrelationTable) -> PairwiseEvalReport:
-    """Score both sides of every pair on the pair's quality.
+    """Score each distinct sample once, then compare the sides of every pair.
 
     A pair is correct iff the dominant sample scores strictly higher; ties
     count as wrong.
     """
     if not pairs:
         raise ManifestError("no pairs to evaluate")
-    totals: dict[str, int] = {}
-    corrects: dict[str, int] = {}
+    rows: dict[int, int] = {}  # id(sample) -> its row of z
+    z = []
     for pair in pairs:
-        try:
-            s1, _ = score_quality(pair.positive.llf, stats, table, pair.quality)
-            s2, _ = score_quality(pair.negative.llf, stats, table, pair.quality)
-        except (VoiceQualityError, ValueError) as exc:
-            raise ManifestError(
-                f"scoring failed for pair ({pair.positive.source_id}, "
-                f"{pair.negative.source_id}): {exc}")
-        totals[pair.quality] = totals.get(pair.quality, 0) + 1
-        if s1 > s2:
-            corrects[pair.quality] = corrects.get(pair.quality, 0) + 1
-    per_quality = {q: QualityResult(totals[q], corrects.get(q, 0))
-                   for q in sorted(totals)}
+        if pair.quality not in QUALITY_IDS:
+            raise ManifestError(f"unknown quality id {pair.quality!r} in pair "
+                                f"({pair.positive.source_id}, {pair.negative.source_id})")
+        for sample in (pair.positive, pair.negative):
+            if id(sample) not in rows:
+                try:
+                    z.append(z_scores(sample.llf, stats))
+                except ValueError as exc:
+                    raise ManifestError(f"scoring failed for {sample.source_id}: {exc}")
+                rows[id(sample)] = len(z) - 1
+    scores = scores_from_z(np.array(z), table).tolist()
+    totals, corrects = Counter(), Counter()
+    for pair in pairs:
+        col = QUALITY_IDS.index(pair.quality)
+        totals[pair.quality] += 1
+        corrects[pair.quality] += (scores[rows[id(pair.positive)]][col]
+                                   > scores[rows[id(pair.negative)]][col])
+    per_quality = {q: QualityResult(totals[q], corrects[q]) for q in sorted(totals)}
     return PairwiseEvalReport(per_quality)
 
 
@@ -117,7 +127,7 @@ def load_manifest(path: str | os.PathLike) -> tuple[list[LabeledSample], int]:
         with open(path, newline="", encoding="utf-8") as fh:
             rows = [row for row in csv.reader(fh)
                     if row and not row[0].lstrip().startswith("#")]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ManifestError(f"cannot read manifest {path}: {exc}")
 
     samples: list[LabeledSample] = []
@@ -157,9 +167,17 @@ SUITE_F0_BASE = 120.0
 SUITE_F0_STEP = 4.0
 
 
-def build_synthetic_suite(kind: str, n_positive: int = 8, n_negative: int = 8,
-                          seed: int = 0,
-                          duration: float = 1.0) -> list[LabeledSample]:
+def synthetic_suite_pairs(kind: str, count: int, seed: int
+                          ) -> Iterator[tuple[AudioSignal, AudioSignal]]:
+    """(perturbed, clean) vowel pairs of a suite; pair i shares its f0 on the grid."""
+    for i in range(count):
+        f0 = SUITE_F0_BASE + SUITE_F0_STEP * (i % 8)
+        yield (generate_synthetic(kind, f0=f0, seed=seed + i, **SUITE_PARAMS[kind]),
+               generate_synthetic("clean", f0=f0, seed=seed + 1000 + i))
+
+
+def build_synthetic_suite(kind: str, count: int = 8,
+                          seed: int = 0) -> list[LabeledSample]:
     """Generate a labeled suite of perturbed vowels against clean vowels.
 
     Positives and negatives share the same f0 grid so the target perturbation
@@ -167,23 +185,13 @@ def build_synthetic_suite(kind: str, n_positive: int = 8, n_negative: int = 8,
     """
     if kind not in SUITE_QUALITY:
         raise ManifestError(f"unknown suite kind {kind!r}")
-    quality = SUITE_QUALITY[kind]
-    params = SUITE_PARAMS[kind]
-
-    samples = []
-    for i in range(n_positive):
-        f0 = SUITE_F0_BASE + SUITE_F0_STEP * (i % 8)
-        sig = generate_synthetic(kind, f0=f0, duration=duration,
-                                 seed=seed + i, **params)
-        samples.append(LabeledSample(f"{sig.source_id}#p{i}", quality,
-                                     extract_llf_vector(sig)))
-    for i in range(n_negative):
-        f0 = SUITE_F0_BASE + SUITE_F0_STEP * (i % 8)
-        sig = generate_synthetic("clean", f0=f0, duration=duration,
-                                 seed=seed + 1000 + i)
-        samples.append(LabeledSample(f"{sig.source_id}#n{i}", NEUTRAL_LABEL,
-                                     extract_llf_vector(sig)))
-    return samples
+    positives, negatives = [], []
+    for i, (pos, neg) in enumerate(synthetic_suite_pairs(kind, count, seed)):
+        positives.append(LabeledSample(f"{pos.source_id}#p{i}", SUITE_QUALITY[kind],
+                                       extract_llf_vector(pos)))
+        negatives.append(LabeledSample(f"{neg.source_id}#n{i}", NEUTRAL_LABEL,
+                                       extract_llf_vector(neg)))
+    return positives + negatives
 
 
 def format_report(report: PairwiseEvalReport) -> str:

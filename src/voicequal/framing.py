@@ -24,6 +24,7 @@ class FrameSequence:
     frames: np.ndarray        # (n_frames, frame_length)
     raw_frames: np.ndarray    # same shape, unwindowed
     sample_rate_hz: int
+    rms: np.ndarray           # (n_frames,) raw-frame RMS, for voicing and loudness
 
     @property
     def n_frames(self) -> int:
@@ -59,5 +60,6 @@ def frame_signal(signal: AudioSignal) -> FrameSequence:
     n_frames = (len(x) - frame_len) // hop + 1
     raw = np.lib.stride_tricks.sliding_window_view(x, frame_len)[::hop][:n_frames]
     raw = np.ascontiguousarray(raw)
+    rms = np.sqrt(np.mean(raw ** 2, axis=1))
     windowed = raw * np.hamming(frame_len)
-    return FrameSequence(windowed, raw, fs)
+    return FrameSequence(windowed, raw, fs, rms)

@@ -125,8 +125,7 @@ def track_pitch(frames: FrameSequence) -> PitchTrack:
     lag_min = max(2, int(fs / F0_MAX))
     lag_max = min(int(fs / F0_MIN), frame_len - 2)
 
-    rms = np.sqrt(np.mean(frames.raw_frames ** 2, axis=1))
-    rms_floor = VOICING_RMS_FRACTION * (rms.max() if n_frames else 0.0)
+    rms_floor = VOICING_RMS_FRACTION * (frames.rms.max() if n_frames else 0.0)
 
     f0 = np.zeros(n_frames)
     voiced = np.zeros(n_frames, dtype=bool)
@@ -144,7 +143,8 @@ def track_pitch(frames: FrameSequence) -> PitchTrack:
         found = peak >= 0
         lag, r_peak = _refine(r, np.where(found, peak, 1), lag_min)
         periodicity[block] = np.where(found, np.clip(r_peak, 0.0, 1.0), 0.0)
-        v = found & (r_peak >= VOICING_PEAK_THRESHOLD) & (rms[block] >= rms_floor) & (rms_floor > 0)
+        v = (found & (r_peak >= VOICING_PEAK_THRESHOLD)
+             & (frames.rms[block] >= rms_floor) & (rms_floor > 0))
         voiced[block] = v
         f0[block] = np.where(v, np.clip(fs / lag, F0_MIN, F0_MAX), 0.0)
 

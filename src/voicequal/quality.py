@@ -7,6 +7,8 @@ import enum
 from dataclasses import dataclass, field
 from importlib import resources
 
+import numpy as np
+
 from .errors import TableError
 from .llf import LLF_KEYS, LlfVector
 from .stats import FeatureStats
@@ -31,10 +33,11 @@ class CorrelationCategory(enum.Enum):
     IC = "IC"
 
 
-_WEIGHTS = {
-    CorrelationCategory.SN: 1.0,
-    CorrelationCategory.N: 0.75,
-    CorrelationCategory.WN: 0.25,
+# signed coefficient c * w of each category
+_COEFFICIENTS = {
+    CorrelationCategory.SN: -1.0,
+    CorrelationCategory.N: -0.75,
+    CorrelationCategory.WN: -0.25,
     CorrelationCategory.NEUTRAL: 0.0,
     CorrelationCategory.WP: 0.25,
     CorrelationCategory.P: 0.75,
@@ -42,39 +45,46 @@ _WEIGHTS = {
     CorrelationCategory.IC: 0.0,
 }
 
-_SIGNS = {
-    CorrelationCategory.SN: -1.0,
-    CorrelationCategory.N: -1.0,
-    CorrelationCategory.WN: -1.0,
-    CorrelationCategory.NEUTRAL: 0.0,
-    CorrelationCategory.WP: 1.0,
-    CorrelationCategory.P: 1.0,
-    CorrelationCategory.SP: 1.0,
-    CorrelationCategory.IC: 0.0,
-}
-
 
 def effective_coefficient(category: CorrelationCategory) -> float:
     """Signed coefficient c * w for one table cell."""
-    return _SIGNS[category] * _WEIGHTS[category]
+    return _COEFFICIENTS[category]
 
 
 @dataclass(frozen=True)
 class CorrelationTable:
-    """Complete 24 x 25 map of correlation categories, plus a version string."""
+    """Complete 24 x 25 map of correlation categories, plus a version string.
+
+    ``coefficients`` is the map as signed coefficients (rows QUALITY_IDS,
+    columns LLF_KEYS); ``active_counts`` holds each row's nonzero count |A_i|.
+    """
 
     entries: dict[tuple[str, str], CorrelationCategory]
     version: str = "unversioned"
+    coefficients: np.ndarray = field(init=False, repr=False, compare=False)
+    active_counts: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        coefficients = np.array([[_COEFFICIENTS[self.entries[(q, k)]] for k in LLF_KEYS]
+                                 for q in QUALITY_IDS])
+        counts = np.count_nonzero(coefficients, axis=1)
+        empty = [q for q, n in zip(QUALITY_IDS, counts) if n == 0]
+        if empty:
+            raise TableError(f"qualities with no active features: {empty}")
+        object.__setattr__(self, "coefficients", coefficients)
+        object.__setattr__(self, "active_counts", counts)
 
     def category(self, quality_id: str, feature_key: str) -> CorrelationCategory:
         return self.entries[(quality_id, feature_key)]
 
     def coefficient(self, quality_id: str, feature_key: str) -> float:
-        return effective_coefficient(self.entries[(quality_id, feature_key)])
+        return float(self.coefficients[QUALITY_IDS.index(quality_id),
+                                       LLF_KEYS.index(feature_key)])
 
     def active_features(self, quality_id: str) -> list[str]:
         """Features with a nonzero coefficient for this quality."""
-        return [k for k in LLF_KEYS if self.coefficient(quality_id, k) != 0.0]
+        row = self.coefficients[QUALITY_IDS.index(quality_id)]
+        return [k for k, c in zip(LLF_KEYS, row.tolist()) if c != 0.0]
 
 
 def _parse_table(lines, origin: str) -> CorrelationTable:
@@ -141,7 +151,7 @@ def load_table(path: str | None = None) -> CorrelationTable:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return _parse_table(fh, str(path))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise TableError(f"cannot read table {path}: {exc}")
 
 
@@ -153,35 +163,38 @@ class QualityScores:
     z_contributions: dict[str, dict[str, float]] = field(repr=False)
 
 
-def score_quality(vector: LlfVector, stats: FeatureStats, table: CorrelationTable,
-                  quality_id: str) -> tuple[float, dict[str, float]]:
-    """Score one quality: (1/Z) * sum of coefficient-weighted z-scores.
+def z_scores(vector: LlfVector, stats: FeatureStats) -> np.ndarray:
+    """z_j = (v_j - mu_j) / sigma_j in LLF_KEYS order; a missing key raises ValueError."""
+    try:
+        values = np.array([vector[k] for k in LLF_KEYS], dtype=float)
+    except KeyError as exc:
+        raise ValueError(f"feature vector missing key {exc.args[0]!r}") from None
+    return ((values - np.array([stats.mu[k] for k in LLF_KEYS]))
+            / np.array([stats.sigma[k] for k in LLF_KEYS]))
 
-    Z counts the features with nonzero coefficient; the per-feature signed
-    weighted z-terms are returned for explainability.
-    """
-    if quality_id not in QUALITY_IDS:
-        raise TableError(f"unknown quality id {quality_id!r}")
-    active = table.active_features(quality_id)
-    if not active:
-        raise TableError(f"quality {quality_id!r} has no active features")
-    z = len(active)
-    contributions = {}
-    for key in active:
-        if key not in vector:
-            raise ValueError(f"feature vector missing key {key!r}")
-        zscore = (vector[key] - stats.mu[key]) / stats.sigma[key]
-        contributions[key] = table.coefficient(quality_id, key) * zscore
-    score = sum(contributions.values()) / z
-    return score, contributions
+
+def scores_from_z(z: np.ndarray, table: CorrelationTable) -> np.ndarray:
+    """S = Z C^T / |A|: the 24 scores (QUALITY_IDS order) of each z row."""
+    return z @ table.coefficients.T / table.active_counts
 
 
 def score_all(vector: LlfVector, stats: FeatureStats,
               table: CorrelationTable) -> QualityScores:
-    """Score every quality for one feature vector."""
-    scores, contribs = {}, {}
-    for quality in QUALITY_IDS:
-        s, c = score_quality(vector, stats, table, quality)
-        scores[quality] = s
-        contribs[quality] = c
-    return QualityScores(scores, contribs)
+    """Score every quality for one feature vector; the contributions of
+    quality i are the terms c_ij * z_j of its active features."""
+    z = z_scores(vector, stats)
+    terms = (table.coefficients * z).tolist()
+    active = (table.coefficients != 0.0).tolist()
+    contributions = {q: {k: t for k, t, a in zip(LLF_KEYS, row, mask) if a}
+                     for q, row, mask in zip(QUALITY_IDS, terms, active)}
+    scores = dict(zip(QUALITY_IDS, scores_from_z(z, table).tolist()))
+    return QualityScores(scores, contributions)
+
+
+def score_quality(vector: LlfVector, stats: FeatureStats, table: CorrelationTable,
+                  quality_id: str) -> tuple[float, dict[str, float]]:
+    """Score one quality: its entry of ``score_all``, with its contributions."""
+    if quality_id not in QUALITY_IDS:
+        raise TableError(f"unknown quality id {quality_id!r}")
+    result = score_all(vector, stats, table)
+    return result.scores[quality_id], result.z_contributions[quality_id]

@@ -66,8 +66,7 @@ def compute_spectral_llfs(frames: FrameSequence) -> dict[str, float]:
     mag = np.abs(np.fft.rfft(frames.frames, NFFT, axis=1))
     power = mag ** 2
 
-    rms = np.sqrt(np.mean(frames.raw_frames ** 2, axis=1))
-    loudness = float(np.mean(20.0 * np.log10(rms + _EPS)))
+    loudness = float(np.mean(20.0 * np.log10(frames.rms + _EPS)))
 
     low = (freqs >= 50) & (freqs <= 1000)
     high = (freqs > 1000) & (freqs <= 5000)

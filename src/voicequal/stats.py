@@ -84,7 +84,7 @@ def load_stats(path: str | os.PathLike) -> FeatureStats:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise StatsError(f"cannot read stats {path}: {exc}")
 
     for lineno, line in enumerate(lines, start=1):

@@ -3,6 +3,7 @@ import pytest
 
 from voicequal.audio_io import CANONICAL_RATE, AudioSignal
 from voicequal.llf import LLF_KEYS
+from voicequal.quality import effective_coefficient
 from voicequal.stats import FeatureStats
 from voicequal.synth import pulse_train
 
@@ -29,6 +30,20 @@ def random_stats(rng):
     mu = dict(zip(LLF_KEYS, rng.normal(0.0, 5.0, len(LLF_KEYS)).tolist()))
     sigma = dict(zip(LLF_KEYS, rng.uniform(0.5, 4.0, len(LLF_KEYS)).tolist()))
     return FeatureStats(mu=mu, sigma=sigma, corpus="random", n_utterances=2)
+
+
+def loop_score(vector, stats, table, quality_id):
+    """Reference scorer: the per-cell dict loop over the table's categories.
+
+    Returns (score, contributions) for one quality, with the contributions
+    keyed by the active features in LLF_KEYS order.
+    """
+    contributions = {}
+    for key in LLF_KEYS:
+        c = effective_coefficient(table.category(quality_id, key))
+        if c != 0.0:
+            contributions[key] = c * ((vector[key] - stats.mu[key]) / stats.sigma[key])
+    return sum(contributions.values()) / len(contributions), contributions
 
 
 @pytest.fixture(scope="session")

@@ -65,7 +65,7 @@ def test_stats_env_var(corpus, tmp_path, monkeypatch, capsys):
 
 def test_extract_determinism(corpus, tmp_path):
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    main(["extract", *corpus, "--output", str(a), "--jobs", "2"])
+    main(["extract", *corpus, "--output", str(a)])
     main(["extract", *corpus, "--output", str(b)])
     assert a.read_bytes() == b.read_bytes()
 
@@ -124,6 +124,27 @@ def test_audio_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.wav"
     bad.write_bytes(b"nope")
     assert main(["extract", str(bad)]) == 3
+
+
+@pytest.mark.parametrize("argv, exit_code", [
+    (["evaluate", "--suite", "jittered", "--table", "{bad}"], 6),
+    (["score", "unused.wav", "--stats", "{bad}"], 5),
+    (["evaluate", "--manifest", "{bad}"], 7),
+], ids=["table", "stats", "manifest"])
+def test_non_utf8_input_exit_code(tmp_path, capsys, argv, exit_code):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe not utf-8\n")
+    assert main([a.format(bad=bad) for a in argv]) == exit_code
+    assert str(bad) in capsys.readouterr().err
+
+
+def test_table_with_inactive_quality_exits_6(tmp_path, capsys):
+    table = tmp_path / "table.txt"
+    rows = [key + " " + " ".join("-" if q == "Jit" else "SP" for q in QUALITY_IDS)
+            for key in LLF_KEYS]
+    table.write_text("qualities " + " ".join(QUALITY_IDS) + "\n" + "\n".join(rows) + "\n")
+    assert main(["evaluate", "--suite", "jittered", "--table", str(table)]) == 6
+    assert "Jit" in capsys.readouterr().err
 
 
 def test_evaluate_needs_input(capsys):

@@ -17,7 +17,7 @@ from voicequal.evaluation import (
 from voicequal.llf import LLF_KEYS
 from voicequal.synth import generate_synthetic
 
-from conftest import random_stats
+from conftest import loop_score, random_stats
 
 
 def _sample(source_id, label, llf=None):
@@ -110,6 +110,46 @@ def test_accuracy_invariant_under_stats_choice(default_table):
     acc1 = evaluate_pairs(pairs, stats, default_table).per_quality["Rou"]
     acc2 = evaluate_pairs(pairs, scaled, default_table).per_quality["Rou"]
     assert acc1.correct == acc2.correct
+
+
+def test_evaluate_pairs_matches_per_pair_reference(default_table):
+    rng = np.random.default_rng(3)
+    stats = random_stats(rng)
+
+    def draw():
+        return {k: stats.mu[k] + rng.normal() * stats.sigma[k] for k in LLF_KEYS}
+
+    shared = draw()
+    samples = ([_sample(f"j{i}", "Jit", draw()) for i in range(4)]
+               + [_sample(f"s{i}", "Shim", draw()) for i in range(3)]
+               + [_sample(f"n{i}", NEUTRAL_LABEL, draw()) for i in range(5)]
+               + [_sample("t-pos", "Jit", dict(shared)),
+                  _sample("t-neg", NEUTRAL_LABEL, dict(shared))])
+    pairs = form_pairs(samples, "Jit") + form_pairs(samples, "Shim")
+
+    # reference: score both sides of every pair with the dict loop
+    totals, corrects, ties = {}, {}, 0
+    for pair in pairs:
+        s1, _ = loop_score(pair.positive.llf, stats, default_table, pair.quality)
+        s2, _ = loop_score(pair.negative.llf, stats, default_table, pair.quality)
+        totals[pair.quality] = totals.get(pair.quality, 0) + 1
+        corrects[pair.quality] = corrects.get(pair.quality, 0) + (s1 > s2)
+        ties += s1 == s2
+    assert ties >= 1
+
+    report = evaluate_pairs(pairs, stats, default_table)
+    assert {q: (r.total_pairs, r.correct) for q, r in report.per_quality.items()} == {
+        q: (totals[q], corrects[q]) for q in sorted(totals)}
+
+
+def test_scoring_failure_names_the_sample(default_table):
+    stats = random_stats(np.random.default_rng(4))
+    partial = dict(stats.mu)
+    del partial["HNRdBACF"]
+    pairs = [EvalPair(_sample("whole", "Brea", dict(stats.mu)),
+                      _sample("partial", NEUTRAL_LABEL, partial), "Brea")]
+    with pytest.raises(ManifestError, match="partial.*HNRdBACF"):
+        evaluate_pairs(pairs, stats, default_table)
 
 
 def test_report_mean_is_unweighted():

@@ -42,3 +42,9 @@ def test_all_frames_equal_length_partial_dropped():
     frames = frame_signal(AudioSignal(x, sig.sample_rate_hz, "padded"))
     assert frames.n_frames == (len(x) - 400) // 160 + 1
     assert frames.frames.shape[1] == 400
+
+
+def test_rms_is_the_per_frame_formula():
+    frames = frame_signal(sine_signal(220, duration=0.2))
+    expected = [np.sqrt(np.mean(raw ** 2)) for raw in frames.raw_frames]
+    assert frames.rms.tolist() == expected

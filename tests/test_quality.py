@@ -13,7 +13,7 @@ from voicequal.quality import (
 )
 from voicequal.stats import FeatureStats
 
-from conftest import random_llf, random_stats
+from conftest import loop_score, random_llf, random_stats
 
 PALETTE = {
     CorrelationCategory.SP: 1.0,
@@ -141,6 +141,19 @@ def test_score_equals_contribution_sum(default_table):
         z = len(default_table.active_features(quality))
         total = sum(result.z_contributions[quality].values())
         assert result.scores[quality] == pytest.approx(total / z, abs=1e-12)
+
+
+def test_score_all_matches_dict_loop_reference(default_table):
+    rng = np.random.default_rng(7)
+    for _ in range(50):
+        stats = random_stats(rng)
+        vector = random_llf(rng)
+        result = score_all(vector, stats, default_table)
+        for quality in QUALITY_IDS:
+            score, contributions = loop_score(vector, stats, default_table, quality)
+            assert abs(result.scores[quality] - score) < 1e-12, quality
+            assert list(result.z_contributions[quality].items()) == list(
+                contributions.items()), quality
 
 
 def test_linearity_and_antisymmetry(default_table):
