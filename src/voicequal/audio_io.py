@@ -53,9 +53,9 @@ _INT_SCALES = {
 def load_audio(path: str | os.PathLike, target_rate: int = CANONICAL_RATE) -> AudioSignal:
     """Decode a PCM WAV file into a mono AudioSignal at ``target_rate``.
 
-    Channels are averaged, the result is resampled with a polyphase
-    (band-limited) resampler, and peak-normalized only if any sample
-    exceeds full scale.
+    Rates below 8 kHz are rejected. Channels are averaged, the result is
+    resampled with a polyphase (band-limited) resampler, and
+    peak-normalized only if any sample exceeds full scale.
     """
     try:
         rate, data = wavfile.read(os.fspath(path))
@@ -63,6 +63,8 @@ def load_audio(path: str | os.PathLike, target_rate: int = CANONICAL_RATE) -> Au
         raise AudioIOError(f"cannot read {path}: file not found")
     except Exception as exc:
         raise AudioIOError(f"cannot read {path}: {exc}")
+    if rate < 8000:  # before resampling: a bogus rate of 1 Hz would upsample 16000x
+        raise AudioIOError(f"unsupported sample rate {rate} Hz in {path}: need at least 8000 Hz")
 
     if data.dtype in _INT_SCALES:
         offset, scale = _INT_SCALES[data.dtype]

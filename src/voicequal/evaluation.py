@@ -125,14 +125,15 @@ def load_manifest(path: str | os.PathLike) -> tuple[list[LabeledSample], int]:
     base = os.path.dirname(os.fspath(path))
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            rows = [row for row in csv.reader(fh)
+            reader = csv.reader(fh)
+            rows = [(reader.line_num, row) for row in reader
                     if row and not row[0].lstrip().startswith("#")]
     except (OSError, UnicodeDecodeError) as exc:
         raise ManifestError(f"cannot read manifest {path}: {exc}")
 
     samples: list[LabeledSample] = []
     skipped = 0
-    for lineno, row in enumerate(rows, start=1):
+    for lineno, row in rows:
         if len(row) != 2:
             raise ManifestError(f"{path}:{lineno}: expected 'path,label'")
         file_path, label = row[0].strip(), row[1].strip()

@@ -109,7 +109,7 @@ def estimate_formants(frames: FrameSequence, pitch: PitchTrack) -> FormantTrack:
 
     fs = frames.sample_rate_hz
     order = 2 + fs // 1000
-    window = np.hamming(frames.frame_length)
+    window = frames.window
     voiced = np.nonzero(pitch.voiced)[0]
 
     indices, freq_rows, bw_rows = [], [], []

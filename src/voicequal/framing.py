@@ -15,24 +15,25 @@ HOP_S = 0.010
 
 @dataclass(frozen=True)
 class FrameSequence:
-    """Windowed analysis frames plus the raw blocks they were cut from.
+    """Unwindowed analysis frames; each spectral stage multiplies in
+    ``window`` where it needs it, so no windowed copy is stored."""
 
-    ``frames`` are Hamming windowed (spectral analysis); ``raw_frames`` keep
-    the unwindowed samples for autocorrelation-based pitch analysis.
-    """
-
-    frames: np.ndarray        # (n_frames, frame_length)
-    raw_frames: np.ndarray    # same shape, unwindowed
+    raw_frames: np.ndarray    # (n_frames, frame_length), unwindowed
     sample_rate_hz: int
     rms: np.ndarray           # (n_frames,) raw-frame RMS, for voicing and loudness
 
     @property
     def n_frames(self) -> int:
-        return self.frames.shape[0]
+        return self.raw_frames.shape[0]
 
     @property
     def frame_length(self) -> int:
-        return self.frames.shape[1]
+        return self.raw_frames.shape[1]
+
+    @property
+    def window(self) -> np.ndarray:
+        """The Hamming window of one frame."""
+        return np.hamming(self.frame_length)
 
     @property
     def hop_length(self) -> int:
@@ -45,7 +46,7 @@ def framing(sample_rate_hz: int) -> tuple[int, int]:
 
 
 def frame_signal(signal: AudioSignal) -> FrameSequence:
-    """Cut a signal into 25 ms / 10 ms-hop Hamming frames.
+    """Cut a signal into 25 ms frames with a 10 ms hop.
 
     The trailing partial frame is dropped; a signal shorter than one frame
     is rejected.
@@ -61,5 +62,4 @@ def frame_signal(signal: AudioSignal) -> FrameSequence:
     raw = np.lib.stride_tricks.sliding_window_view(x, frame_len)[::hop][:n_frames]
     raw = np.ascontiguousarray(raw)
     rms = np.sqrt(np.mean(raw ** 2, axis=1))
-    windowed = raw * np.hamming(frame_len)
-    return FrameSequence(windowed, raw, fs, rms)
+    return FrameSequence(raw, fs, rms)

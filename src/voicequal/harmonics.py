@@ -88,11 +88,13 @@ def compute_harmonic_llfs(frames: FrameSequence, pitch: PitchTrack,
     # Levels are compared as magnitudes and converted to dB only once
     # picked: the dB scale is monotonic, so the maxima are the same.
     h1_h2, h1_a3 = [], []
+    window = frames.window
     padded = np.zeros((SPECTRUM_BLOCK, n_bins + 1))
     for start in range(0, len(voiced), SPECTRUM_BLOCK):
         idx = voiced[start:start + SPECTRUM_BLOCK]
         block = padded[:len(idx)]
-        np.abs(np.fft.rfft(frames.frames[idx], SPECTRUM_NFFT, axis=1), out=block[:, :n_bins])
+        spectrum = np.fft.rfft(frames.raw_frames[idx] * window, SPECTRUM_NFFT, axis=1)
+        np.abs(spectrum, out=block[:, :n_bins])
         f0 = pitch.f0_hz[idx]
 
         use = np.nonzero(2 * f0 / bin_hz < n_bins)[0]

@@ -13,7 +13,7 @@ import numpy as np
 from .audio_io import AudioSignal
 from .errors import InsufficientVoicingError
 from .framing import framing
-from .pitch import ACF_BLOCK, PitchTrack, frame_autocorrelation, parabolic_peak
+from .pitch import PitchTrack, parabolic_peak
 
 F0_REFERENCE_HZ = 27.5
 MIN_CONSECUTIVE_VOICED = 3
@@ -78,27 +78,20 @@ def find_period_marks(signal: AudioSignal, pitch: PitchTrack) -> list[PeriodMark
         anchor = start + int(seg.argmax())
 
         marks = [anchor]
-        # march forward, then backward, one expected period at a time
-        pos = float(anchor)
-        while True:
-            t = period_at(pos, lo_frame, hi_frame)
-            lo = int(round(pos + t * (1 - SEARCH_FRACTION)))
-            hi = int(round(pos + t * (1 + SEARCH_FRACTION))) + 1
-            if hi > end or lo <= int(pos):
-                break
-            m = lo + int(magnitude[lo:hi].argmax())
-            marks.append(m)
-            pos = float(m)
-        pos = float(anchor)
-        while True:
-            t = period_at(pos, lo_frame, hi_frame)
-            lo = int(round(pos - t * (1 + SEARCH_FRACTION)))
-            hi = int(round(pos - t * (1 - SEARCH_FRACTION))) + 1
-            if lo < start or hi >= int(pos):
-                break
-            m = lo + int(magnitude[lo:hi].argmax())
-            marks.append(m)
-            pos = float(m)
+        # march forward, then backward, one expected period at a time; each
+        # direction stops when its window leaves the region or fails to step
+        for sign in (1, -1):
+            pos = float(anchor)
+            while True:
+                t = sign * period_at(pos, lo_frame, hi_frame)
+                near = int(round(pos + t * (1 - SEARCH_FRACTION)))
+                far = int(round(pos + t * (1 + SEARCH_FRACTION)))
+                lo, hi = min(near, far), max(near, far) + 1
+                if (hi > end or lo <= int(pos)) if sign > 0 else (lo < start or hi >= int(pos)):
+                    break
+                m = lo + int(magnitude[lo:hi].argmax())
+                marks.append(m)
+                pos = float(m)
 
         positions, amplitudes = _refine_marks(x, np.sort(marks))
         keep = amplitudes > 0
@@ -107,30 +100,10 @@ def find_period_marks(signal: AudioSignal, pitch: PitchTrack) -> list[PeriodMark
     return regions
 
 
-def _hnr_db(signal: AudioSignal, pitch: PitchTrack) -> float:
-    """Mean over voiced frames of 10 log10(r / (1 - r)) at the pitch lag.
-
-    r is the largest normalized autocorrelation over the integer lags
-    round(fs / f0) - 1 .. round(fs / f0) + 1 (none below 2).
-    """
-    fs = signal.sample_rate_hz
-    frame_len, hop = framing(fs)
-    x = signal.samples
-    n = min(len(pitch), max(0, (len(x) - frame_len) // hop + 1))  # full frames only
-    idx = np.nonzero(pitch.voiced[:n] & (pitch.f0_hz[:n] > 0))[0]
-    lags = np.rint(fs / pitch.f0_hz[idx]).astype(int)
-    usable = lags + 2 < frame_len
-    idx, lags = idx[usable], lags[usable]
-    if len(idx) == 0:
-        raise InsufficientVoicingError("no usable voiced frames for HNR")
-
-    r = np.empty(len(idx))
-    for start in range(0, len(idx), ACF_BLOCK):
-        block = slice(start, start + ACF_BLOCK)
-        acf = frame_autocorrelation(x[idx[block, None] * hop + np.arange(frame_len)])
-        cols = np.maximum(lags[block, None] + np.arange(-1, 2), 2)
-        r[block] = np.take_along_axis(acf, cols, axis=1).max(axis=1)
-    r = np.clip(r, 1e-6, 1.0 - 1e-7)
+def _hnr_db(pitch: PitchTrack) -> float:
+    """Mean over voiced frames of 10 log10(r / (1 - r)), r being each
+    frame's harmonicity from the pitch pass."""
+    r = np.clip(pitch.harmonicity[pitch.voiced], 1e-6, 1.0 - 1e-7)
     return float(np.mean(10.0 * np.log10(r / (1.0 - r))))
 
 
@@ -166,5 +139,5 @@ def compute_period_llfs(signal: AudioSignal, pitch: PitchTrack) -> dict[str, flo
         "F0semitoneFrom27.5Hz": f0_semitone,
         "jitterLocal": jitter,
         "shimmerLocaldB": shimmer,
-        "HNRdBACF": _hnr_db(signal, pitch),
+        "HNRdBACF": _hnr_db(pitch),
     }

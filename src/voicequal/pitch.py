@@ -25,18 +25,20 @@ ACF_DIRECT_BELOW = 1e-3
 
 @dataclass(frozen=True)
 class PitchTrack:
-    """Per-frame fundamental frequency, voicing flag, and periodicity.
+    """Per-frame fundamental frequency, voicing flag, and harmonicity.
 
-    Unvoiced frames carry f0 = 0 and periodicity is the normalized
-    autocorrelation value at the chosen pitch lag, clipped to [0, 1].
+    Unvoiced frames carry f0 = 0 and harmonicity 0. A voiced frame's
+    harmonicity is the largest normalized autocorrelation over the integer
+    lags round(fs / f0) - 1 .. round(fs / f0) + 1 (none below 2), the r of
+    HNRdBACF.
     """
 
     f0_hz: np.ndarray
     voiced: np.ndarray
-    periodicity: np.ndarray
+    harmonicity: np.ndarray
 
     def __post_init__(self):
-        for arr in (self.f0_hz, self.voiced, self.periodicity):
+        for arr in (self.f0_hz, self.voiced, self.harmonicity):
             arr.setflags(write=False)
 
     def __len__(self) -> int:
@@ -113,6 +115,13 @@ def _refine(r: np.ndarray, peak: np.ndarray, lag_min: int) -> tuple[np.ndarray, 
     return lag_min + peak + delta, r_peak
 
 
+def _harmonicity(acf: np.ndarray, f0: np.ndarray, voiced: np.ndarray, fs: int) -> np.ndarray:
+    """Per row of full-lag acf, the PitchTrack harmonicity for f0 and voiced."""
+    lags = np.rint(fs / np.where(voiced, f0, F0_MAX)).astype(int)  # unvoiced f0 is 0
+    cols = np.maximum(lags[:, None] + np.arange(-1, 2), 2)
+    return np.where(voiced, np.take_along_axis(acf, cols, axis=1).max(axis=1), 0.0)
+
+
 def track_pitch(frames: FrameSequence) -> PitchTrack:
     """Estimate per-frame f0 in [55, 1000] Hz with parabolic lag refinement.
 
@@ -129,24 +138,22 @@ def track_pitch(frames: FrameSequence) -> PitchTrack:
 
     f0 = np.zeros(n_frames)
     voiced = np.zeros(n_frames, dtype=bool)
-    periodicity = np.zeros(n_frames)
+    harmonicity = np.zeros(n_frames)
     if lag_max - lag_min < 2:  # too few lags for an interior peak
-        return PitchTrack(f0, voiced, periodicity)
-
-    def lag_acf(idx):
-        return frame_autocorrelation(frames.raw_frames[idx])[:, lag_min:lag_max + 1]
+        return PitchTrack(f0, voiced, harmonicity)
 
     for start in range(0, n_frames, ACF_BLOCK):
         block = slice(start, start + ACF_BLOCK)
-        r = lag_acf(block)
+        acf = frame_autocorrelation(frames.raw_frames[block])
+        r = acf[:, lag_min:lag_max + 1]
         peak = _pick_peaks(r, lag_min)
         found = peak >= 0
         lag, r_peak = _refine(r, np.where(found, peak, 1), lag_min)
-        periodicity[block] = np.where(found, np.clip(r_peak, 0.0, 1.0), 0.0)
         v = (found & (r_peak >= VOICING_PEAK_THRESHOLD)
              & (frames.rms[block] >= rms_floor) & (rms_floor > 0))
         voiced[block] = v
         f0[block] = np.where(v, np.clip(fs / lag, F0_MIN, F0_MAX), 0.0)
+        harmonicity[block] = _harmonicity(acf, f0[block], v, fs)
 
     # Second pass: frames far from the voiced median get re-picked within a
     # window around the median lag, which suppresses occasional period
@@ -161,13 +168,14 @@ def track_pitch(frames: FrameSequence) -> PitchTrack:
         a, b = win_lo - lag_min, win_hi - lag_min
         for start in range(0, len(far), ACF_BLOCK):
             idx = far[start:start + ACF_BLOCK]
-            r = lag_acf(idx)
+            acf = frame_autocorrelation(frames.raw_frames[idx])
+            r = acf[:, lag_min:lag_max + 1]
             peaks = _interior_maxima(r[:, a:b + 1])
             found = np.isfinite(peaks).any(axis=1)
             lag, r_peak = _refine(r, a + 1 + np.argmax(peaks, axis=1), lag_min)
             keep = found & (r_peak >= VOICING_PEAK_THRESHOLD)
             voiced[idx] = keep
             f0[idx] = np.where(keep, np.clip(fs / lag, F0_MIN, F0_MAX), 0.0)
-            periodicity[idx] = np.where(keep, np.clip(r_peak, 0.0, 1.0), periodicity[idx])
+            harmonicity[idx] = _harmonicity(acf, f0[idx], keep, fs)
 
-    return PitchTrack(f0, voiced, periodicity)
+    return PitchTrack(f0, voiced, harmonicity)

@@ -139,7 +139,10 @@ def _parse_table(lines, origin: str) -> CorrelationTable:
     missing_f = [f for f in LLF_KEYS if f not in seen_features]
     if missing_f:
         raise TableError(f"{origin}: missing feature rows {missing_f}")
-    return CorrelationTable(entries, version)
+    try:
+        return CorrelationTable(entries, version)
+    except TableError as exc:
+        raise TableError(f"{origin}: {exc}") from None
 
 
 def load_table(path: str | None = None) -> CorrelationTable:

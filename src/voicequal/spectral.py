@@ -63,7 +63,7 @@ def compute_spectral_llfs(frames: FrameSequence) -> dict[str, float]:
     """
     fs = frames.sample_rate_hz
     freqs = np.fft.rfftfreq(NFFT, 1.0 / fs)
-    mag = np.abs(np.fft.rfft(frames.frames, NFFT, axis=1))
+    mag = np.abs(np.fft.rfft(frames.raw_frames * frames.window, NFFT, axis=1))
     power = mag ** 2
 
     loudness = float(np.mean(20.0 * np.log10(frames.rms + _EPS)))

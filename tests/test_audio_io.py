@@ -31,6 +31,14 @@ def test_resample_length_oracle(tmp_path):
     assert abs(len(sig.samples) - round(n * 16000 / 48000)) <= 1
 
 
+@pytest.mark.parametrize("rate", [0, 1, 7999])
+def test_sample_rate_below_8k_rejected(tmp_path, rate):
+    path = tmp_path / "slow.wav"
+    _write_int16(path, rate, 0.5 * np.sin(np.arange(32)))
+    with pytest.raises(AudioIOError, match="sample rate"):
+        load_audio(path)
+
+
 def test_silent_input_rejected(tmp_path):
     path = tmp_path / "z.wav"
     _write_int16(path, 16000, np.zeros(4000))

@@ -1,6 +1,8 @@
 import json
 
+import numpy as np
 import pytest
+from scipy.io import wavfile
 
 from voicequal.audio_io import save_wav
 from voicequal.cli import main
@@ -124,6 +126,8 @@ def test_audio_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.wav"
     bad.write_bytes(b"nope")
     assert main(["extract", str(bad)]) == 3
+    wavfile.write(bad, 0, np.ones(32, dtype=np.int16))
+    assert main(["extract", str(bad)]) == 3
 
 
 @pytest.mark.parametrize("argv, exit_code", [
@@ -144,7 +148,9 @@ def test_table_with_inactive_quality_exits_6(tmp_path, capsys):
             for key in LLF_KEYS]
     table.write_text("qualities " + " ".join(QUALITY_IDS) + "\n" + "\n".join(rows) + "\n")
     assert main(["evaluate", "--suite", "jittered", "--table", str(table)]) == 6
-    assert "Jit" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "Jit" in err
+    assert str(table) in err
 
 
 def test_evaluate_needs_input(capsys):

@@ -183,6 +183,14 @@ def test_manifest_unknown_label(tmp_path):
         load_manifest(manifest)
 
 
+def test_manifest_error_reports_the_file_line(tmp_path):
+    (tmp_path / "a.wav").write_bytes(b"not audio")  # skipped with a warning
+    manifest = tmp_path / "m.csv"
+    manifest.write_text("# c\n\na.wav,Jit\nb.wav,NOPE\n")
+    with pytest.raises(ManifestError, match=r"m\.csv:4: unknown quality label 'NOPE'"):
+        load_manifest(manifest)
+
+
 def test_manifest_missing_file(tmp_path):
     manifest = tmp_path / "m.csv"
     manifest.write_text("ghost.wav,Jit\n")

@@ -32,7 +32,8 @@ def test_window_applied():
     sig = sine_signal(220, duration=0.1)
     frames = frame_signal(sig)
     window = np.hamming(frames.frame_length)
-    assert np.allclose(frames.frames[0], frames.raw_frames[0] * window)
+    windowed = frames.raw_frames * frames.window
+    assert np.allclose(windowed[0], frames.raw_frames[0] * window)
 
 
 def test_all_frames_equal_length_partial_dropped():
@@ -41,7 +42,7 @@ def test_all_frames_equal_length_partial_dropped():
     x = np.concatenate([sig.samples, sig.samples[:100]])
     frames = frame_signal(AudioSignal(x, sig.sample_rate_hz, "padded"))
     assert frames.n_frames == (len(x) - 400) // 160 + 1
-    assert frames.frames.shape[1] == 400
+    assert (frames.raw_frames * frames.window).shape == (frames.n_frames, 400)
 
 
 def test_rms_is_the_per_frame_formula():

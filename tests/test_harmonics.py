@@ -62,7 +62,8 @@ def _reference_levels(frames, pitch, track):
     h1_h2, h1_a3, amps = [], [], np.zeros((len(track), 3))
     for i in np.nonzero(pitch.voiced)[0]:
         f0 = pitch.f0_hz[i]
-        spectrum_db = 20.0 * np.log10(np.abs(np.fft.rfft(frames.frames[i], 4096)) + 1e-12)
+        spectrum = np.fft.rfft(frames.raw_frames[i] * frames.window, 4096)
+        spectrum_db = 20.0 * np.log10(np.abs(spectrum) + 1e-12)
         if i in rows:
             level_f0 = spectrum_db[int(round(f0 / bin_hz))]
             for n, f in enumerate(track.frequencies_hz[rows[i]]):

@@ -3,10 +3,11 @@ import pytest
 
 from voicequal.audio_io import AudioSignal
 from voicequal.errors import InsufficientVoicingError
-from voicequal.framing import frame_signal
-from voicequal.periods import PERIOD_KEYS, compute_period_llfs, voiced_runs
+from voicequal.framing import frame_signal, framing
+from voicequal.periods import (PERIOD_KEYS, SEARCH_FRACTION, _refine_marks,
+                               compute_period_llfs, find_period_marks, voiced_runs)
 from voicequal.pitch import PitchTrack, track_pitch
-from voicequal.synth import pulse_train
+from voicequal.synth import generate_synthetic, pulse_train
 
 from conftest import raw_pulse_train, sine_signal
 
@@ -69,11 +70,17 @@ def test_semitone_mean_220():
 def test_hnr_sine_high_noise_low():
     assert _analyze(sine_signal(220, 0.5))["HNRdBACF"] > 30
 
+    # 150 Hz, 5 equal harmonics plus white noise at a known power ratio: the
+    # HNR in dB is that ratio in dB (measured 3.11, 9.93 and 19.27)
+    fs = 16000
+    t = np.arange(fs // 2) / fs
+    harmonic = sum(np.sin(2 * np.pi * 150 * k * t) for k in range(1, 6))
     rng = np.random.default_rng(0)
-    noise = AudioSignal(0.5 * rng.standard_normal(8000), 16000, "noise")
-    n = frame_signal(noise).n_frames
-    forced = PitchTrack(np.full(n, 200.0), np.ones(n, dtype=bool), np.full(n, 0.5))
-    assert compute_period_llfs(noise, forced)["HNRdBACF"] < 5
+    for snr in (2, 10, 100):
+        noise = rng.standard_normal(len(t)) * np.sqrt(np.mean(harmonic ** 2) / snr)
+        x = harmonic + noise
+        hnr = _analyze(AudioSignal(0.9 * x / np.abs(x).max(), fs, f"snr{snr}"))["HNRdBACF"]
+        assert hnr == pytest.approx(10 * np.log10(snr), abs=1.0)
 
 
 def test_insufficient_voicing_raises():
@@ -96,3 +103,82 @@ def test_jitter_shimmer_nonnegative():
                                           shimmer_db=0.5, seed=seed))
         assert values["jitterLocal"] >= 0
         assert values["shimmerLocaldB"] >= 0
+
+
+def _two_loop_marks(signal, pitch):
+    """Reference march: the forward loop and the backward loop written apart."""
+    fs, x = signal.sample_rate_hz, signal.samples
+    magnitude = np.abs(x)
+    frame_len, hop = framing(fs)
+
+    def period_at(pos, lo_frame, hi_frame):
+        frame = min(max(round((pos - frame_len / 2) / hop), lo_frame), hi_frame - 1)
+        f0 = pitch.f0_hz[frame]
+        return fs / f0 if f0 > 0 else fs / 100.0
+
+    regions = []
+    for lo_frame, hi_frame in voiced_runs(pitch.voiced):
+        start = lo_frame * hop
+        end = min((hi_frame - 1) * hop + frame_len, len(x))
+        if not np.any(magnitude[start:end]):
+            continue
+        anchor = start + int(magnitude[start:end].argmax())
+        marks = [anchor]
+        pos = anchor
+        while True:
+            t = period_at(pos, lo_frame, hi_frame)
+            lo = int(round(pos + t * (1 - SEARCH_FRACTION)))
+            hi = int(round(pos + t * (1 + SEARCH_FRACTION))) + 1
+            if hi > end or lo <= pos:
+                break
+            pos = lo + int(magnitude[lo:hi].argmax())
+            marks.append(pos)
+        pos = anchor
+        while True:
+            t = period_at(pos, lo_frame, hi_frame)
+            lo = int(round(pos - t * (1 + SEARCH_FRACTION)))
+            hi = int(round(pos - t * (1 - SEARCH_FRACTION))) + 1
+            if lo < start or hi >= pos:
+                break
+            pos = lo + int(magnitude[lo:hi].argmax())
+            marks.append(pos)
+        positions, amplitudes = _refine_marks(x, np.sort(marks))
+        keep = amplitudes > 0
+        if np.count_nonzero(keep) >= 2:
+            regions.append((positions[keep], amplitudes[keep]))
+    return regions
+
+
+def _comb_cases():
+    """Pulse combs whose period is 0.65, 1 and 1.35 times the tracked one
+    (160 Hz), at every phase: each search window bound and each region edge
+    is hit exactly by some pulse or step."""
+    n = 4000
+    n_frames = (n - 400) // 160 + 1
+    voiced = np.zeros(n_frames, dtype=bool)
+    voiced[2:-2] = True
+    pitch = PitchTrack(np.where(voiced, 160.0, 0.0), voiced, np.zeros(n_frames))
+    for period in (65, 100, 135):
+        for offset in range(period):
+            k = np.arange(offset, n, period)
+            x = np.zeros(n)
+            x[k] = 1.0 - 0.5 * np.abs(k - n / 2) / n  # the anchor is the middle pulse
+            yield AudioSignal(x, 16000, "comb"), pitch
+
+
+def test_period_marks_match_two_loop_reference():
+    gap = np.zeros(2000)
+    vowel = generate_synthetic("clean", f0=180.0, duration=0.5, seed=3).samples
+    gapped = AudioSignal(np.concatenate([vowel, gap, vowel[::-1], gap]), 16000, "gapped")
+    signals = [gapped, raw_pulse_train(200, duration=0.5, jitter_pct=3.0, seed=4)]
+    signals += [generate_synthetic(kind, f0=f0, duration=1.0, seed=1)
+                for kind, f0 in (("jittered", 120.0), ("shimmered", 150.0), ("breathy", 210.0))]
+    cases = [(sig, track_pitch(frame_signal(sig))) for sig in signals]
+    assert len(voiced_runs(cases[0][1].voiced)) == 2  # the gaps split the first signal
+    for sig, pitch in cases + list(_comb_cases()):
+        got = find_period_marks(sig, pitch)
+        want = _two_loop_marks(sig, pitch)
+        assert len(got) == len(want) > 0
+        for marks, (positions, amplitudes) in zip(got, want):
+            assert np.array_equal(marks.positions, positions)
+            assert np.array_equal(marks.amplitudes, amplitudes)

@@ -3,6 +3,7 @@ import numpy as np
 from voicequal.audio_io import AudioSignal
 from voicequal.framing import frame_signal
 from voicequal.pitch import F0_MAX, F0_MIN, frame_autocorrelation, track_pitch
+from voicequal.synth import generate_synthetic
 
 from conftest import raw_pulse_train, sine_signal
 
@@ -75,3 +76,18 @@ def test_frame_autocorrelation_matches_direct_reference():
         np.testing.assert_allclose(row, _direct_acf(frame), rtol=0, atol=1e-12)
     assert not acf[1].any()
     assert np.all(np.abs(acf) <= 1.0 + 1e-12)
+
+
+def test_harmonicity_is_the_acf_max_around_the_pitch_lag():
+    # the second pass re-picks a few frames of this jittered vowel; their
+    # harmonicity must follow the new f0 (or drop to 0 if unvoiced)
+    frames = frame_signal(generate_synthetic("jittered", f0=120.0, duration=1.0, seed=1))
+    pitch = track_pitch(frames)
+    acf = frame_autocorrelation(frames.raw_frames)
+    fs = frames.sample_rate_hz
+    expected = np.zeros(len(pitch))
+    for i in np.nonzero(pitch.voiced)[0]:
+        lag = int(np.rint(fs / pitch.f0_hz[i]))
+        expected[i] = max(acf[i, max(tau, 2)] for tau in (lag - 1, lag, lag + 1))
+    assert pitch.n_voiced > 0.9 * len(pitch)
+    assert np.array_equal(pitch.harmonicity, expected)
