@@ -43,11 +43,30 @@ class AudioSignal:
         return len(self.samples) / self.sample_rate_hz
 
 
-_INT_SCALES = {
+# (offset, scale) per sample type: x = (sample - offset) / scale; the float
+# entries are exact identities
+_SCALES = {
     np.dtype(np.uint8): (128.0, 128.0),   # 8-bit WAV is unsigned, offset binary
     np.dtype(np.int16): (0.0, 32768.0),
     np.dtype(np.int32): (0.0, 2147483648.0),  # scipy widens 24-bit PCM to int32
+    np.dtype(np.float32): (0.0, 1.0),
+    np.dtype(np.float64): (0.0, 1.0),
 }
+# Sample frames per decoding block: each block is converted to float64 and
+# averaged over its channels before the next, so no float64 copy of every
+# channel is ever made.
+DECODE_BLOCK = 8192
+
+
+def _decode(data: np.ndarray, offset: float, scale: float) -> np.ndarray:
+    """(data - offset) / scale as float64, with channels averaged."""
+    x = np.empty(len(data))
+    for start in range(0, len(data), DECODE_BLOCK):
+        block = data[start:start + DECODE_BLOCK].astype(np.float64)
+        block -= offset
+        block /= scale
+        x[start:start + DECODE_BLOCK] = block if block.ndim == 1 else block.mean(axis=1)
+    return x
 
 
 def load_audio(path: str | os.PathLike, target_rate: int = CANONICAL_RATE) -> AudioSignal:
@@ -66,16 +85,10 @@ def load_audio(path: str | os.PathLike, target_rate: int = CANONICAL_RATE) -> Au
     if rate < 8000:  # before resampling: a bogus rate of 1 Hz would upsample 16000x
         raise AudioIOError(f"unsupported sample rate {rate} Hz in {path}: need at least 8000 Hz")
 
-    if data.dtype in _INT_SCALES:
-        offset, scale = _INT_SCALES[data.dtype]
-        x = (data.astype(np.float64) - offset) / scale
-    elif data.dtype in (np.float32, np.float64):
-        x = data.astype(np.float64)
-    else:
+    if data.dtype not in _SCALES:
         raise AudioIOError(f"unsupported encoding {data.dtype} in {path}")
-
-    if x.ndim == 2:
-        x = x.mean(axis=1)
+    x = _decode(data, *_SCALES[data.dtype])
+    del data
     if x.size == 0:
         raise AudioIOError(f"zero-length audio in {path}")
     if not np.any(x):
@@ -85,9 +98,9 @@ def load_audio(path: str | os.PathLike, target_rate: int = CANONICAL_RATE) -> Au
         g = math.gcd(int(rate), int(target_rate))
         x = resample_poly(x, target_rate // g, rate // g)
 
-    peak = np.max(np.abs(x))
+    peak = max(x.max(), -x.min())
     if peak > 1.0:
-        x = x / peak
+        x /= peak
 
     return AudioSignal(x, target_rate, source_id=os.fspath(path))
 

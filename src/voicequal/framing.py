@@ -11,14 +11,23 @@ from .errors import AudioIOError
 
 FRAME_LENGTH_S = 0.025
 HOP_S = 0.010
+# Frames per block for the passes over every frame (RMS here, the 512-point
+# spectrum in spectral): their temporaries stay a fixed size, about 0.2 MB per
+# array at 16 kHz, whatever the utterance length.
+FRAME_BLOCK = 64
 
 
 @dataclass(frozen=True)
 class FrameSequence:
     """Unwindowed analysis frames; each spectral stage multiplies in
-    ``window`` where it needs it, so no windowed copy is stored."""
+    ``window`` where it needs it, so no windowed copy is stored.
 
-    raw_frames: np.ndarray    # (n_frames, frame_length), unwindowed
+    ``raw_frames`` is a read-only strided view of the signal, not a copy:
+    consumers slice it in blocks or fancy-index it, which copies only the
+    frames they take.
+    """
+
+    raw_frames: np.ndarray    # (n_frames, frame_length) view, unwindowed
     sample_rate_hz: int
     rms: np.ndarray           # (n_frames,) raw-frame RMS, for voicing and loudness
 
@@ -58,8 +67,9 @@ def frame_signal(signal: AudioSignal) -> FrameSequence:
         raise AudioIOError(
             f"signal too short: {len(x)} samples, need at least {frame_len}")
 
-    n_frames = (len(x) - frame_len) // hop + 1
-    raw = np.lib.stride_tricks.sliding_window_view(x, frame_len)[::hop][:n_frames]
-    raw = np.ascontiguousarray(raw)
-    rms = np.sqrt(np.mean(raw ** 2, axis=1))
+    raw = np.lib.stride_tricks.sliding_window_view(x, frame_len)[::hop]
+    rms = np.empty(len(raw))
+    for start in range(0, len(raw), FRAME_BLOCK):
+        block = raw[start:start + FRAME_BLOCK]
+        rms[start:start + FRAME_BLOCK] = np.sqrt(np.mean(block ** 2, axis=1))
     return FrameSequence(raw, fs, rms)

@@ -6,6 +6,7 @@ locally tracked pitch period and refining each peak to sub-sample precision.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,12 @@ F0_REFERENCE_HZ = 27.5
 MIN_CONSECUTIVE_VOICED = 3
 # half-width of the peak search window, as a fraction of the local period
 SEARCH_FRACTION = 0.35
+# Samples per block in the search for a voiced region's largest magnitude:
+# neither |x| nor the argmax of a read-only region (which NumPy copies) is
+# ever taken whole.
+ANCHOR_BLOCK = 8192
+# Marks per block in the sub-sample refinement.
+MARK_BLOCK = 1024
 
 PERIOD_KEYS = ("F0semitoneFrom27.5Hz", "jitterLocal", "shimmerLocaldB", "HNRdBACF")
 
@@ -43,23 +50,40 @@ def voiced_runs(voiced: np.ndarray, min_len: int = MIN_CONSECUTIVE_VOICED):
 
 
 def _refine_marks(x: np.ndarray, marks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Parabolic sub-sample refinement of the peaks at sample indices marks.
+    """Parabolic sub-sample refinement of the peaks at sample indices marks,
+    MARK_BLOCK marks at a time.
 
     Returns (positions, absolute amplitudes); a mark on the signal's edge
     keeps its integer position and sample value.
     """
-    inner = (marks > 0) & (marks < len(x) - 1)
-    m = np.clip(marks, 1, len(x) - 2)
-    s = np.where(x[m] >= 0, 1.0, -1.0)
-    delta, amp = parabolic_peak(s * x[m - 1], s * x[m], s * x[m + 1])
-    return np.where(inner, marks + delta, marks), np.abs(np.where(inner, amp, x[marks]))
+    positions, amplitudes = np.empty(len(marks)), np.empty(len(marks))
+    for i in range(0, len(marks), MARK_BLOCK):
+        block = marks[i:i + MARK_BLOCK]
+        inner = (block > 0) & (block < len(x) - 1)
+        m = np.clip(block, 1, len(x) - 2)
+        s = np.where(x[m] >= 0, 1.0, -1.0)
+        delta, amp = parabolic_peak(s * x[m - 1], s * x[m], s * x[m + 1])
+        positions[i:i + MARK_BLOCK] = np.where(inner, block + delta, block)
+        amplitudes[i:i + MARK_BLOCK] = np.abs(np.where(inner, amp, x[block]))
+    return positions, amplitudes
+
+
+def _largest_magnitude(x: np.ndarray, start: int, end: int) -> int:
+    """Index of the first sample of largest |x| in x[start:end], or -1 if
+    all are zero; |x| is taken ANCHOR_BLOCK samples at a time."""
+    best, anchor = 0.0, -1
+    for lo in range(start, end, ANCHOR_BLOCK):
+        block = np.abs(x[lo:min(lo + ANCHOR_BLOCK, end)])
+        i = int(block.argmax())
+        if block[i] > best:
+            best, anchor = block[i], lo + i
+    return anchor
 
 
 def find_period_marks(signal: AudioSignal, pitch: PitchTrack) -> list[PeriodMarks]:
     """Locate one glottal peak per pitch period within each voiced region."""
     fs = signal.sample_rate_hz
     x = signal.samples
-    magnitude = np.abs(x)
     frame_len, hop = framing(fs)
     f0_hz = pitch.f0_hz.tolist()
 
@@ -72,12 +96,11 @@ def find_period_marks(signal: AudioSignal, pitch: PitchTrack) -> list[PeriodMark
     for lo_frame, hi_frame in voiced_runs(pitch.voiced):
         start = lo_frame * hop
         end = min((hi_frame - 1) * hop + frame_len, len(x))
-        seg = magnitude[start:end]
-        if not np.any(seg):
+        anchor = _largest_magnitude(x, start, end)
+        if anchor < 0:
             continue
-        anchor = start + int(seg.argmax())
 
-        marks = [anchor]
+        marks = array("q", [anchor])  # 8 bytes a mark, not a list of int objects
         # march forward, then backward, one expected period at a time; each
         # direction stops when its window leaves the region or fails to step
         for sign in (1, -1):
@@ -89,11 +112,12 @@ def find_period_marks(signal: AudioSignal, pitch: PitchTrack) -> list[PeriodMark
                 lo, hi = min(near, far), max(near, far) + 1
                 if (hi > end or lo <= int(pos)) if sign > 0 else (lo < start or hi >= int(pos)):
                     break
-                m = lo + int(magnitude[lo:hi].argmax())
+                m = lo + int(np.abs(x[lo:hi]).argmax())
                 marks.append(m)
                 pos = float(m)
 
-        positions, amplitudes = _refine_marks(x, np.sort(marks))
+        marks = np.sort(marks)
+        positions, amplitudes = _refine_marks(x, marks)
         keep = amplitudes > 0
         if np.count_nonzero(keep) >= 2:
             regions.append(PeriodMarks(positions[keep], amplitudes[keep]))
@@ -122,18 +146,14 @@ def compute_period_llfs(signal: AudioSignal, pitch: PitchTrack) -> dict[str, flo
     f0_semitone = float(np.mean(12.0 * np.log2(f0_voiced / F0_REFERENCE_HZ)))
 
     regions = find_period_marks(signal, pitch)
-    period_diffs, periods, amp_ratios_db = [], [], []
-    for marks in regions:
-        t = marks.periods
-        periods.extend(t)
-        period_diffs.extend(np.abs(np.diff(t)))
-        a = marks.amplitudes
-        amp_ratios_db.extend(np.abs(20.0 * np.log10(a[1:] / a[:-1])))
-
-    if not periods:
+    if not regions:  # a region keeps at least two marks: one period
         raise InsufficientVoicingError("no period marks found in voiced regions")
-    jitter = float(np.mean(period_diffs) / np.mean(periods)) if period_diffs else 0.0
-    shimmer = float(np.mean(amp_ratios_db)) if amp_ratios_db else 0.0
+    periods = np.concatenate([marks.periods for marks in regions])
+    period_diffs = np.concatenate([np.abs(np.diff(marks.periods)) for marks in regions])
+    amp_ratios_db = np.concatenate([np.abs(20.0 * np.log10(m.amplitudes[1:] / m.amplitudes[:-1]))
+                                    for m in regions])
+    jitter = float(np.mean(period_diffs) / np.mean(periods)) if len(period_diffs) else 0.0
+    shimmer = float(np.mean(amp_ratios_db))
 
     return {
         "F0semitoneFrom27.5Hz": f0_semitone,

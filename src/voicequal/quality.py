@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 from importlib import resources
 
 import numpy as np
@@ -160,10 +161,21 @@ def load_table(path: str | None = None) -> CorrelationTable:
 
 @dataclass(frozen=True)
 class QualityScores:
-    """All 24 scores for one utterance, with per-feature contributions."""
+    """All 24 scores for one utterance, from its z-vector (LLF_KEYS order)
+    and the table that scored it."""
 
     scores: dict[str, float]
-    z_contributions: dict[str, dict[str, float]] = field(repr=False)
+    z: np.ndarray = field(repr=False, compare=False)
+    table: CorrelationTable = field(repr=False, compare=False)
+
+    @cached_property
+    def z_contributions(self) -> dict[str, dict[str, float]]:
+        """Per quality, the terms c_ij * z_j of its active features; built
+        on first access, since most callers read only the scores."""
+        terms = (self.table.coefficients * self.z).tolist()
+        active = (self.table.coefficients != 0.0).tolist()
+        return {q: {k: t for k, t, a in zip(LLF_KEYS, row, mask) if a}
+                for q, row, mask in zip(QUALITY_IDS, terms, active)}
 
 
 def z_scores(vector: LlfVector, stats: FeatureStats) -> np.ndarray:
@@ -186,12 +198,7 @@ def score_all(vector: LlfVector, stats: FeatureStats,
     """Score every quality for one feature vector; the contributions of
     quality i are the terms c_ij * z_j of its active features."""
     z = z_scores(vector, stats)
-    terms = (table.coefficients * z).tolist()
-    active = (table.coefficients != 0.0).tolist()
-    contributions = {q: {k: t for k, t, a in zip(LLF_KEYS, row, mask) if a}
-                     for q, row, mask in zip(QUALITY_IDS, terms, active)}
-    scores = dict(zip(QUALITY_IDS, scores_from_z(z, table).tolist()))
-    return QualityScores(scores, contributions)
+    return QualityScores(dict(zip(QUALITY_IDS, scores_from_z(z, table).tolist())), z, table)
 
 
 def score_quality(vector: LlfVector, stats: FeatureStats, table: CorrelationTable,

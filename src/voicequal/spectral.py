@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.fft import dct
 
-from .framing import FrameSequence
+from .framing import FRAME_BLOCK, FrameSequence
 
 NFFT = 512
 N_MEL_BANDS = 26
@@ -60,48 +60,48 @@ def compute_spectral_llfs(frames: FrameSequence) -> dict[str, float]:
     are linear fits to the dB spectrum in dB/Hz; spectralFlux is the norm of
     consecutive unit-normalized magnitude-spectrum differences; mfcc1..4 come
     from a 26-band mel log filterbank cepstrum.
+
+    The spectrum is taken FRAME_BLOCK frames at a time; each frame's terms
+    are kept and averaged at the end.
     """
     fs = frames.sample_rate_hz
     freqs = np.fft.rfftfreq(NFFT, 1.0 / fs)
-    mag = np.abs(np.fft.rfft(frames.raw_frames * frames.window, NFFT, axis=1))
-    power = mag ** 2
-
-    loudness = float(np.mean(20.0 * np.log10(frames.rms + _EPS)))
-
+    window = frames.window
+    fb_t = mel_filterbank(N_MEL_BANDS, NFFT, fs).T
     low = (freqs >= 50) & (freqs <= 1000)
     high = (freqs > 1000) & (freqs <= 5000)
-    alpha = float(np.mean(10.0 * np.log10(
-        (power[:, low].sum(axis=1) + _EPS) / (power[:, high].sum(axis=1) + _EPS))))
+    peak_low = (freqs >= 0) & (freqs <= 2000)
+    peak_high = (freqs > 2000) & (freqs <= 5000)
 
-    pk_low = power[:, (freqs >= 0) & (freqs <= 2000)].max(axis=1)
-    pk_high = power[:, (freqs > 2000) & (freqs <= 5000)].max(axis=1)
-    hammarberg = float(np.mean(10.0 * np.log10((pk_low + _EPS) / (pk_high + _EPS))))
+    n = frames.n_frames
+    # each frame's term of each feature, in SPECTRAL_KEYS order; the flux
+    # term is a frame's step from the frame before it, 0 for the first
+    terms = np.empty((len(SPECTRAL_KEYS), n))
+    terms[0] = 20.0 * np.log10(frames.rms + _EPS)
+    last_unit = None
+    for start in range(0, n, FRAME_BLOCK):
+        block = slice(start, start + FRAME_BLOCK)
+        mag = np.abs(np.fft.rfft(frames.raw_frames[block] * window, NFFT, axis=1))
+        power = mag ** 2
+        terms[1, block] = 10.0 * np.log10(
+            (power[:, low].sum(axis=1) + _EPS) / (power[:, high].sum(axis=1) + _EPS))
+        terms[2, block] = 10.0 * np.log10(
+            (power[:, peak_low].max(axis=1) + _EPS) / (power[:, peak_high].max(axis=1) + _EPS))
 
-    db = 10.0 * np.log10(power + _EPS)
-    slope_low = float(np.mean(_band_slope(db, freqs, 0.0, 500.0)))
-    slope_mid = float(np.mean(_band_slope(db, freqs, 500.0, 1500.0)))
+        db = 10.0 * np.log10(power + _EPS)
+        terms[3, block] = _band_slope(db, freqs, 0.0, 500.0)
+        terms[4, block] = _band_slope(db, freqs, 500.0, 1500.0)
 
-    norms = np.linalg.norm(mag, axis=1, keepdims=True)
-    unit = mag / np.where(norms > 0, norms, 1.0)
-    if len(unit) > 1:
-        flux = float(np.mean(np.linalg.norm(np.diff(unit, axis=0), axis=1)))
-    else:
-        flux = 0.0
+        norms = np.linalg.norm(mag, axis=1, keepdims=True)
+        unit = mag / np.where(norms > 0, norms, 1.0)
+        # the previous block's last frame leads this block's steps
+        steps = np.diff(unit, axis=0, prepend=unit[:1] if last_unit is None else last_unit)
+        terms[5, block] = np.linalg.norm(steps, axis=1)
+        last_unit = unit[-1:]
 
-    fb = mel_filterbank(N_MEL_BANDS, NFFT, fs)
-    log_mel = np.log(power @ fb.T + _EPS)
-    ceps = dct(log_mel, type=2, axis=1, norm="ortho")
-    mfcc = ceps[:, 1:5].mean(axis=0)
+        log_mel = np.log(power @ fb_t + _EPS)
+        terms[6:, block] = dct(log_mel, type=2, axis=1, norm="ortho")[:, 1:5].T
 
-    return {
-        "Loudness": loudness,
-        "alphaRatio": alpha,
-        "hammarbergIndex": hammarberg,
-        "slope0-500": slope_low,
-        "slope500-1500": slope_mid,
-        "spectralFlux": flux,
-        "mfcc1": float(mfcc[0]),
-        "mfcc2": float(mfcc[1]),
-        "mfcc3": float(mfcc[2]),
-        "mfcc4": float(mfcc[3]),
-    }
+    values = dict(zip(SPECTRAL_KEYS, terms.mean(axis=1).tolist()))
+    values["spectralFlux"] = float(np.mean(terms[5, 1:])) if n > 1 else 0.0
+    return values

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.io import wavfile
+from scipy.signal import resample_poly
 
-from voicequal.audio_io import CANONICAL_RATE, AudioSignal, load_audio, save_wav
+from voicequal.audio_io import CANONICAL_RATE, DECODE_BLOCK, AudioSignal, load_audio, save_wav
 from voicequal.errors import AudioIOError, SilentInputError
 
 
@@ -100,3 +103,64 @@ def test_24bit_and_8bit_supported(tmp_path):
     wavfile.write(p8, 16000, ((x + 1) * 127.5).astype(np.uint8))
     sig = load_audio(p8)
     assert np.corrcoef(sig.samples, x)[0, 1] > 0.999
+
+
+def _reference_load(path, target_rate=CANONICAL_RATE):
+    """The whole-array decode: every channel converted, then averaged."""
+    rate, data = wavfile.read(path)
+    scales = {np.dtype(np.uint8): (128.0, 128.0), np.dtype(np.int16): (0.0, 32768.0),
+              np.dtype(np.int32): (0.0, 2147483648.0)}
+    if data.dtype in scales:
+        offset, scale = scales[data.dtype]
+        x = (data.astype(np.float64) - offset) / scale
+    else:
+        x = data.astype(np.float64)
+    if x.ndim == 2:
+        x = x.mean(axis=1)
+    if rate != target_rate:
+        g = math.gcd(rate, target_rate)
+        x = resample_poly(x, target_rate // g, rate // g)
+    peak = np.max(np.abs(x))
+    return x / peak if peak > 1.0 else x
+
+
+@pytest.mark.parametrize("dtype,rate,channels,amp", [
+    (np.uint8, 16000, 1, 0.9), (np.int16, 16000, 1, 0.9), (np.int32, 22050, 1, 0.9),
+    (np.float32, 16000, 1, 0.9), (np.float32, 16000, 1, 1.7), (np.float64, 48000, 1, 1.3),
+    (np.uint8, 8000, 2, 0.9), (np.int16, 44100, 2, 0.9), (np.int32, 16000, 3, 0.9),
+    (np.float32, 16000, 2, 1.7),
+])
+def test_decode_matches_whole_array_reference(tmp_path, dtype, rate, channels, amp):
+    rng = np.random.default_rng(channels)
+    # more sample frames than one decode block, so the block loop turns over
+    x = amp * np.clip(rng.standard_normal((DECODE_BLOCK + 1000, channels)) / 3, -1, 1)
+    if dtype == np.uint8:
+        data = np.round((x + 1) * 127.5).astype(np.uint8)
+    elif np.issubdtype(dtype, np.integer):
+        data = np.round(x * (np.iinfo(dtype).max - 1)).astype(dtype)
+    else:
+        data = x.astype(dtype)
+    path = tmp_path / "d.wav"
+    wavfile.write(path, rate, data[:, 0] if channels == 1 else data)
+    got = load_audio(path).samples
+    want = _reference_load(path)
+    assert np.array_equal(got, want)
+    if amp > 1 and rate == CANONICAL_RATE:  # over full scale: normalized
+        assert np.max(np.abs(got)) == 1.0
+
+
+def test_load_peak_memory_below_twice_the_signal(tmp_path):
+    import tracemalloc
+
+    path = tmp_path / "long.wav"
+    t = np.arange(40 * CANONICAL_RATE) / CANONICAL_RATE
+    wavfile.write(path, CANONICAL_RATE, (0.5 * np.sin(2 * np.pi * 150 * t)).astype(np.float32))
+    del t
+    tracemalloc.start()
+    try:
+        sig = load_audio(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the float32 WAV data (half the signal) and the signal itself
+    assert peak < 2 * sig.samples.nbytes

@@ -1,9 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from voicequal.audio_io import AudioSignal
 from voicequal.errors import AudioIOError, InsufficientVoicingError
+from voicequal.formants import estimate_formants
+from voicequal.framing import frame_signal
+from voicequal.harmonics import compute_harmonic_llfs
 from voicequal.llf import LLF_KEYS, extract_llf_vector, validate_llf
+from voicequal.periods import compute_period_llfs
+from voicequal.pitch import track_pitch
+from voicequal.spectral import compute_spectral_llfs
 from voicequal.synth import generate_synthetic
 
 
@@ -85,32 +93,64 @@ def test_validate_llf_rejects_bad_vectors(vowel):
         validate_llf(nonfinite)
 
 
-def test_block_stages_stay_below_spectral_peak_memory():
-    # the per-frame stages work in fixed frame blocks, so none of them may
-    # allocate more at its peak than the all-frame spectral stage does
-    import tracemalloc
+def _peak_bytes(fn, *args):
+    """tracemalloc peak of one call, beyond what was allocated before it."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
-    from voicequal.formants import estimate_formants
-    from voicequal.framing import frame_signal
-    from voicequal.harmonics import compute_harmonic_llfs
-    from voicequal.pitch import track_pitch
-    from voicequal.spectral import compute_spectral_llfs
 
-    sig = generate_synthetic("clean", f0=130.0, duration=10.0, seed=4)
+def _stage_peaks(sig):
+    """Peak bytes of each stage function on one signal."""
     frames = frame_signal(sig)
     pitch = track_pitch(frames)
     track = estimate_formants(frames, pitch)
+    return {
+        "framing": _peak_bytes(frame_signal, sig),
+        "pitch": _peak_bytes(track_pitch, frames),
+        "spectral": _peak_bytes(compute_spectral_llfs, frames),
+        "periods": _peak_bytes(compute_period_llfs, sig, pitch),
+        "formants": _peak_bytes(estimate_formants, frames, pitch),
+        "harmonics": _peak_bytes(compute_harmonic_llfs, frames, pitch, track),
+    }
 
-    def peak_bytes(fn, *args):
-        tracemalloc.start()
-        try:
-            fn(*args)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
 
-    spectral = peak_bytes(compute_spectral_llfs, frames)
-    for fn, args in ((track_pitch, (frames,)),
-                     (estimate_formants, (frames, pitch)),
-                     (compute_harmonic_llfs, (frames, pitch, track))):
-        assert peak_bytes(fn, *args) < spectral, fn.__name__
+@pytest.fixture(scope="module")
+def stage_peaks():
+    """(signal, stage peaks) of a clean vowel, by duration in seconds."""
+    signals = {d: generate_synthetic("clean", f0=130.0, duration=d, seed=4)
+               for d in (10.0, 40.0)}
+    return {d: (sig, _stage_peaks(sig)) for d, sig in signals.items()}
+
+
+def test_block_stages_stay_below_spectral_peak_memory(stage_peaks):
+    # the per-frame stages work in fixed frame blocks, so none of them may
+    # allocate more at its peak than the spectral stage, whose blocks hold
+    # the most per frame
+    peaks = stage_peaks[10.0][1]
+    for stage in ("pitch", "formants", "harmonics"):
+        assert peaks[stage] < peaks["spectral"], stage
+
+
+def test_extraction_memory_below_half_the_signal(stage_peaks):
+    # beyond the signal, extraction holds fixed-size frame blocks and
+    # per-frame and per-period results, never a copy of the signal
+    sig = stage_peaks[40.0][0]
+    assert _peak_bytes(extract_llf_vector, sig) < 0.5 * sig.samples.nbytes
+
+
+def test_stage_memory_does_not_grow_with_the_signal(stage_peaks):
+    (short, at_10s), (long, at_40s) = stage_peaks[10.0], stage_peaks[40.0]
+    added_signal = long.samples.nbytes - short.samples.nbytes
+    for stage, peak in at_40s.items():
+        # no temporary the size of the signal: a stage grows by its
+        # per-frame or per-period results only
+        assert peak - at_10s[stage] < 0.1 * added_signal, stage
+        # the period stage keeps every mark and period, since jitter and
+        # shimmer are means over all of them; every other stage is bounded
+        # by its block working set
+        if stage != "periods":
+            assert peak < 1.5 * at_10s[stage], stage

@@ -4,9 +4,9 @@ import pytest
 from voicequal.audio_io import AudioSignal
 from voicequal.errors import InsufficientVoicingError
 from voicequal.framing import frame_signal, framing
-from voicequal.periods import (PERIOD_KEYS, SEARCH_FRACTION, _refine_marks,
+from voicequal.periods import (ANCHOR_BLOCK, MARK_BLOCK, PERIOD_KEYS, SEARCH_FRACTION,
                                compute_period_llfs, find_period_marks, voiced_runs)
-from voicequal.pitch import PitchTrack, track_pitch
+from voicequal.pitch import PitchTrack, parabolic_peak, track_pitch
 from voicequal.synth import generate_synthetic, pulse_train
 
 from conftest import raw_pulse_train, sine_signal
@@ -106,7 +106,8 @@ def test_jitter_shimmer_nonnegative():
 
 
 def _two_loop_marks(signal, pitch):
-    """Reference march: the forward loop and the backward loop written apart."""
+    """Reference march: the forward loop and the backward loop written apart,
+    searching a whole-signal |x| and refining all marks at once."""
     fs, x = signal.sample_rate_hz, signal.samples
     magnitude = np.abs(x)
     frame_len, hop = framing(fs)
@@ -142,7 +143,13 @@ def _two_loop_marks(signal, pitch):
                 break
             pos = lo + int(magnitude[lo:hi].argmax())
             marks.append(pos)
-        positions, amplitudes = _refine_marks(x, np.sort(marks))
+        marks = np.sort(marks)
+        inner = (marks > 0) & (marks < len(x) - 1)
+        m = np.clip(marks, 1, len(x) - 2)
+        sign = np.where(x[m] >= 0, 1.0, -1.0)
+        delta, amp = parabolic_peak(sign * x[m - 1], sign * x[m], sign * x[m + 1])
+        positions = np.where(inner, marks + delta, marks)
+        amplitudes = np.abs(np.where(inner, amp, x[marks]))
         keep = amplitudes > 0
         if np.count_nonzero(keep) >= 2:
             regions.append((positions[keep], amplitudes[keep]))
@@ -166,16 +173,37 @@ def _comb_cases():
             yield AudioSignal(x, 16000, "comb"), pitch
 
 
+def _tie_cases():
+    """Regions whose largest positive and negative samples tie in magnitude,
+    in either order, within one anchor block and across a block boundary."""
+    n = 3 * ANCHOR_BLOCK
+    n_frames = (n - 400) // 160 + 1
+    voiced = np.zeros(n_frames, dtype=bool)
+    voiced[2:-2] = True
+    pitch = PitchTrack(np.where(voiced, 160.0, 0.0), voiced, np.zeros(n_frames))
+    start = 2 * 160
+    k = np.arange(start + 50, n - 450, 100)
+    for first, second in ((500, 700), (ANCHOR_BLOCK - 1, ANCHOR_BLOCK),
+                          (ANCHOR_BLOCK - 50, 2 * ANCHOR_BLOCK + 50)):
+        for sign in (1.0, -1.0):
+            x = np.zeros(n)
+            x[k] = 0.5
+            x[start + first], x[start + second] = sign, -sign
+            yield AudioSignal(x, 16000, "tie"), pitch
+
+
 def test_period_marks_match_two_loop_reference():
     gap = np.zeros(2000)
     vowel = generate_synthetic("clean", f0=180.0, duration=0.5, seed=3).samples
     gapped = AudioSignal(np.concatenate([vowel, gap, vowel[::-1], gap]), 16000, "gapped")
-    signals = [gapped, raw_pulse_train(200, duration=0.5, jitter_pct=3.0, seed=4)]
+    signals = [gapped, raw_pulse_train(200, duration=0.5, jitter_pct=3.0, seed=4),
+               raw_pulse_train(420, duration=3.0, jitter_pct=2.0, seed=5)]
     signals += [generate_synthetic(kind, f0=f0, duration=1.0, seed=1)
                 for kind, f0 in (("jittered", 120.0), ("shimmered", 150.0), ("breathy", 210.0))]
     cases = [(sig, track_pitch(frame_signal(sig))) for sig in signals]
     assert len(voiced_runs(cases[0][1].voiced)) == 2  # the gaps split the first signal
-    for sig, pitch in cases + list(_comb_cases()):
+    assert max(len(marks.positions) for marks in find_period_marks(*cases[2])) > MARK_BLOCK
+    for sig, pitch in cases + list(_comb_cases()) + list(_tie_cases()):
         got = find_period_marks(sig, pitch)
         want = _two_loop_marks(sig, pitch)
         assert len(got) == len(want) > 0

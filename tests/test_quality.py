@@ -156,6 +156,16 @@ def test_score_all_matches_dict_loop_reference(default_table):
                 contributions.items()), quality
 
 
+def test_contributions_built_on_first_access(default_table):
+    rng = np.random.default_rng(8)
+    stats = random_stats(rng)
+    result = score_all(random_llf(rng), stats, default_table)
+    assert "z_contributions" not in vars(result)  # scoring alone builds none
+    first = result.z_contributions
+    assert result.z_contributions is first
+    assert list(first) == list(QUALITY_IDS)
+
+
 def test_linearity_and_antisymmetry(default_table):
     rng = np.random.default_rng(3)
     for _ in range(20):

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from scipy.fft import dct
 
 from voicequal.audio_io import AudioSignal
-from voicequal.framing import frame_signal
-from voicequal.spectral import SPECTRAL_KEYS, compute_spectral_llfs, mel_filterbank
+from voicequal.framing import FRAME_BLOCK, frame_signal, framing
+from voicequal.spectral import (NFFT, N_MEL_BANDS, SPECTRAL_KEYS, _band_slope,
+                                compute_spectral_llfs, mel_filterbank)
+from voicequal.synth import generate_synthetic
 
 from conftest import sine_signal
 
@@ -79,3 +82,52 @@ def test_hamming_window_limits_leakage():
     # unwindowed frame leaves it only about 45 dB below
     values = compute_spectral_llfs(frame_signal(sine_signal(220, 0.5)))
     assert values["hammarbergIndex"] > 55
+
+
+def _all_frame_spectral(frames):
+    """Reference: the spectral features from one all-frame spectrum matrix."""
+    eps = 1e-12
+    freqs = np.fft.rfftfreq(NFFT, 1.0 / frames.sample_rate_hz)
+    mag = np.abs(np.fft.rfft(frames.raw_frames * frames.window, NFFT, axis=1))
+    power = mag ** 2
+    low = (freqs >= 50) & (freqs <= 1000)
+    high = (freqs > 1000) & (freqs <= 5000)
+    pk_low = power[:, (freqs >= 0) & (freqs <= 2000)].max(axis=1)
+    pk_high = power[:, (freqs > 2000) & (freqs <= 5000)].max(axis=1)
+    db = 10.0 * np.log10(power + eps)
+    norms = np.linalg.norm(mag, axis=1, keepdims=True)
+    unit = mag / np.where(norms > 0, norms, 1.0)
+    fb = mel_filterbank(N_MEL_BANDS, NFFT, frames.sample_rate_hz)
+    ceps = dct(np.log(power @ fb.T + eps), type=2, axis=1, norm="ortho")
+    values = {
+        "Loudness": np.mean(20.0 * np.log10(frames.rms + eps)),
+        "alphaRatio": np.mean(10.0 * np.log10(
+            (power[:, low].sum(axis=1) + eps) / (power[:, high].sum(axis=1) + eps))),
+        "hammarbergIndex": np.mean(10.0 * np.log10((pk_low + eps) / (pk_high + eps))),
+        "slope0-500": np.mean(_band_slope(db, freqs, 0.0, 500.0)),
+        "slope500-1500": np.mean(_band_slope(db, freqs, 500.0, 1500.0)),
+        "spectralFlux": (np.mean(np.linalg.norm(np.diff(unit, axis=0), axis=1))
+                         if len(unit) > 1 else 0.0),
+    }
+    for n in range(4):
+        values[f"mfcc{n + 1}"] = ceps[:, n + 1].mean()
+    return {k: float(v) for k, v in values.items()}
+
+
+@pytest.mark.parametrize("n_frames", [1, FRAME_BLOCK, FRAME_BLOCK + 1, 2 * FRAME_BLOCK + 1])
+def test_blocked_spectrum_matches_all_frame_reference(n_frames):
+    frame_len, hop = framing(16000)
+    x = generate_synthetic("jittered", f0=140.0, duration=1.5, seed=6).samples.copy()
+    x = x[:frame_len + (n_frames - 1) * hop]
+    # silence around the first block boundary: a zero spectrum carried into
+    # the next block's flux, and a zero one taken from it
+    x[(FRAME_BLOCK - 1) * hop:FRAME_BLOCK * hop + frame_len] = 0.0
+    frames = frame_signal(AudioSignal(x, 16000, "blocks"))
+    assert frames.n_frames == n_frames
+    got = compute_spectral_llfs(frames)
+    want = _all_frame_spectral(frames)
+    assert list(got) == list(SPECTRAL_KEYS)
+    for key in SPECTRAL_KEYS:
+        assert got[key] == pytest.approx(want[key], rel=1e-12, abs=0.0), key
+    if n_frames > FRAME_BLOCK:
+        assert got["spectralFlux"] > 0
