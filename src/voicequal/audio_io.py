@@ -69,12 +69,12 @@ def _decode(data: np.ndarray, offset: float, scale: float) -> np.ndarray:
     return x
 
 
-def load_audio(path: str | os.PathLike, target_rate: int = CANONICAL_RATE) -> AudioSignal:
-    """Decode a PCM WAV file into a mono AudioSignal at ``target_rate``.
+def load_audio(path: str | os.PathLike) -> AudioSignal:
+    """Decode a PCM WAV file into a mono AudioSignal at CANONICAL_RATE.
 
-    Rates below 8 kHz are rejected. Channels are averaged, the result is
-    resampled with a polyphase (band-limited) resampler, and
-    peak-normalized only if any sample exceeds full scale.
+    Rates below 8 kHz and non-finite samples are rejected. Channels are
+    averaged, the result is resampled with a polyphase (band-limited)
+    resampler, and peak-normalized only if any sample exceeds full scale.
     """
     try:
         rate, data = wavfile.read(os.fspath(path))
@@ -87,22 +87,26 @@ def load_audio(path: str | os.PathLike, target_rate: int = CANONICAL_RATE) -> Au
 
     if data.dtype not in _SCALES:
         raise AudioIOError(f"unsupported encoding {data.dtype} in {path}")
+    if data.size == 0:
+        raise AudioIOError(f"zero-length audio in {path}")
+    # NaN propagates through both extremes; checked before the channel mean
+    # and the resampler, which would warn on inf
+    if not (np.isfinite(data.min()) and np.isfinite(data.max())):
+        raise AudioIOError(f"non-finite samples in {path}")
     x = _decode(data, *_SCALES[data.dtype])
     del data
-    if x.size == 0:
-        raise AudioIOError(f"zero-length audio in {path}")
     if not np.any(x):
         raise SilentInputError(f"silent input: {path}")
 
-    if rate != target_rate:
-        g = math.gcd(int(rate), int(target_rate))
-        x = resample_poly(x, target_rate // g, rate // g)
+    if rate != CANONICAL_RATE:
+        g = math.gcd(int(rate), CANONICAL_RATE)
+        x = resample_poly(x, CANONICAL_RATE // g, rate // g)
 
     peak = max(x.max(), -x.min())
     if peak > 1.0:
         x /= peak
 
-    return AudioSignal(x, target_rate, source_id=os.fspath(path))
+    return AudioSignal(x, CANONICAL_RATE, source_id=os.fspath(path))
 
 
 def save_wav(signal: AudioSignal, path: str | os.PathLike) -> None:

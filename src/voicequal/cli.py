@@ -46,8 +46,19 @@ def _collect_audio_paths(inputs: list[str]) -> list[str]:
 
 
 def _extract_many(paths: list[str]):
-    """Extract feature vectors for many files, in input order."""
-    return [extract_llf_vector(load_audio(p)) for p in paths]
+    """Extract feature vectors for many files, in input order.
+
+    An extraction error is raised again, of the same class, with its file's
+    path in front; load_audio's errors name the file already.
+    """
+    vectors = []
+    for path in paths:
+        signal = load_audio(path)
+        try:
+            vectors.append(extract_llf_vector(signal))
+        except VoiceQualityError as exc:
+            raise type(exc)(f"{path}: {exc}") from exc
+    return vectors
 
 
 def _write_jsonl(path: str | None, records) -> None:

@@ -8,7 +8,6 @@ from .audio_io import AudioSignal
 from .errors import AudioIOError, InsufficientVoicingError
 from .formants import estimate_formants
 from .framing import frame_signal
-from .harmonics import compute_harmonic_llfs
 from .periods import compute_period_llfs, voiced_runs
 from .pitch import track_pitch
 from .spectral import compute_spectral_llfs
@@ -81,11 +80,7 @@ def extract_llf_vector(signal: AudioSignal) -> LlfVector:
     values: LlfVector = {}
     values.update(compute_spectral_llfs(frames))
     values.update(compute_period_llfs(signal, pitch))
-    track = estimate_formants(frames, pitch)
-    values.update(compute_harmonic_llfs(frames, pitch, track))
-    for n in range(3):
-        values[f"F{n + 1}frequency"] = float(track.frequencies_hz[:, n].mean())
-        values[f"F{n + 1}bandwidth"] = float(track.bandwidths_hz[:, n].mean())
+    values.update(estimate_formants(frames, pitch).values)
 
     ordered = {k: values[k] for k in LLF_KEYS}
     validate_llf(ordered)

@@ -42,11 +42,12 @@ class PeriodMarks:
         return np.diff(self.positions)
 
 
-def voiced_runs(voiced: np.ndarray, min_len: int = MIN_CONSECUTIVE_VOICED):
-    """(start, end) frame-index pairs of voiced runs of at least min_len."""
+def voiced_runs(voiced: np.ndarray):
+    """(start, end) frame-index pairs of voiced runs of at least
+    MIN_CONSECUTIVE_VOICED frames."""
     edges = np.diff(np.concatenate(([0], np.asarray(voiced, dtype=np.int8), [0])))
     starts, ends = np.nonzero(edges == 1)[0], np.nonzero(edges == -1)[0]
-    return [(int(a), int(b)) for a, b in zip(starts, ends) if b - a >= min_len]
+    return [(int(a), int(b)) for a, b in zip(starts, ends) if b - a >= MIN_CONSECUTIVE_VOICED]
 
 
 def _refine_marks(x: np.ndarray, marks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -27,10 +27,10 @@ def _mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m) / 2595.0) - 1.0)
 
 
-def mel_filterbank(n_bands: int, nfft: int, fs: float,
-                   fmin: float = MEL_FMIN, fmax: float = MEL_FMAX) -> np.ndarray:
-    """Triangular mel filterbank weights, shape (n_bands, nfft // 2 + 1)."""
-    mel_pts = np.linspace(_hz_to_mel(fmin), _hz_to_mel(fmax), n_bands + 2)
+def mel_filterbank(n_bands: int, nfft: int, fs: float) -> np.ndarray:
+    """Triangular mel filterbank weights from MEL_FMIN to MEL_FMAX, shape
+    (n_bands, nfft // 2 + 1)."""
+    mel_pts = np.linspace(_hz_to_mel(MEL_FMIN), _hz_to_mel(MEL_FMAX), n_bands + 2)
     hz_pts = _mel_to_hz(mel_pts)
     bins = np.fft.rfftfreq(nfft, 1.0 / fs)
     fb = np.zeros((n_bands, len(bins)))

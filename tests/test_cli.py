@@ -1,10 +1,11 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 from scipy.io import wavfile
 
-from voicequal.audio_io import save_wav
+from voicequal.audio_io import AudioSignal, save_wav
 from voicequal.cli import main
 from voicequal.llf import LLF_KEYS
 from voicequal.quality import QUALITY_IDS
@@ -155,3 +156,35 @@ def test_table_with_inactive_quality_exits_6(tmp_path, capsys):
 
 def test_evaluate_needs_input(capsys):
     assert main(["evaluate"]) == 7
+
+
+@pytest.mark.parametrize("rate", [16000, 44100])
+@pytest.mark.parametrize("bad_value", [np.nan, np.inf], ids=["nan", "inf"])
+def test_non_finite_wav_exits_3_with_its_path(tmp_path, capsys, rate, bad_value):
+    x = np.full(rate // 2, 0.1, dtype=np.float32)
+    x[100] = bad_value
+    path = tmp_path / "bad.wav"
+    wavfile.write(path, rate, x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["extract", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "non-finite samples" in err
+    assert str(path) in err
+
+
+@pytest.mark.parametrize("command", ["extract", "fit-stats"])
+def test_extraction_errors_name_their_file(tmp_path, capsys, command):
+    stats = ["--output", str(tmp_path / "stats.txt")] if command == "fit-stats" else []
+    rng = np.random.default_rng(0)
+    noise = tmp_path / "noise.wav"
+    wavfile.write(noise, 16000, (0.5 * rng.standard_normal(16000)).astype(np.float32))
+    short = tmp_path / "short.wav"
+    vowel = generate_synthetic("clean", f0=150.0, duration=0.5, seed=0)
+    save_wav(AudioSignal(vowel.samples[:3008], 16000), short)  # 188 ms
+    for path, exit_code, message in ((noise, 4, "insufficient voicing"),
+                                     (short, 3, "signal too short: 188 ms")):
+        assert main([command, str(path), *stats]) == exit_code
+        err = capsys.readouterr().err
+        assert f"error: {path}: {message}" in err
+        assert err.count(str(path)) == 1

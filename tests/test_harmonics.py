@@ -2,11 +2,18 @@ import numpy as np
 import pytest
 
 from voicequal.audio_io import AudioSignal
-from voicequal.errors import InsufficientVoicingError
-from voicequal.formants import FormantTrack
+from voicequal.formants import (
+    DEFAULT_F3_REGION,
+    PREEMPHASIS,
+    SPECTRUM_NFFT,
+    _harmonic_levels,
+    _pole_formants,
+    estimate_formants,
+    levinson_durbin,
+)
 from voicequal.framing import frame_signal
-from voicequal.harmonics import HARMONIC_KEYS, compute_harmonic_llfs
 from voicequal.pitch import track_pitch
+from voicequal.synth import generate_synthetic
 
 
 def _harmonic_series(f0, amps, fs=16000, duration=0.5):
@@ -16,9 +23,19 @@ def _harmonic_series(f0, amps, fs=16000, duration=0.5):
     return AudioSignal(x, fs, "harmonics")
 
 
-def _analyze(sig):
+def _analyze(sig, region=DEFAULT_F3_REGION):
+    """Mean H1-H2 and H1-A3 from the block kernel over every voiced frame,
+    with one F3 region for all of them."""
     frames = frame_signal(sig)
-    return compute_harmonic_llfs(frames, track_pitch(frames))
+    pitch = track_pitch(frames)
+    idx = np.nonzero(pitch.voiced)[0]
+    magnitude = np.zeros((len(idx), SPECTRUM_NFFT // 2 + 2))  # one padding column
+    magnitude[:, :-1] = np.abs(np.fft.rfft(frames.raw_frames[idx] * frames.window,
+                                           SPECTRUM_NFFT))
+    lo, hi = (np.full(len(idx), edge) for edge in region)
+    h1_h2, h1_a3 = _harmonic_levels(magnitude, pitch.f0_hz[idx], lo, hi,
+                                    sig.sample_rate_hz / SPECTRUM_NFFT)
+    return {"logRelF0-H1-H2": h1_h2.mean(), "logRelF0-H1-A3": h1_a3.mean()}
 
 
 def test_h1_h2_halved_second_harmonic():
@@ -39,73 +56,87 @@ def test_h1_a3_uses_high_band_harmonic():
     assert values["logRelF0-H1-A3"] == pytest.approx(20 * np.log10(1.0 / 0.25), abs=1.0)
 
 
-def test_unvoiced_only_raises():
-    rng = np.random.default_rng(0)
-    noise = AudioSignal(0.5 * rng.standard_normal(8000), 16000, "noise")
-    frames = frame_signal(noise)
-    with pytest.raises(InsufficientVoicingError):
-        compute_harmonic_llfs(frames, track_pitch(frames))
+def _reference_harmonics(spectrum_db, f0, lo, hi, bin_hz):
+    """H1-H2 and H1-A3 of one frame's dB spectrum, with F3 region lo..hi."""
+
+    def peak(freq, half_width):
+        lo_bin = max(0, int(np.floor((freq - half_width) / bin_hz)))
+        hi_bin = min(len(spectrum_db) - 1, int(np.ceil((freq + half_width) / bin_hz)))
+        return spectrum_db[lo_bin:hi_bin + 1].max()
+
+    h1, h2 = peak(f0, f0 / 4), peak(2 * f0, f0 / 4)
+    ks = np.arange(max(1, int(np.ceil(lo / f0))), int(hi / f0) + 1)
+    if len(ks) == 0:
+        ks = np.array([max(1, int(round((lo + hi) / 2 / f0)))])
+    return h1 - h2, h1 - max(peak(k * f0, f0 / 4) for k in ks)
 
 
-def _reference_levels(frames, pitch, track):
-    """Per-frame loop reference: one 4096-point spectrum per voiced frame."""
-    bin_hz = frames.sample_rate_hz / 4096
+def _spectrum_db(frames, i):
+    spectrum = np.fft.rfft(frames.raw_frames[i] * frames.window, 4096)
+    return 20.0 * np.log10(np.abs(spectrum) + 1e-12)
 
-    def peak(spectrum_db, freq, half_width):
-        lo = max(0, int(np.floor((freq - half_width) / bin_hz)))
-        hi = min(len(spectrum_db) - 1, int(np.ceil((freq + half_width) / bin_hz)))
-        return spectrum_db[lo:hi + 1].max()
 
-    f3_region = {int(i): (f - b, f + b) for i, f, b in zip(
-        track.frame_indices, track.frequencies_hz[:, 2], track.bandwidths_hz[:, 2])}
-    rows = {int(i): row for row, i in enumerate(track.frame_indices)}
-    h1_h2, h1_a3, amps = [], [], np.zeros((len(track), 3))
+def _reference_stage(frames, pitch):
+    """Per-frame loop reference for the whole voiced-frame stage: one LPC fit
+    and one 4096-point spectrum per voiced frame."""
+    fs = frames.sample_rate_hz
+    bin_hz = fs / 4096
+    order = 2 + fs // 1000
+    h1_h2, h1_a3, formants = [], [], []
     for i in np.nonzero(pitch.voiced)[0]:
         f0 = pitch.f0_hz[i]
-        spectrum = np.fft.rfft(frames.raw_frames[i] * frames.window, 4096)
-        spectrum_db = 20.0 * np.log10(np.abs(spectrum) + 1e-12)
-        if i in rows:
+        x = frames.raw_frames[i]
+        e = np.r_[x[0], x[1:] - PREEMPHASIS * x[:-1]] * frames.window
+        r = np.array([np.dot(e[:len(e) - k], e[k:]) for k in range(order + 1)])
+        r[0] *= 1.0 + 1e-9
+        freqs, bws, kept = _pole_formants(levinson_durbin(r[None]), fs)
+        spectrum_db = _spectrum_db(frames, i)
+        lo, hi = 2000.0, 4000.0
+        if r[0] > 0 and kept[0]:
             level_f0 = spectrum_db[int(round(f0 / bin_hz))]
-            for n, f in enumerate(track.frequencies_hz[rows[i]]):
-                b = min(int(round(max(1, int(round(f / f0))) * f0 / bin_hz)), 2048)
-                amps[rows[i], n] = spectrum_db[b] - level_f0
-        h1, h2 = peak(spectrum_db, f0, f0 / 4), peak(spectrum_db, 2 * f0, f0 / 4)
-        lo, hi = f3_region.get(int(i), (2000.0, 4000.0))
-        ks = np.arange(max(1, int(np.ceil(lo / f0))), int(hi / f0) + 1)
-        if len(ks) == 0:
-            ks = np.array([max(1, int(round((lo + hi) / 2 / f0)))])
-        h1_h2.append(h1 - h2)
-        h1_a3.append(h1 - max(peak(spectrum_db, k * f0, f0 / 4) for k in ks))
-    return np.mean(h1_h2), np.mean(h1_a3), amps.mean(axis=0)
+            amps = [spectrum_db[min(int(round(max(1, int(round(f / f0))) * f0 / bin_hz)), 2048)]
+                    - level_f0 for f in freqs[0]]
+            formants.append((freqs[0], bws[0], amps))
+            lo, hi = freqs[0, 2] - bws[0, 2], freqs[0, 2] + bws[0, 2]
+        d2, d3 = _reference_harmonics(spectrum_db, f0, lo, hi, bin_hz)
+        h1_h2.append(d2)
+        h1_a3.append(d3)
+    means = np.mean(formants, axis=0)
+    values = {"logRelF0-H1-H2": np.mean(h1_h2), "logRelF0-H1-A3": np.mean(h1_a3)}
+    for n in range(3):
+        values[f"F{n + 1}frequency"] = means[0, n]
+        values[f"F{n + 1}bandwidth"] = means[1, n]
+        values[f"F{n + 1}amplitudeLogRelF0"] = means[2, n]
+    return values
 
 
-def _narrow_f3_track(pitch):
+def test_narrow_f3_region_takes_the_nearest_harmonic():
     # F3 +/- 20 Hz at 2440 Hz holds no harmonic of 200 Hz: the nearest (2400 Hz) counts
-    voiced = np.nonzero(pitch.voiced)[0]
-    rows = np.ones((len(voiced), 1))
-    return FormantTrack(voiced, rows * [500.0, 1500.0, 2440.0], rows * [60.0, 80.0, 20.0])
+    sig = _harmonic_series(200, [1.0, 0.6, *np.linspace(0.5, 0.05, 15)])
+    frames = frame_signal(sig)
+    pitch = track_pitch(frames)
+    reference = [_reference_harmonics(_spectrum_db(frames, i), pitch.f0_hz[i],
+                                      2420.0, 2460.0, sig.sample_rate_hz / 4096)
+                 for i in np.nonzero(pitch.voiced)[0]]
+    values = _analyze(sig, region=(2420.0, 2460.0))
+    h1_h2, h1_a3 = np.mean(reference, axis=0)
+    assert values["logRelF0-H1-H2"] == pytest.approx(h1_h2, rel=1e-12, abs=1e-12)
+    assert values["logRelF0-H1-A3"] == pytest.approx(h1_a3, rel=1e-12, abs=1e-12)
 
 
 def test_block_levels_match_per_frame_reference():
-    from voicequal.formants import estimate_formants
-    from voicequal.synth import generate_synthetic
-
-    series = frame_signal(_harmonic_series(200, [1.0, 0.6, *np.linspace(0.5, 0.05, 15)]))
-    cases = [(series, _narrow_f3_track(track_pitch(series)))]
-    for kind, f0 in (("clean", 120.0), ("breathy", 210.0)):
-        frames = frame_signal(generate_synthetic(kind, f0=f0, duration=0.6, seed=2))
-        cases.append((frames, estimate_formants(frames, track_pitch(frames))))
-    for frames, track in cases:
+    signals = [generate_synthetic(kind, f0=f0, duration=0.6, seed=2)
+               for kind, f0 in (("clean", 120.0), ("breathy", 210.0))]
+    # a vowel, then three harmonics without three formants: 98 voiced frames
+    # over two LPC blocks, half of them searched for A3 in the 2-4 kHz region
+    vowel = generate_synthetic("clean", f0=200.0, duration=0.5, seed=2)
+    signals.append(AudioSignal(np.concatenate(
+        [vowel.samples, _harmonic_series(200, [1.0, 0.5, 0.1]).samples]), 16000))
+    for sig in signals:
+        frames = frame_signal(sig)
         pitch = track_pitch(frames)
-        values = compute_harmonic_llfs(frames, pitch, track)
-        h1_h2, h1_a3, amps = _reference_levels(frames, pitch, track)
-        assert values["logRelF0-H1-H2"] == pytest.approx(h1_h2, rel=1e-12, abs=1e-12)
-        assert values["logRelF0-H1-A3"] == pytest.approx(h1_a3, rel=1e-12, abs=1e-12)
-        for n in range(3):
-            assert values[f"F{n + 1}amplitudeLogRelF0"] == pytest.approx(
-                amps[n], rel=1e-12, abs=1e-12)
-
-
-def test_formant_amplitudes_only_with_a_track():
-    frames = frame_signal(_harmonic_series(200, [1.0, 0.5, 0.1]))
-    assert set(compute_harmonic_llfs(frames, track_pitch(frames))) == set(HARMONIC_KEYS)
+        values = estimate_formants(frames, pitch).values
+        reference = _reference_stage(frames, pitch)
+        assert set(values) == set(reference)
+        for key, want in reference.items():
+            assert values[key] == pytest.approx(want, rel=1e-12, abs=1e-12), key

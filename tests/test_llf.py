@@ -7,7 +7,6 @@ from voicequal.audio_io import AudioSignal
 from voicequal.errors import AudioIOError, InsufficientVoicingError
 from voicequal.formants import estimate_formants
 from voicequal.framing import frame_signal
-from voicequal.harmonics import compute_harmonic_llfs
 from voicequal.llf import LLF_KEYS, extract_llf_vector, validate_llf
 from voicequal.periods import compute_period_llfs
 from voicequal.pitch import track_pitch
@@ -107,14 +106,12 @@ def _stage_peaks(sig):
     """Peak bytes of each stage function on one signal."""
     frames = frame_signal(sig)
     pitch = track_pitch(frames)
-    track = estimate_formants(frames, pitch)
     return {
         "framing": _peak_bytes(frame_signal, sig),
         "pitch": _peak_bytes(track_pitch, frames),
         "spectral": _peak_bytes(compute_spectral_llfs, frames),
         "periods": _peak_bytes(compute_period_llfs, sig, pitch),
-        "formants": _peak_bytes(estimate_formants, frames, pitch),
-        "harmonics": _peak_bytes(compute_harmonic_llfs, frames, pitch, track),
+        "voiced frames": _peak_bytes(estimate_formants, frames, pitch),
     }
 
 
@@ -131,7 +128,7 @@ def test_block_stages_stay_below_spectral_peak_memory(stage_peaks):
     # allocate more at its peak than the spectral stage, whose blocks hold
     # the most per frame
     peaks = stage_peaks[10.0][1]
-    for stage in ("pitch", "formants", "harmonics"):
+    for stage in ("pitch", "voiced frames"):
         assert peaks[stage] < peaks["spectral"], stage
 
 
