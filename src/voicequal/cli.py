@@ -13,6 +13,7 @@ from .errors import ManifestError, StatsError, VoiceQualityError
 from .evaluation import (
     NEUTRAL_LABEL,
     SUITE_QUALITY,
+    PairwiseEvalReport,
     build_synthetic_suite,
     evaluate_pairs,
     form_pairs,
@@ -129,6 +130,8 @@ def cmd_evaluate(args) -> int:
         if skipped:
             print(f"warning: skipped {skipped} manifest rows", file=sys.stderr)
         qualities = sorted({s.dominant_quality for s in samples} - {NEUTRAL_LABEL})
+        if not qualities:
+            raise ManifestError(f"{args.manifest}: no sample labeled with a quality")
     else:
         raise ManifestError("evaluate needs --manifest or --suite")
 
@@ -137,10 +140,10 @@ def cmd_evaluate(args) -> int:
     else:
         stats = fit_stats([s.llf for s in samples], corpus="evaluation set")
 
-    pairs = []
+    per_quality = {}
     for quality in qualities:
-        pairs.extend(form_pairs(samples, quality))
-    report = evaluate_pairs(pairs, stats, table)
+        per_quality.update(evaluate_pairs(form_pairs(samples, quality), stats, table).per_quality)
+    report = PairwiseEvalReport(per_quality)
     print(format_report(report))
     if args.output:
         record = {
@@ -150,8 +153,7 @@ def cmd_evaluate(args) -> int:
                             for q, r in report.per_quality.items()},
             "mean_accuracy_percent": report.mean_accuracy_percent,
         }
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(record) + "\n")
+        _write_jsonl(args.output, [record])
     return 0
 
 

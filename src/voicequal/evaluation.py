@@ -5,7 +5,6 @@ from __future__ import annotations
 import csv
 import logging
 import os
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -13,8 +12,8 @@ import numpy as np
 
 from .audio_io import AudioSignal, load_audio
 from .errors import ManifestError, VoiceQualityError
-from .llf import LlfVector, extract_llf_vector
-from .quality import QUALITY_IDS, CorrelationTable, scores_from_z, z_scores
+from .llf import LLF_KEYS, LlfVector, extract_llf_vector
+from .quality import QUALITY_IDS, CorrelationTable, scores_from_z
 from .stats import FeatureStats
 from .synth import generate_synthetic
 
@@ -39,12 +38,16 @@ class LabeledSample:
 
 
 @dataclass(frozen=True)
-class EvalPair:
-    """A (dominant, non-dominant) sample pair for one target quality."""
+class PairGrid:
+    """Every (dominant, non-dominant) pair for one target quality: the cross
+    product of ``positives`` and ``negatives``, each sorted by source_id."""
 
-    positive: LabeledSample
-    negative: LabeledSample
     quality: str
+    positives: tuple[LabeledSample, ...]
+    negatives: tuple[LabeledSample, ...]
+
+    def __len__(self) -> int:
+        return len(self.positives) * len(self.negatives)
 
 
 @dataclass(frozen=True)
@@ -69,51 +72,42 @@ class PairwiseEvalReport:
         return sum(accs) / len(accs)
 
 
-def form_pairs(samples: list[LabeledSample], quality: str) -> list[EvalPair]:
+def form_pairs(samples: list[LabeledSample], quality: str) -> PairGrid:
     """Full cross product of dominant-in-quality samples against all others,
     ordered deterministically by source_id."""
-    positives = sorted((s for s in samples if s.dominant_quality == quality),
-                       key=lambda s: s.source_id)
-    negatives = sorted((s for s in samples if s.dominant_quality != quality),
-                       key=lambda s: s.source_id)
+    ordered = sorted(samples, key=lambda s: s.source_id)
+    positives = tuple(s for s in ordered if s.dominant_quality == quality)
+    negatives = tuple(s for s in ordered if s.dominant_quality != quality)
     if not positives:
         raise ManifestError(f"no samples labeled {quality!r}")
     if not negatives:
         raise ManifestError(f"no non-{quality!r} samples to pair against")
-    return [EvalPair(p, n, quality) for p in positives for n in negatives]
+    return PairGrid(quality, positives, negatives)
 
 
-def evaluate_pairs(pairs: list[EvalPair], stats: FeatureStats,
+def evaluate_pairs(grid: PairGrid, stats: FeatureStats,
                    table: CorrelationTable) -> PairwiseEvalReport:
-    """Score each distinct sample once, then compare the sides of every pair.
-
-    A pair is correct iff the dominant sample scores strictly higher; ties
-    count as wrong.
-    """
-    if not pairs:
+    """Score each sample of the grid once and count the pairs whose dominant
+    sample scores strictly higher (ties count as wrong): the Mann-Whitney U
+    statistic without credit for ties, from one sort of the negatives' scores
+    and one binary search per positive."""
+    if grid.quality not in QUALITY_IDS:
+        raise ManifestError(f"unknown quality id {grid.quality!r} in pair grid")
+    if not len(grid):
         raise ManifestError("no pairs to evaluate")
-    rows: dict[int, int] = {}  # id(sample) -> its row of z
-    z = []
-    for pair in pairs:
-        if pair.quality not in QUALITY_IDS:
-            raise ManifestError(f"unknown quality id {pair.quality!r} in pair "
-                                f"({pair.positive.source_id}, {pair.negative.source_id})")
-        for sample in (pair.positive, pair.negative):
-            if id(sample) not in rows:
-                try:
-                    z.append(z_scores(sample.llf, stats))
-                except ValueError as exc:
-                    raise ManifestError(f"scoring failed for {sample.source_id}: {exc}")
-                rows[id(sample)] = len(z) - 1
-    scores = scores_from_z(np.array(z), table).tolist()
-    totals, corrects = Counter(), Counter()
-    for pair in pairs:
-        col = QUALITY_IDS.index(pair.quality)
-        totals[pair.quality] += 1
-        corrects[pair.quality] += (scores[rows[id(pair.positive)]][col]
-                                   > scores[rows[id(pair.negative)]][col])
-    per_quality = {q: QualityResult(totals[q], corrects[q]) for q in sorted(totals)}
-    return PairwiseEvalReport(per_quality)
+    values = []
+    for sample in grid.positives + grid.negatives:
+        try:
+            values.append([sample.llf[k] for k in LLF_KEYS])
+        except KeyError as exc:
+            raise ManifestError(f"scoring failed for {sample.source_id}: "
+                                f"feature vector missing key {exc.args[0]!r}") from None
+    z = (np.array(values, dtype=float) - stats.mu_vector) / stats.sigma_vector
+    scores = scores_from_z(z, table)[:, QUALITY_IDS.index(grid.quality)]
+    positive, negative = np.split(scores, [len(grid.positives)])
+    positive = positive[~np.isnan(positive)]  # a NaN wins no pair, as under `>`
+    correct = int(np.searchsorted(np.sort(negative), positive, side="left").sum())
+    return PairwiseEvalReport({grid.quality: QualityResult(len(grid), correct)})
 
 
 def load_manifest(path: str | os.PathLike) -> tuple[list[LabeledSample], int]:
@@ -132,25 +126,22 @@ def load_manifest(path: str | os.PathLike) -> tuple[list[LabeledSample], int]:
         raise ManifestError(f"cannot read manifest {path}: {exc}")
 
     samples: list[LabeledSample] = []
-    skipped = 0
     for lineno, row in rows:
         if len(row) != 2:
             raise ManifestError(f"{path}:{lineno}: expected 'path,label'")
-        file_path, label = row[0].strip(), row[1].strip()
+        label = row[1].strip()
         if label not in QUALITY_IDS and label != NEUTRAL_LABEL:
             raise ManifestError(f"{path}:{lineno}: unknown quality label {label!r}")
-        if not os.path.isabs(file_path):
-            file_path = os.path.join(base, file_path)
-        if not os.path.exists(file_path):
+        file_path = os.path.join(base, row[0].strip())  # an absolute path stays as it is
+        if not os.path.isfile(file_path):
             raise ManifestError(f"{path}:{lineno}: missing file {file_path}")
         try:
             llf = extract_llf_vector(load_audio(file_path))
         except VoiceQualityError as exc:
             log.warning("skipping %s: %s", file_path, exc)
-            skipped += 1
             continue
         samples.append(LabeledSample(file_path, label, llf))
-    return samples, skipped
+    return samples, len(rows) - len(samples)
 
 
 # quality targeted by each synthetic suite

@@ -184,8 +184,7 @@ def z_scores(vector: LlfVector, stats: FeatureStats) -> np.ndarray:
         values = np.array([vector[k] for k in LLF_KEYS], dtype=float)
     except KeyError as exc:
         raise ValueError(f"feature vector missing key {exc.args[0]!r}") from None
-    return ((values - np.array([stats.mu[k] for k in LLF_KEYS]))
-            / np.array([stats.sigma[k] for k in LLF_KEYS]))
+    return (values - stats.mu_vector) / stats.sigma_vector
 
 
 def scores_from_z(z: np.ndarray, table: CorrelationTable) -> np.ndarray:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import datetime
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -19,19 +19,25 @@ MIN_SIGMA = 1e-9
 
 @dataclass(frozen=True)
 class FeatureStats:
-    """Per-feature mu and sigma fitted over a reference corpus."""
+    """Per-feature mu and sigma fitted over a reference corpus, also held as
+    the read-only arrays ``mu_vector`` and ``sigma_vector`` in LLF_KEYS order."""
 
     mu: dict[str, float]
     sigma: dict[str, float]
     corpus: str = ""
     n_utterances: int = 0
     created: str = ""
+    mu_vector: np.ndarray = field(init=False, repr=False, compare=False)
+    sigma_vector: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name, d in (("mu", self.mu), ("sigma", self.sigma)):
             missing = [k for k in LLF_KEYS if k not in d]
             if missing:
                 raise StatsError(f"stats {name} missing keys: {missing}")
+            vector = np.array([d[k] for k in LLF_KEYS], dtype=float)
+            vector.flags.writeable = False
+            object.__setattr__(self, f"{name}_vector", vector)
         bad = [k for k, s in self.sigma.items() if not s > 0]
         if bad:
             raise StatsError(f"nonpositive sigma for: {bad}")

@@ -13,8 +13,8 @@ from voicequal.cli import main
 from voicequal.evaluation import (
     NEUTRAL_LABEL,
     SUITE_QUALITY,
-    EvalPair,
     LabeledSample,
+    PairGrid,
     build_synthetic_suite,
     evaluate_pairs,
     form_pairs,
@@ -176,9 +176,9 @@ def test_criterion_6_protocol():
     tied = LabeledSample("tied", "Jit", at_mean)
     neutral = LabeledSample("neutral", NEUTRAL_LABEL, at_mean)
 
-    report = evaluate_pairs([EvalPair(winner, neutral, "Jit")], stats, table)
+    report = evaluate_pairs(PairGrid("Jit", (winner,), (neutral,)), stats, table)
     assert report.per_quality["Jit"].correct == 1
-    report = evaluate_pairs([EvalPair(tied, neutral, "Jit")], stats, table)
+    report = evaluate_pairs(PairGrid("Jit", (tied,), (neutral,)), stats, table)
     assert report.per_quality["Jit"].correct == 0
 
     positives = [LabeledSample(f"p{i}", "Jit", above) for i in range(4)]

@@ -154,6 +154,23 @@ def test_table_with_inactive_quality_exits_6(tmp_path, capsys):
     assert str(table) in err
 
 
+def test_manifest_directory_row_exits_7(corpus, tmp_path, capsys):
+    (tmp_path / "dir.wav").mkdir()
+    manifest = tmp_path / "m.csv"
+    manifest.write_text("v0.wav,Jit\nv1.wav,NEUTRAL-VOICE\n"
+                        "v2.wav,NEUTRAL-VOICE\ndir.wav,NEUTRAL-VOICE\n")
+    assert main(["evaluate", "--manifest", str(manifest)]) == 7
+    err = capsys.readouterr().err
+    assert f"{manifest}:4:" in err and "dir.wav" in err
+
+
+def test_manifest_without_quality_labels_exits_7(corpus, tmp_path, capsys):
+    manifest = tmp_path / "m.csv"
+    manifest.write_text("".join(f"v{i}.wav,NEUTRAL-VOICE\n" for i in range(3)))
+    assert main(["evaluate", "--manifest", str(manifest)]) == 7
+    assert str(manifest) in capsys.readouterr().err
+
+
 def test_evaluate_needs_input(capsys):
     assert main(["evaluate"]) == 7
 
