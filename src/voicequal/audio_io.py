@@ -6,13 +6,14 @@ input is averaged to mono and out-of-range samples trigger peak normalization.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.io import wavfile
-from scipy.signal import resample_poly
+from scipy.signal import firwin, resample_poly
 
 from .errors import AudioIOError, SilentInputError
 
@@ -69,6 +70,14 @@ def _decode(data: np.ndarray, offset: float, scale: float) -> np.ndarray:
     return x
 
 
+@functools.lru_cache(maxsize=16)
+def _resampling_filter(up: int, down: int) -> np.ndarray:
+    """resample_poly's default low-pass filter for up/down, designed once."""
+    h = firwin(20 * max(up, down) + 1, 1.0 / max(up, down), window=("kaiser", 5.0))
+    h.setflags(write=False)  # resample_poly scales a copy
+    return h
+
+
 def load_audio(path: str | os.PathLike) -> AudioSignal:
     """Decode a PCM WAV file into a mono AudioSignal at CANONICAL_RATE.
 
@@ -100,7 +109,8 @@ def load_audio(path: str | os.PathLike) -> AudioSignal:
 
     if rate != CANONICAL_RATE:
         g = math.gcd(int(rate), CANONICAL_RATE)
-        x = resample_poly(x, CANONICAL_RATE // g, rate // g)
+        up, down = CANONICAL_RATE // g, rate // g
+        x = resample_poly(x, up, down, window=_resampling_filter(up, down))
 
     peak = max(x.max(), -x.min())
     if peak > 1.0:

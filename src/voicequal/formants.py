@@ -115,25 +115,6 @@ def _lpc_formants(raw: np.ndarray, window: np.ndarray,
     return _pole_formants(levinson_durbin(_lag_products(x, 2 + fs // 1000)), fs)
 
 
-def _db(magnitude: np.ndarray) -> np.ndarray:
-    return 20.0 * np.log10(magnitude + 1e-12)
-
-
-def _window_max(magnitude: np.ndarray, rows: np.ndarray, freq_hz: np.ndarray,
-                half_width_hz: np.ndarray, bin_hz: float) -> np.ndarray:
-    """Per window j, the largest magnitude[rows[j]] within +/- half_width_hz[j]
-    of freq_hz[j].
-
-    magnitude carries one padding column past the last bin, so every
-    window's end stays inside the flattened block.
-    """
-    width = magnitude.shape[1]
-    lo = np.maximum(0, np.floor((freq_hz - half_width_hz) / bin_hz).astype(int))
-    hi = np.minimum(width - 2, np.ceil((freq_hz + half_width_hz) / bin_hz).astype(int))
-    bounds = np.stack([rows * width + lo, rows * width + hi + 1], axis=1).ravel()
-    return np.maximum.reduceat(magnitude.ravel(), bounds)[::2]
-
-
 def _a3_harmonics(f0: np.ndarray, lo_hz: np.ndarray,
                   hi_hz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Harmonic numbers inside each frame's F3 region, flattened, and their
@@ -149,27 +130,47 @@ def _a3_harmonics(f0: np.ndarray, lo_hz: np.ndarray,
     return np.repeat(k_lo - first, counts) + np.arange(counts.sum()), counts
 
 
-def _harmonic_levels(magnitude: np.ndarray, f0: np.ndarray, lo_hz: np.ndarray,
-                     hi_hz: np.ndarray, bin_hz: float) -> tuple[np.ndarray, np.ndarray]:
-    """H1-H2 and H1-A3 in dB of each row of a block of magnitude spectra
-    (padded as _window_max needs) whose second harmonic lies below Nyquist.
+def _spectrum_levels(raw: np.ndarray, window: np.ndarray, f0: np.ndarray, freqs: np.ndarray,
+                     f3_lo: np.ndarray, f3_hi: np.ndarray, fs: int) -> tuple[np.ndarray, ...]:
+    """Per row of raw frames, from its 4096-point spectrum: the level at the
+    harmonic nearest each formant in freqs in dB re the level at f0; and if
+    its second harmonic lies below Nyquist, H1-H2 and H1-A3, with A3 the
+    strongest harmonic in f3_lo..f3_hi, each searched within f0 / 4.
 
-    H1 and H2 are the spectral peaks near f0 and 2 f0, searched within a
-    quarter-f0 window, which absorbs small pitch-tracking error; A3 is the
-    strongest harmonic inside the row's F3 region lo_hz..hi_hz. Levels are
-    compared as magnitudes and converted to dB only once picked: the dB
-    scale is monotonic, so the maxima are the same.
+    Each level is the peak of a bin window, in dB once picked. The windows are
+    sorted by row, so each SPECTRUM_BLOCK of rows picks the peaks of its own
+    slice with one reduceat; a padding column keeps each window's end inside.
     """
-    use = np.nonzero(2 * f0 / bin_hz < magnitude.shape[1] - 1)[0]
-    m = len(use)
-    ks, counts = _a3_harmonics(f0[use], lo_hz[use], hi_hz[use])
-    # windows: H1 of each used row, then H2, then its A3 harmonics
-    owner = np.concatenate((use, use, np.repeat(use, counts)))
-    number = np.concatenate((np.ones(m, dtype=int), np.full(m, 2), ks))
-    levels = _db(_window_max(magnitude, owner, number * f0[owner], f0[owner] / 4.0, bin_hz))
-    h1 = levels[:m]
-    a3 = np.maximum.reduceat(levels[2 * m:], np.cumsum(counts) - counts)
-    return h1 - levels[m:2 * m], h1 - a3
+    bin_hz = fs / SPECTRUM_NFFT
+    n_bins = SPECTRUM_NFFT // 2 + 1
+    width = n_bins + 1
+    use = np.nonzero(2 * f0 / bin_hz < n_bins)[0]
+    ks, counts = _a3_harmonics(f0[use], f3_lo[use], f3_hi[use])
+    # width-0 windows at f0 and at each formant's harmonic, then H1, H2 and A3
+    harmonic = np.maximum(1, np.rint(freqs / f0[:, None]).astype(int)) * f0[:, None]
+    points = np.concatenate((f0[:, None], harmonic), axis=1)
+    at = np.minimum(np.rint(points / bin_hz).astype(int), n_bins - 1).ravel()
+    searched = np.concatenate((use, use, np.repeat(use, counts)))
+    mid = np.concatenate((np.ones(len(use)), np.full(len(use), 2.0), ks)) * f0[searched]
+    half = f0[searched] / 4.0
+    lo = np.concatenate((at, np.maximum(0, np.floor((mid - half) / bin_hz).astype(int))))
+    hi = np.concatenate((at, np.minimum(n_bins - 1, np.ceil((mid + half) / bin_hz).astype(int))))
+    owner = np.concatenate((np.repeat(np.arange(len(f0)), points.shape[1]), searched))
+    order = np.argsort(owner * width + lo)
+    owner, offset = owner[order], owner[order] % SPECTRUM_BLOCK * width
+    bounds = np.stack((offset + lo[order], offset + hi[order] + 1), axis=1).ravel()
+    edges = np.searchsorted(owner, np.arange(0, len(f0) + SPECTRUM_BLOCK, SPECTRUM_BLOCK))
+    peaks, padded = np.empty(len(owner)), np.zeros((SPECTRUM_BLOCK, width))
+    for sub, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
+        x = raw[sub * SPECTRUM_BLOCK:(sub + 1) * SPECTRUM_BLOCK]
+        block = padded[:len(x)]
+        np.abs(np.fft.rfft(x * window, SPECTRUM_NFFT, axis=1), out=block[:, :n_bins])
+        peaks[order[a:b]] = np.maximum.reduceat(block.ravel(), bounds[2 * a:2 * b])[::2]
+    levels = 20.0 * np.log10(peaks + 1e-12)
+    at, h1, h2, a3 = np.split(levels, np.cumsum([points.size, len(use), len(use)]))
+    at = at.reshape(points.shape)
+    a3 = np.maximum.reduceat(a3, np.cumsum(counts) - counts)
+    return at[:, 1:] - at[:, :1], h1 - h2, h1 - a3
 
 
 def estimate_formants(frames: FrameSequence, pitch: PitchTrack) -> FormantTrack:
@@ -177,15 +178,11 @@ def estimate_formants(frames: FrameSequence, pitch: PitchTrack) -> FormantTrack:
 
     Each LPC_BLOCK of voiced frames is gathered once. F1-F3 come from the
     roots of an LPC fit (_lpc_formants); frames with fewer than three valid
-    poles have no formants. One 4096-point spectrum per frame,
-    SPECTRUM_BLOCK frames at a time, then gives H1-H2; H1-A3 over F3 +/-
-    its bandwidth, or 2-4 kHz for a frame without formants; and
-    FnamplitudeLogRelF0, the level at the harmonic nearest formant n in dB
-    re the level at f0. Only running sums outlive a block.
+    poles have no formants. Their spectra (_spectrum_levels) give H1-H2;
+    H1-A3 over F3 +/- its bandwidth, or 2-4 kHz for a frame without
+    formants; and FnamplitudeLogRelF0. Only running sums outlive a block.
     """
     fs = frames.sample_rate_hz
-    bin_hz = fs / SPECTRUM_NFFT
-    n_bins = SPECTRUM_NFFT // 2 + 1
     window = frames.window
     voiced = np.nonzero(pitch.voiced)[0]
 
@@ -193,34 +190,18 @@ def estimate_formants(frames: FrameSequence, pitch: PitchTrack) -> FormantTrack:
     # frames with formants; and H1-H2, H1-A3 summed over the frames used
     formant_sums, n_formant = np.zeros((3, N_FORMANTS)), 0
     harmonic_sums, n_harmonic = np.zeros(2), 0
-    padded = np.zeros((SPECTRUM_BLOCK, n_bins + 1))
-    block_rows = np.arange(SPECTRUM_BLOCK)[:, None]
     for start in range(0, len(voiced), LPC_BLOCK):
         idx = voiced[start:start + LPC_BLOCK]
         raw = frames.raw_frames[idx]  # fancy indexing copies
         freqs, bws, kept = _lpc_formants(raw, window, fs)
-        formant_sums[0] += freqs[kept].sum(axis=0)
-        formant_sums[1] += bws[kept].sum(axis=0)
-        n_formant += np.count_nonzero(kept)
         f3_lo = np.where(kept, freqs[:, 2] - bws[:, 2], DEFAULT_F3_REGION[0])
         f3_hi = np.where(kept, freqs[:, 2] + bws[:, 2], DEFAULT_F3_REGION[1])
-        f0 = pitch.f0_hz[idx]
-
-        for sub in range(0, len(idx), SPECTRUM_BLOCK):
-            rows = slice(sub, sub + SPECTRUM_BLOCK)
-            block = padded[:len(raw[rows])]
-            np.abs(np.fft.rfft(raw[rows] * window, SPECTRUM_NFFT, axis=1),
-                   out=block[:, :n_bins])
-            h1_h2, h1_a3 = _harmonic_levels(block, f0[rows], f3_lo[rows], f3_hi[rows], bin_hz)
-            harmonic_sums += h1_h2.sum(), h1_a3.sum()
-            n_harmonic += len(h1_h2)
-
-            f0_col, row = f0[rows, None], block_rows[:len(block)]
-            level_f0 = _db(block[row, np.rint(f0_col / bin_hz).astype(int)])
-            harmonic = np.maximum(1, np.rint(freqs[rows] / f0_col).astype(int)) * f0_col
-            bins = np.minimum(np.rint(harmonic / bin_hz).astype(int), n_bins - 1)
-            amplitudes = _db(block[row, bins]) - level_f0
-            formant_sums[2] += amplitudes[kept[rows]].sum(axis=0)
+        amplitudes, h1_h2, h1_a3 = _spectrum_levels(raw, window, pitch.f0_hz[idx], freqs,
+                                                    f3_lo, f3_hi, fs)
+        formant_sums += np.stack((freqs, bws, amplitudes))[:, kept].sum(axis=1)
+        n_formant += np.count_nonzero(kept)
+        harmonic_sums += h1_h2.sum(), h1_a3.sum()
+        n_harmonic += len(h1_h2)
 
     if n_formant == 0:
         raise InsufficientVoicingError("no frames yielded three valid formants")

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 
 from .framing import FrameSequence
 
@@ -15,9 +16,9 @@ VOICING_RMS_FRACTION = 0.01
 # Shorter-lag peaks nearly as tall as the global maximum win, which keeps the
 # tracker off subharmonics of pulse-like excitation.
 PEAK_PREFERENCE = 0.85
-# Frames per autocorrelation block: bounds the FFT temporaries to a few
-# hundred kB whatever the utterance length.
-ACF_BLOCK = 16
+# Frames per autocorrelation block: bounds the FFT temporaries whatever the
+# utterance length, below the spectral stage's peak.
+ACF_BLOCK = 32
 # Lags whose normalizer falls below this fraction of the frame energy get an
 # exact (direct-sum) numerator instead of the FFT one.
 ACF_DIRECT_BELOW = 1e-3
@@ -49,25 +50,27 @@ class PitchTrack:
         return int(np.count_nonzero(self.voiced))
 
 
-def frame_autocorrelation(raw_frames: np.ndarray) -> np.ndarray:
-    """Normalized autocorrelation of each row for lags 0..frame_len-1.
+def frame_autocorrelation(raw_frames: np.ndarray, max_lag: int) -> np.ndarray:
+    """Normalized autocorrelation of each row for lags 0..max_lag (< frame_len).
 
     Each row is mean-removed, then r[tau] = sum(x[n] x[n+tau]) /
     sqrt(sum_head(x^2) * sum_tail(x^2)), which stays comparable across lags
     despite the shrinking overlap; lags with no energy on either side read 0.
-    Numerators come from one FFT per row. Where the normalizer is small next
-    to the frame energy, the FFT's rounding (about 1e-15 of that energy)
-    would dominate the ratio, so those lags are summed directly instead.
+    Numerators come from one FFT per row, n + max_lag points or more. Where
+    the normalizer is small next to the frame energy, the FFT's rounding
+    (about 1e-15 of that energy) would dominate the ratio, so those lags
+    are summed directly instead.
     """
     x = raw_frames - raw_frames.mean(axis=1, keepdims=True)
     n = x.shape[1]
-    nfft = 1 << (2 * n - 2).bit_length()
-    spectrum = np.fft.rfft(x, nfft, axis=1)
-    num = np.fft.irfft(spectrum.real ** 2 + spectrum.imag ** 2, nfft, axis=1)[:, :n]
+    nfft = scipy.fft.next_fast_len(n + max_lag, real=True)
+    power = np.fft.rfft(x, nfft, axis=1)
+    power = power.real ** 2 + power.imag ** 2  # frees the complex spectrum
+    num = np.fft.irfft(power, nfft, axis=1)[:, :max_lag + 1]
     cs = np.zeros((len(x), n + 1))
     np.cumsum(x * x, axis=1, out=cs[:, 1:])
-    head = cs[:, n:0:-1]               # per lag tau: sum of e[0 .. n-tau-1]
-    tail = cs[:, n:] - cs[:, :n]       # per lag tau: sum of e[tau .. n-1]
+    head = cs[:, n - max_lag:][:, ::-1]     # per lag tau: sum of e[0 .. n-tau-1]
+    tail = cs[:, n:] - cs[:, :max_lag + 1]  # per lag tau: sum of e[tau .. n-1]
     den = np.sqrt(head * tail)
     for row, tau in zip(*np.nonzero((den > 0) & (den < ACF_DIRECT_BELOW * cs[:, n:]))):
         num[row, tau] = np.dot(x[row, :n - tau], x[row, tau:])
@@ -116,7 +119,7 @@ def _refine(r: np.ndarray, peak: np.ndarray, lag_min: int) -> tuple[np.ndarray, 
 
 
 def _harmonicity(acf: np.ndarray, f0: np.ndarray, voiced: np.ndarray, fs: int) -> np.ndarray:
-    """Per row of full-lag acf, the PitchTrack harmonicity for f0 and voiced."""
+    """Per row of acf, the PitchTrack harmonicity for f0 (>= F0_MIN) and voiced."""
     lags = np.rint(fs / np.where(voiced, f0, F0_MAX)).astype(int)  # unvoiced f0 is 0
     cols = np.maximum(lags[:, None] + np.arange(-1, 2), 2)
     return np.where(voiced, np.take_along_axis(acf, cols, axis=1).max(axis=1), 0.0)
@@ -133,6 +136,8 @@ def track_pitch(frames: FrameSequence) -> PitchTrack:
     frame_len = frames.frame_length
     lag_min = max(2, int(fs / F0_MAX))
     lag_max = min(int(fs / F0_MIN), frame_len - 2)
+    # the peak search reads lags up to lag_max, _harmonicity up to lag_max + 2
+    max_lag = min(lag_max + 2, frame_len - 1)
 
     rms_floor = VOICING_RMS_FRACTION * (frames.rms.max() if n_frames else 0.0)
 
@@ -144,7 +149,7 @@ def track_pitch(frames: FrameSequence) -> PitchTrack:
 
     for start in range(0, n_frames, ACF_BLOCK):
         block = slice(start, start + ACF_BLOCK)
-        acf = frame_autocorrelation(frames.raw_frames[block])
+        acf = frame_autocorrelation(frames.raw_frames[block], max_lag)
         r = acf[:, lag_min:lag_max + 1]
         peak = _pick_peaks(r, lag_min)
         found = peak >= 0
@@ -168,7 +173,7 @@ def track_pitch(frames: FrameSequence) -> PitchTrack:
         a, b = win_lo - lag_min, win_hi - lag_min
         for start in range(0, len(far), ACF_BLOCK):
             idx = far[start:start + ACF_BLOCK]
-            acf = frame_autocorrelation(frames.raw_frames[idx])
+            acf = frame_autocorrelation(frames.raw_frames[idx], max_lag)
             r = acf[:, lag_min:lag_max + 1]
             peaks = _interior_maxima(r[:, a:b + 1])
             found = np.isfinite(peaks).any(axis=1)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 from scipy.fft import dct
 
@@ -27,9 +29,10 @@ def _mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m) / 2595.0) - 1.0)
 
 
+@functools.lru_cache(maxsize=8)
 def mel_filterbank(n_bands: int, nfft: int, fs: float) -> np.ndarray:
     """Triangular mel filterbank weights from MEL_FMIN to MEL_FMAX, shape
-    (n_bands, nfft // 2 + 1)."""
+    (n_bands, nfft // 2 + 1); built once per process, so read-only."""
     mel_pts = np.linspace(_hz_to_mel(MEL_FMIN), _hz_to_mel(MEL_FMAX), n_bands + 2)
     hz_pts = _mel_to_hz(mel_pts)
     bins = np.fft.rfftfreq(nfft, 1.0 / fs)
@@ -39,6 +42,7 @@ def mel_filterbank(n_bands: int, nfft: int, fs: float) -> np.ndarray:
         up = (bins - lo) / (mid - lo)
         down = (hi - bins) / (hi - mid)
         fb[b] = np.clip(np.minimum(up, down), 0.0, None)
+    fb.setflags(write=False)
     return fb
 
 

@@ -38,9 +38,9 @@ class FeatureStats:
             vector = np.array([d[k] for k in LLF_KEYS], dtype=float)
             vector.flags.writeable = False
             object.__setattr__(self, f"{name}_vector", vector)
-        bad = [k for k, s in self.sigma.items() if not s > 0]
+        bad = [k for k, s in self.sigma.items() if not s >= MIN_SIGMA]
         if bad:
-            raise StatsError(f"nonpositive sigma for: {bad}")
+            raise StatsError(f"sigma below {MIN_SIGMA:g} for: {bad}")
 
 
 def fit_stats(vectors: Sequence[LlfVector], corpus: str = "") -> FeatureStats:

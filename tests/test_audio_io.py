@@ -128,7 +128,7 @@ def _reference_load(path, target_rate=CANONICAL_RATE):
     (np.uint8, 16000, 1, 0.9), (np.int16, 16000, 1, 0.9), (np.int32, 22050, 1, 0.9),
     (np.float32, 16000, 1, 0.9), (np.float32, 16000, 1, 1.7), (np.float64, 48000, 1, 1.3),
     (np.uint8, 8000, 2, 0.9), (np.int16, 44100, 2, 0.9), (np.int32, 16000, 3, 0.9),
-    (np.float32, 16000, 2, 1.7),
+    (np.float32, 16000, 2, 1.7), (np.int16, 11025, 1, 0.9),
 ])
 def test_decode_matches_whole_array_reference(tmp_path, dtype, rate, channels, amp):
     rng = np.random.default_rng(channels)
@@ -145,6 +145,9 @@ def test_decode_matches_whole_array_reference(tmp_path, dtype, rate, channels, a
     got = load_audio(path).samples
     want = _reference_load(path)
     assert np.array_equal(got, want)
+    # the resampling filter is designed once per rate pair: a second load
+    # takes it from the cache and must resample the same
+    assert np.array_equal(load_audio(path).samples, want)
     if amp > 1 and rate == CANONICAL_RATE:  # over full scale: normalized
         assert np.max(np.abs(got)) == 1.0
 
@@ -164,3 +167,4 @@ def test_load_peak_memory_below_twice_the_signal(tmp_path):
         tracemalloc.stop()
     # the float32 WAV data (half the signal) and the signal itself
     assert peak < 2 * sig.samples.nbytes
+

@@ -54,6 +54,26 @@ def test_fit_stats_single_file_errors(corpus, tmp_path, capsys):
     assert "fewer than 2" in capsys.readouterr().err
 
 
+def test_score_with_denormal_sigma_exits_5(corpus, tmp_path, capsys):
+    # a denormal sigma would overflow z-scores and write NaN scores as JSON
+    stats_path = tmp_path / "stats.txt"
+    assert main(["fit-stats", *corpus, "--output", str(stats_path)]) == 0
+    lines = stats_path.read_text().splitlines()
+    stats_path.write_text("\n".join(
+        " ".join(line.split()[:3] + ["5e-324"]) if line.startswith("stat Loudness ") else line
+        for line in lines) + "\n")
+    scores_path = tmp_path / "scores.jsonl"
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["score", corpus[0], "--stats", str(stats_path),
+                     "--output", str(scores_path)])
+    assert code == 5
+    captured = capsys.readouterr()
+    assert "Loudness" in captured.err and not captured.out
+    assert not scores_path.exists()
+
+
 def test_score_without_stats_errors(corpus, capsys, monkeypatch):
     monkeypatch.delenv("VOICEQUAL_STATS", raising=False)
     assert main(["score", corpus[0]]) == 5

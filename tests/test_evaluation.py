@@ -21,7 +21,7 @@ from voicequal.evaluation import (
 )
 from voicequal.llf import LLF_KEYS
 from voicequal.quality import QUALITY_IDS, score_all
-from voicequal.stats import FeatureStats
+from voicequal.stats import MIN_SIGMA, FeatureStats
 from voicequal.synth import generate_synthetic
 
 from conftest import loop_score, random_stats
@@ -183,12 +183,13 @@ def test_grid_count_matches_brute_force_strict_count(default_table, data, qualit
 
 
 def test_nan_score_wins_no_pair(default_table):
-    # a denormal sigma overflows z to inf, and a zero coefficient times inf
-    # makes the matrix score NaN; as under `>`, a NaN side wins no pair
+    # a huge feature value overflows z to inf even at the smallest sigma, and
+    # a zero coefficient times inf makes the matrix score NaN; as under `>`,
+    # a NaN side wins no pair
     stats = random_stats(np.random.default_rng(8))
-    stats = FeatureStats(stats.mu, dict(stats.sigma, Loudness=5e-324))
+    stats = FeatureStats(stats.mu, dict(stats.sigma, Loudness=MIN_SIGMA))
     quality = next(q for q in QUALITY_IDS if default_table.coefficient(q, "Loudness") == 0.0)
-    far = _sample("far", quality, dict(stats.mu, Loudness=stats.mu["Loudness"] + 1.0))
+    far = _sample("far", quality, dict(stats.mu, Loudness=1e308))
     near = _sample("near", quality, dict(stats.mu))
     with np.errstate(over="ignore", invalid="ignore"):
         assert math.isnan(score_all(far.llf, stats, default_table).scores[quality])

@@ -5,14 +5,13 @@ from voicequal.audio_io import AudioSignal
 from voicequal.formants import (
     DEFAULT_F3_REGION,
     PREEMPHASIS,
-    SPECTRUM_NFFT,
-    _harmonic_levels,
     _pole_formants,
+    _spectrum_levels,
     estimate_formants,
     levinson_durbin,
 )
 from voicequal.framing import frame_signal
-from voicequal.pitch import track_pitch
+from voicequal.pitch import PitchTrack, track_pitch
 from voicequal.synth import generate_synthetic
 
 
@@ -24,17 +23,15 @@ def _harmonic_series(f0, amps, fs=16000, duration=0.5):
 
 
 def _analyze(sig, region=DEFAULT_F3_REGION):
-    """Mean H1-H2 and H1-A3 from the block kernel over every voiced frame,
+    """Mean H1-H2 and H1-A3 from the spectrum kernel over every voiced frame,
     with one F3 region for all of them."""
     frames = frame_signal(sig)
     pitch = track_pitch(frames)
     idx = np.nonzero(pitch.voiced)[0]
-    magnitude = np.zeros((len(idx), SPECTRUM_NFFT // 2 + 2))  # one padding column
-    magnitude[:, :-1] = np.abs(np.fft.rfft(frames.raw_frames[idx] * frames.window,
-                                           SPECTRUM_NFFT))
     lo, hi = (np.full(len(idx), edge) for edge in region)
-    h1_h2, h1_a3 = _harmonic_levels(magnitude, pitch.f0_hz[idx], lo, hi,
-                                    sig.sample_rate_hz / SPECTRUM_NFFT)
+    formants = np.full((len(idx), 3), 1000.0)  # amplitudes are not read here
+    _, h1_h2, h1_a3 = _spectrum_levels(frames.raw_frames[idx], frames.window,
+                                       pitch.f0_hz[idx], formants, lo, hi, sig.sample_rate_hz)
     return {"logRelF0-H1-H2": h1_h2.mean(), "logRelF0-H1-A3": h1_a3.mean()}
 
 
@@ -140,3 +137,28 @@ def test_block_levels_match_per_frame_reference():
         assert set(values) == set(reference)
         for key, want in reference.items():
             assert values[key] == pytest.approx(want, rel=1e-12, abs=1e-12), key
+
+
+@pytest.mark.parametrize("n_voiced", [1, 7, 8, 9, 63, 64, 65])
+def test_stage_matches_per_frame_reference_at_block_edges(n_voiced):
+    # n_voiced frames across the edges of the 8-frame spectrum sub-blocks
+    # and the 64-frame LPC blocks; past the first, the last frame is one of
+    # three bare harmonics, which has no three formants
+    vowel = generate_synthetic("clean", f0=200.0, duration=1.0, seed=2)
+    sig = AudioSignal(np.concatenate(
+        [vowel.samples, _harmonic_series(200, [1.0, 0.5, 0.1]).samples]), 16000)
+    frames = frame_signal(sig)
+    pitch = track_pitch(frames)
+    voiced = np.nonzero(pitch.voiced)[0]
+    chosen = voiced[:n_voiced]
+    if n_voiced > 1:
+        chosen[-1] = voiced[-10]
+    mask = np.zeros(len(pitch), dtype=bool)
+    mask[chosen] = True
+    part = PitchTrack(np.where(mask, pitch.f0_hz, 0.0), mask, pitch.harmonicity.copy())
+    track = estimate_formants(frames, part)
+    assert track.n_frames == max(1, n_voiced - 1)
+    reference = _reference_stage(frames, part)
+    assert set(track.values) == set(reference)
+    for key, want in reference.items():
+        assert track.values[key] == pytest.approx(want, rel=1e-12, abs=1e-12), key

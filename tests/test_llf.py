@@ -119,7 +119,7 @@ def _stage_peaks(sig):
 def stage_peaks():
     """(signal, stage peaks) of a clean vowel, by duration in seconds."""
     signals = {d: generate_synthetic("clean", f0=130.0, duration=d, seed=4)
-               for d in (10.0, 40.0)}
+               for d in (1.0, 10.0, 40.0)}
     return {d: (sig, _stage_peaks(sig)) for d, sig in signals.items()}
 
 
@@ -127,9 +127,10 @@ def test_block_stages_stay_below_spectral_peak_memory(stage_peaks):
     # the per-frame stages work in fixed frame blocks, so none of them may
     # allocate more at its peak than the spectral stage, whose blocks hold
     # the most per frame
-    peaks = stage_peaks[10.0][1]
-    for stage in ("pitch", "voiced frames"):
-        assert peaks[stage] < peaks["spectral"], stage
+    for duration in (1.0, 10.0):
+        peaks = stage_peaks[duration][1]
+        for stage in ("pitch", "voiced frames"):
+            assert peaks[stage] < peaks["spectral"], (duration, stage)
 
 
 def test_extraction_memory_below_half_the_signal(stage_peaks):

@@ -1,8 +1,11 @@
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import voicequal.pitch
 from voicequal.audio_io import AudioSignal
 from voicequal.framing import frame_signal
-from voicequal.pitch import F0_MAX, F0_MIN, frame_autocorrelation, track_pitch
+from voicequal.pitch import F0_MAX, F0_MIN, _harmonicity, frame_autocorrelation, track_pitch
 from voicequal.synth import generate_synthetic
 
 from conftest import raw_pulse_train, sine_signal
@@ -70,12 +73,53 @@ def test_frame_autocorrelation_matches_direct_reference():
     frames[2, :300] *= 1e-7                            # near-silent lead
     frames[3] = sine_signal(220, duration=0.025).samples
     frames[4, ::2] = 0.0
-    acf = frame_autocorrelation(frames)
-    assert acf.shape == frames.shape
+    for max_lag in (2, 292, 398, 399):
+        acf = frame_autocorrelation(frames, max_lag)
+        assert acf.shape == (len(frames), max_lag + 1)
+        for row, frame in zip(acf, frames):
+            np.testing.assert_allclose(row, _direct_acf(frame)[:max_lag + 1], rtol=0, atol=1e-12)
+        assert not acf[1].any()
+        assert np.all(np.abs(acf) <= 1.0 + 1e-12)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(3, 400), data=st.data(), seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["normal", "constant", "quiet head", "quiet tail"]),
+       quiet=st.floats(0.05, 0.95))
+def test_frame_autocorrelation_matches_direct_reference_at_any_lag(n, data, seed, kind, quiet):
+    max_lag = data.draw(st.integers(2, n - 1), label="max_lag")
+    frames = np.random.default_rng(seed).standard_normal((3, n))
+    cut = int(quiet * n)
+    if kind == "constant":
+        frames[1] = frames[1, 0]
+    elif kind == "quiet head":
+        frames[1, :cut] *= 1e-7
+    elif kind == "quiet tail":
+        frames[1, cut:] *= 1e-7
+    acf = frame_autocorrelation(frames, max_lag)
+    assert acf.shape == (3, max_lag + 1)
     for row, frame in zip(acf, frames):
-        np.testing.assert_allclose(row, _direct_acf(frame), rtol=0, atol=1e-12)
-    assert not acf[1].any()
-    assert np.all(np.abs(acf) <= 1.0 + 1e-12)
+        np.testing.assert_allclose(row, _direct_acf(frame)[:max_lag + 1], rtol=0, atol=1e-12)
+
+
+def test_harmonicity_reads_no_lag_beyond_the_autocorrelation(monkeypatch):
+    # track_pitch computes the autocorrelation only up to the longest lag it
+    # reads; at the lowest f0, _harmonicity reads exactly that lag
+    passed = []
+
+    def recording(raw_frames, max_lag):
+        passed.append(max_lag)
+        return frame_autocorrelation(raw_frames, max_lag)
+
+    monkeypatch.setattr(voicequal.pitch, "frame_autocorrelation", recording)
+    frames = frame_signal(sine_signal(60, duration=0.5))
+    track_pitch(frames)
+    max_lag = passed[0]
+    assert set(passed) == {max_lag} and max_lag < frames.frame_length
+    fs = frames.sample_rate_hz
+    acf = np.tile(np.arange(max_lag + 1.0), (2, 1))  # each lag reads as itself
+    read = _harmonicity(acf, np.array([F0_MIN, F0_MAX]), np.array([True, True]), fs)
+    assert read[0] == max_lag == np.rint(fs / F0_MIN) + 1
 
 
 def test_harmonicity_is_the_acf_max_around_the_pitch_lag():
@@ -83,8 +127,8 @@ def test_harmonicity_is_the_acf_max_around_the_pitch_lag():
     # harmonicity must follow the new f0 (or drop to 0 if unvoiced)
     frames = frame_signal(generate_synthetic("jittered", f0=120.0, duration=1.0, seed=1))
     pitch = track_pitch(frames)
-    acf = frame_autocorrelation(frames.raw_frames)
     fs = frames.sample_rate_hz
+    acf = frame_autocorrelation(frames.raw_frames, int(fs / F0_MIN) + 2)
     expected = np.zeros(len(pitch))
     for i in np.nonzero(pitch.voiced)[0]:
         lag = int(np.rint(fs / pitch.f0_hz[i]))

@@ -70,6 +70,16 @@ def test_mel_filterbank_shape_and_coverage():
     assert np.all(fb.sum(axis=1) > 0)
 
 
+def test_mel_filterbank_is_cached_read_only_and_unchanged():
+    fb = mel_filterbank(N_MEL_BANDS, NFFT, 16000)
+    assert mel_filterbank(N_MEL_BANDS, NFFT, 16000) is fb
+    assert not fb.flags.writeable
+    with pytest.raises(ValueError):
+        fb[0, 0] = 1.0
+    compute_spectral_llfs(frame_signal(sine_signal(440, 0.5)))
+    assert np.array_equal(fb, mel_filterbank.__wrapped__(N_MEL_BANDS, NFFT, 16000))
+
+
 def test_hammarberg_prefers_low_band_peak():
     low = compute_spectral_llfs(frame_signal(sine_signal(500, 0.5)))
     high = compute_spectral_llfs(frame_signal(sine_signal(3000, 0.5)))

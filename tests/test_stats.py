@@ -3,7 +3,7 @@ import pytest
 
 from voicequal.errors import StatsError
 from voicequal.llf import LLF_KEYS
-from voicequal.stats import FeatureStats, fit_stats, load_stats, save_stats
+from voicequal.stats import MIN_SIGMA, FeatureStats, fit_stats, load_stats, save_stats
 
 from conftest import random_llf
 
@@ -89,16 +89,22 @@ def test_load_missing_key_named(tmp_path):
 
 
 def test_load_nonpositive_sigma_rejected(tmp_path):
+    # so is any sigma below the floor fit_stats enforces: a denormal one
+    # overflows z-scores to inf, which scoring turns into NaN
     rng = np.random.default_rng(5)
     stats = fit_stats(_varied_vectors(rng, 5))
     path = tmp_path / "stats.txt"
     save_stats(stats, path)
-    text = path.read_text().replace(
-        f"stat Loudness {stats.mu['Loudness']!r} {stats.sigma['Loudness']!r}",
-        f"stat Loudness {stats.mu['Loudness']!r} 0.0")
-    path.write_text(text)
-    with pytest.raises(StatsError, match="sigma"):
-        load_stats(path)
+    original = path.read_text()
+    for sigma in ("0.0", "5e-324", "1e-300", "9.99e-10", repr(MIN_SIGMA)):
+        path.write_text(original.replace(
+            f"stat Loudness {stats.mu['Loudness']!r} {stats.sigma['Loudness']!r}",
+            f"stat Loudness {stats.mu['Loudness']!r} {sigma}"))
+        if float(sigma) == MIN_SIGMA:
+            assert load_stats(path).sigma["Loudness"] == MIN_SIGMA
+        else:
+            with pytest.raises(StatsError, match=r"sigma below 1e-09 for: \['Loudness'\]"):
+                load_stats(path)
 
 
 def test_load_malformed_file(tmp_path):
