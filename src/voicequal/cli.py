@@ -190,7 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="voicequal",
         description="Objective voice-quality scoring from speech audio.",
         epilog=EXIT_CODES_HELP)
-    parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("extract", help="compute the 25 low-level features per file")
@@ -244,9 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s")
+    logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
     except VoiceQualityError as exc:

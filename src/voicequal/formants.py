@@ -9,8 +9,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .audio_io import CANONICAL_RATE
 from .errors import InsufficientVoicingError
-from .framing import FrameSequence
+from .framing import WINDOW, FrameSequence
 from .pitch import PitchTrack
 
 PREEMPHASIS = 0.97
@@ -18,11 +19,14 @@ FORMANT_FMIN = 90.0
 FORMANT_FMAX = 5500.0
 MAX_BANDWIDTH = 700.0
 N_FORMANTS = 3
+LPC_ORDER = 2 + CANONICAL_RATE // 1000
 # Voiced frames per LPC block: the pre-emphasized frames and the stacked
 # companion matrices of one block stay near 200 kB.
 LPC_BLOCK = 64
 
 SPECTRUM_NFFT = 4096
+BIN_HZ = CANONICAL_RATE / SPECTRUM_NFFT
+N_BINS = SPECTRUM_NFFT // 2 + 1
 # Voiced frames per spectrum sub-block of an LPC block: one sub-block's
 # complex spectrum and magnitudes stay under 0.6 MB, below the all-frame
 # spectral stage's peak.
@@ -36,8 +40,7 @@ class FormantTrack:
     """The 11 voiced-frame LLFs and the number of frames with three formants.
 
     F1-F3 frequency, bandwidth and amplitude are means over those
-    ``n_frames`` frames; H1-H2 and H1-A3 are means over every voiced frame
-    whose second harmonic lies below Nyquist.
+    ``n_frames`` frames; H1-H2 and H1-A3 are means over every voiced frame.
     """
 
     n_frames: int
@@ -83,7 +86,7 @@ def levinson_durbin(r: np.ndarray) -> np.ndarray:
     return a
 
 
-def _pole_formants(a: np.ndarray, fs: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _pole_formants(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per row of LPC polynomials: the three lowest valid pole (frequencies,
     bandwidths), and whether the row has three valid poles at all."""
     order = a.shape[1] - 1
@@ -91,8 +94,8 @@ def _pole_formants(a: np.ndarray, fs: float) -> tuple[np.ndarray, np.ndarray, np
     companion[:, 0, :] = -a[:, 1:]
     companion[:, np.arange(1, order), np.arange(order - 1)] = 1.0
     roots = np.linalg.eigvals(companion)
-    freqs = np.angle(roots) * fs / (2.0 * np.pi)
-    bws = -(fs / np.pi) * np.log(np.clip(np.abs(roots), 1e-12, None))
+    freqs = np.angle(roots) * CANONICAL_RATE / (2.0 * np.pi)
+    bws = -(CANONICAL_RATE / np.pi) * np.log(np.clip(np.abs(roots), 1e-12, None))
     valid = ((np.imag(roots) > 0) & (freqs >= FORMANT_FMIN) & (freqs <= FORMANT_FMAX)
              & (bws < MAX_BANDWIDTH) & (bws > 0))
     lowest = np.argsort(np.where(valid, freqs, np.inf), axis=1)[:, :N_FORMANTS]
@@ -101,18 +104,17 @@ def _pole_formants(a: np.ndarray, fs: float) -> tuple[np.ndarray, np.ndarray, np
             np.count_nonzero(valid, axis=1) >= N_FORMANTS)
 
 
-def _lpc_formants(raw: np.ndarray, window: np.ndarray,
-                  fs: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _lpc_formants(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """_pole_formants of each row of raw frames, from a pre-emphasized,
-    Hamming-windowed LPC fit of order 2 + fs / 1000.
+    Hamming-windowed LPC fit of order LPC_ORDER.
 
     A zero-energy frame keeps the polynomial [1, 0, ..., 0], whose roots at
     0 are no valid poles.
     """
     x = raw.copy()
     x[:, 1:] -= PREEMPHASIS * raw[:, :-1]
-    x *= window
-    return _pole_formants(levinson_durbin(_lag_products(x, 2 + fs // 1000)), fs)
+    x *= WINDOW
+    return _pole_formants(levinson_durbin(_lag_products(x, LPC_ORDER)))
 
 
 def _a3_harmonics(f0: np.ndarray, lo_hz: np.ndarray,
@@ -130,32 +132,30 @@ def _a3_harmonics(f0: np.ndarray, lo_hz: np.ndarray,
     return np.repeat(k_lo - first, counts) + np.arange(counts.sum()), counts
 
 
-def _spectrum_levels(raw: np.ndarray, window: np.ndarray, f0: np.ndarray, freqs: np.ndarray,
-                     f3_lo: np.ndarray, f3_hi: np.ndarray, fs: int) -> tuple[np.ndarray, ...]:
+def _spectrum_levels(raw: np.ndarray, f0: np.ndarray, freqs: np.ndarray,
+                     f3_lo: np.ndarray, f3_hi: np.ndarray) -> tuple[np.ndarray, ...]:
     """Per row of raw frames, from its 4096-point spectrum: the level at the
-    harmonic nearest each formant in freqs in dB re the level at f0; and if
-    its second harmonic lies below Nyquist, H1-H2 and H1-A3, with A3 the
-    strongest harmonic in f3_lo..f3_hi, each searched within f0 / 4.
+    harmonic nearest each formant in freqs in dB re the level at f0; H1-H2;
+    and H1-A3, with A3 the strongest harmonic in f3_lo..f3_hi, each searched
+    within f0 / 4. f0 <= F0_MAX keeps the second harmonic below Nyquist.
 
     Each level is the peak of a bin window, in dB once picked. The windows are
     sorted by row, so each SPECTRUM_BLOCK of rows picks the peaks of its own
     slice with one reduceat; a padding column keeps each window's end inside.
     """
-    bin_hz = fs / SPECTRUM_NFFT
-    n_bins = SPECTRUM_NFFT // 2 + 1
-    width = n_bins + 1
-    use = np.nonzero(2 * f0 / bin_hz < n_bins)[0]
-    ks, counts = _a3_harmonics(f0[use], f3_lo[use], f3_hi[use])
+    rows = np.arange(len(f0))
+    width = N_BINS + 1
+    ks, counts = _a3_harmonics(f0, f3_lo, f3_hi)
     # width-0 windows at f0 and at each formant's harmonic, then H1, H2 and A3
     harmonic = np.maximum(1, np.rint(freqs / f0[:, None]).astype(int)) * f0[:, None]
     points = np.concatenate((f0[:, None], harmonic), axis=1)
-    at = np.minimum(np.rint(points / bin_hz).astype(int), n_bins - 1).ravel()
-    searched = np.concatenate((use, use, np.repeat(use, counts)))
-    mid = np.concatenate((np.ones(len(use)), np.full(len(use), 2.0), ks)) * f0[searched]
+    at = np.minimum(np.rint(points / BIN_HZ).astype(int), N_BINS - 1).ravel()
+    searched = np.concatenate((rows, rows, np.repeat(rows, counts)))
+    mid = np.concatenate((np.ones(len(f0)), np.full(len(f0), 2.0), ks)) * f0[searched]
     half = f0[searched] / 4.0
-    lo = np.concatenate((at, np.maximum(0, np.floor((mid - half) / bin_hz).astype(int))))
-    hi = np.concatenate((at, np.minimum(n_bins - 1, np.ceil((mid + half) / bin_hz).astype(int))))
-    owner = np.concatenate((np.repeat(np.arange(len(f0)), points.shape[1]), searched))
+    lo = np.concatenate((at, np.maximum(0, np.floor((mid - half) / BIN_HZ).astype(int))))
+    hi = np.concatenate((at, np.minimum(N_BINS - 1, np.ceil((mid + half) / BIN_HZ).astype(int))))
+    owner = np.concatenate((np.repeat(rows, points.shape[1]), searched))
     order = np.argsort(owner * width + lo)
     owner, offset = owner[order], owner[order] % SPECTRUM_BLOCK * width
     bounds = np.stack((offset + lo[order], offset + hi[order] + 1), axis=1).ravel()
@@ -164,10 +164,10 @@ def _spectrum_levels(raw: np.ndarray, window: np.ndarray, f0: np.ndarray, freqs:
     for sub, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
         x = raw[sub * SPECTRUM_BLOCK:(sub + 1) * SPECTRUM_BLOCK]
         block = padded[:len(x)]
-        np.abs(np.fft.rfft(x * window, SPECTRUM_NFFT, axis=1), out=block[:, :n_bins])
+        np.abs(np.fft.rfft(x * WINDOW, SPECTRUM_NFFT, axis=1), out=block[:, :N_BINS])
         peaks[order[a:b]] = np.maximum.reduceat(block.ravel(), bounds[2 * a:2 * b])[::2]
     levels = 20.0 * np.log10(peaks + 1e-12)
-    at, h1, h2, a3 = np.split(levels, np.cumsum([points.size, len(use), len(use)]))
+    at, h1, h2, a3 = np.split(levels, np.cumsum([points.size, len(f0), len(f0)]))
     at = at.reshape(points.shape)
     a3 = np.maximum.reduceat(a3, np.cumsum(counts) - counts)
     return at[:, 1:] - at[:, :1], h1 - h2, h1 - a3
@@ -182,32 +182,26 @@ def estimate_formants(frames: FrameSequence, pitch: PitchTrack) -> FormantTrack:
     H1-A3 over F3 +/- its bandwidth, or 2-4 kHz for a frame without
     formants; and FnamplitudeLogRelF0. Only running sums outlive a block.
     """
-    fs = frames.sample_rate_hz
-    window = frames.window
     voiced = np.nonzero(pitch.voiced)[0]
 
     # rows: frequency, bandwidth and amplitude of F1-F3, summed over the
-    # frames with formants; and H1-H2, H1-A3 summed over the frames used
+    # frames with formants; and H1-H2, H1-A3 summed over every voiced frame
     formant_sums, n_formant = np.zeros((3, N_FORMANTS)), 0
-    harmonic_sums, n_harmonic = np.zeros(2), 0
+    harmonic_sums = np.zeros(2)
     for start in range(0, len(voiced), LPC_BLOCK):
         idx = voiced[start:start + LPC_BLOCK]
         raw = frames.raw_frames[idx]  # fancy indexing copies
-        freqs, bws, kept = _lpc_formants(raw, window, fs)
+        freqs, bws, kept = _lpc_formants(raw)
         f3_lo = np.where(kept, freqs[:, 2] - bws[:, 2], DEFAULT_F3_REGION[0])
         f3_hi = np.where(kept, freqs[:, 2] + bws[:, 2], DEFAULT_F3_REGION[1])
-        amplitudes, h1_h2, h1_a3 = _spectrum_levels(raw, window, pitch.f0_hz[idx], freqs,
-                                                    f3_lo, f3_hi, fs)
+        amplitudes, h1_h2, h1_a3 = _spectrum_levels(raw, pitch.f0_hz[idx], freqs, f3_lo, f3_hi)
         formant_sums += np.stack((freqs, bws, amplitudes))[:, kept].sum(axis=1)
         n_formant += np.count_nonzero(kept)
         harmonic_sums += h1_h2.sum(), h1_a3.sum()
-        n_harmonic += len(h1_h2)
 
     if n_formant == 0:
         raise InsufficientVoicingError("no frames yielded three valid formants")
-    if n_harmonic == 0:
-        raise InsufficientVoicingError("no usable voiced frames for harmonic analysis")
-    h1_h2, h1_a3 = harmonic_sums / n_harmonic
+    h1_h2, h1_a3 = harmonic_sums / len(voiced)
     values = {"logRelF0-H1-H2": float(h1_h2), "logRelF0-H1-A3": float(h1_a3)}
     for n, (freq, bw, amplitude) in enumerate((formant_sums / n_formant).T):
         values[f"F{n + 1}frequency"] = float(freq)

@@ -63,8 +63,8 @@ def extract_llf_vector(signal: AudioSignal) -> LlfVector:
     """Run the full pipeline and return the complete 25-entry vector.
 
     Voiced-only features are averaged over voiced frames, spectral features
-    over all frames. Requires at least 300 ms of audio with three consecutive
-    voiced frames.
+    over all frames. Requires a CANONICAL_RATE signal (load_audio resamples
+    to it) of at least 300 ms with three consecutive voiced frames.
     """
     if signal.duration_s < MIN_DURATION_S:
         raise AudioIOError(

@@ -11,9 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio_io import AudioSignal
+from .audio_io import CANONICAL_RATE, AudioSignal
 from .errors import InsufficientVoicingError
-from .framing import framing
+from .framing import FRAME_LENGTH, HOP
 from .pitch import PitchTrack, parabolic_peak
 
 F0_REFERENCE_HZ = 27.5
@@ -82,21 +82,20 @@ def _largest_magnitude(x: np.ndarray, start: int, end: int) -> int:
 
 
 def find_period_marks(signal: AudioSignal, pitch: PitchTrack) -> list[PeriodMarks]:
-    """Locate one glottal peak per pitch period within each voiced region."""
-    fs = signal.sample_rate_hz
+    """Locate one glottal peak per pitch period within each voiced region
+    of a CANONICAL_RATE signal."""
     x = signal.samples
-    frame_len, hop = framing(fs)
     f0_hz = pitch.f0_hz.tolist()
 
     def period_at(pos: float, lo_frame: int, hi_frame: int) -> float:
-        frame = min(max(round((pos - frame_len / 2) / hop), lo_frame), hi_frame - 1)
+        frame = min(max(round((pos - FRAME_LENGTH / 2) / HOP), lo_frame), hi_frame - 1)
         f0 = f0_hz[frame]
-        return fs / f0 if f0 > 0 else fs / 100.0
+        return CANONICAL_RATE / f0 if f0 > 0 else CANONICAL_RATE / 100.0
 
     regions = []
     for lo_frame, hi_frame in voiced_runs(pitch.voiced):
-        start = lo_frame * hop
-        end = min((hi_frame - 1) * hop + frame_len, len(x))
+        start = lo_frame * HOP
+        end = min((hi_frame - 1) * HOP + FRAME_LENGTH, len(x))
         anchor = _largest_magnitude(x, start, end)
         if anchor < 0:
             continue

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 
+from .audio_io import CANONICAL_RATE
 from .framing import FrameSequence
 
 F0_MIN = 55.0
@@ -22,6 +23,11 @@ ACF_BLOCK = 32
 # Lags whose normalizer falls below this fraction of the frame energy get an
 # exact (direct-sum) numerator instead of the FFT one.
 ACF_DIRECT_BELOW = 1e-3
+# Lags of f0 in [F0_MIN, F0_MAX] at CANONICAL_RATE: 16..290. The peak search
+# reads lags up to LAG_MAX, _harmonicity up to LAG_MAX + 2 = MAX_LAG.
+LAG_MIN = int(CANONICAL_RATE / F0_MAX)
+LAG_MAX = int(CANONICAL_RATE / F0_MIN)
+MAX_LAG = LAG_MAX + 2
 
 
 @dataclass(frozen=True)
@@ -30,7 +36,7 @@ class PitchTrack:
 
     Unvoiced frames carry f0 = 0 and harmonicity 0. A voiced frame's
     harmonicity is the largest normalized autocorrelation over the integer
-    lags round(fs / f0) - 1 .. round(fs / f0) + 1 (none below 2), the r of
+    lags round(CANONICAL_RATE / f0) - 1 .. round(CANONICAL_RATE / f0) + 1, the r of
     HNRdBACF.
     """
 
@@ -93,7 +99,7 @@ def _interior_maxima(r: np.ndarray) -> np.ndarray:
     return np.where((inner >= r[:, :-2]) & (inner >= r[:, 2:]), inner, -np.inf)
 
 
-def _pick_peaks(r: np.ndarray, lag_min: int) -> np.ndarray:
+def _pick_peaks(r: np.ndarray) -> np.ndarray:
     """Per row of r, the column of the chosen interior local maximum, or -1.
 
     Among near-maximal peaks, the shortest lag wins only when the
@@ -104,24 +110,24 @@ def _pick_peaks(r: np.ndarray, lag_min: int) -> np.ndarray:
     peaks = _interior_maxima(r)
     best = np.argmax(peaks, axis=1)
     r_max = peaks[np.arange(len(r)), best]
-    ratio = (lag_min + 1 + best)[:, None] / (lag_min + 1 + np.arange(peaks.shape[1]))
+    ratio = (LAG_MIN + 1 + best)[:, None] / (LAG_MIN + 1 + np.arange(peaks.shape[1]))
     # the best peak itself always qualifies, so argmax finds a candidate
     candidate = ((peaks >= PEAK_PREFERENCE * r_max[:, None])
                  & (np.abs(ratio - np.round(ratio)) <= 0.12))
     return np.where(r_max > 0, np.argmax(candidate, axis=1) + 1, -1)
 
 
-def _refine(r: np.ndarray, peak: np.ndarray, lag_min: int) -> tuple[np.ndarray, np.ndarray]:
+def _refine(r: np.ndarray, peak: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Parabolic refinement of each row's peak lag and correlation value."""
     rows = np.arange(len(r))
     delta, r_peak = parabolic_peak(r[rows, peak - 1], r[rows, peak], r[rows, peak + 1])
-    return lag_min + peak + delta, r_peak
+    return LAG_MIN + peak + delta, r_peak
 
 
-def _harmonicity(acf: np.ndarray, f0: np.ndarray, voiced: np.ndarray, fs: int) -> np.ndarray:
+def _harmonicity(acf: np.ndarray, f0: np.ndarray, voiced: np.ndarray) -> np.ndarray:
     """Per row of acf, the PitchTrack harmonicity for f0 (>= F0_MIN) and voiced."""
-    lags = np.rint(fs / np.where(voiced, f0, F0_MAX)).astype(int)  # unvoiced f0 is 0
-    cols = np.maximum(lags[:, None] + np.arange(-1, 2), 2)
+    lags = np.rint(CANONICAL_RATE / np.where(voiced, f0, F0_MAX)).astype(int)  # unvoiced f0 is 0
+    cols = lags[:, None] + np.arange(-1, 2)
     return np.where(voiced, np.take_along_axis(acf, cols, axis=1).max(axis=1), 0.0)
 
 
@@ -131,56 +137,46 @@ def track_pitch(frames: FrameSequence) -> PitchTrack:
     A frame is voiced iff its normalized autocorrelation peak reaches 0.45
     and its RMS reaches 1% of the loudest frame's RMS.
     """
-    fs = frames.sample_rate_hz
     n_frames = frames.n_frames
-    frame_len = frames.frame_length
-    lag_min = max(2, int(fs / F0_MAX))
-    lag_max = min(int(fs / F0_MIN), frame_len - 2)
-    # the peak search reads lags up to lag_max, _harmonicity up to lag_max + 2
-    max_lag = min(lag_max + 2, frame_len - 1)
-
     rms_floor = VOICING_RMS_FRACTION * (frames.rms.max() if n_frames else 0.0)
 
     f0 = np.zeros(n_frames)
     voiced = np.zeros(n_frames, dtype=bool)
     harmonicity = np.zeros(n_frames)
-    if lag_max - lag_min < 2:  # too few lags for an interior peak
-        return PitchTrack(f0, voiced, harmonicity)
-
     for start in range(0, n_frames, ACF_BLOCK):
         block = slice(start, start + ACF_BLOCK)
-        acf = frame_autocorrelation(frames.raw_frames[block], max_lag)
-        r = acf[:, lag_min:lag_max + 1]
-        peak = _pick_peaks(r, lag_min)
+        acf = frame_autocorrelation(frames.raw_frames[block], MAX_LAG)
+        r = acf[:, LAG_MIN:LAG_MAX + 1]
+        peak = _pick_peaks(r)
         found = peak >= 0
-        lag, r_peak = _refine(r, np.where(found, peak, 1), lag_min)
+        lag, r_peak = _refine(r, np.where(found, peak, 1))
         v = (found & (r_peak >= VOICING_PEAK_THRESHOLD)
              & (frames.rms[block] >= rms_floor) & (rms_floor > 0))
         voiced[block] = v
-        f0[block] = np.where(v, np.clip(fs / lag, F0_MIN, F0_MAX), 0.0)
-        harmonicity[block] = _harmonicity(acf, f0[block], v, fs)
+        f0[block] = np.where(v, np.clip(CANONICAL_RATE / lag, F0_MIN, F0_MAX), 0.0)
+        harmonicity[block] = _harmonicity(acf, f0[block], v)
 
     # Second pass: frames far from the voiced median get re-picked within a
     # window around the median lag, which suppresses occasional period
     # multiples/submultiples on heavily perturbed signals.
     if voiced.any():
         median_f0 = float(np.median(f0[voiced]))
-        win_lo = max(lag_min, int(fs / (median_f0 * 1.25)))
-        win_hi = min(lag_max, int(np.ceil(fs / (median_f0 * 0.8))))
+        win_lo = max(LAG_MIN, int(CANONICAL_RATE / (median_f0 * 1.25)))
+        win_hi = min(LAG_MAX, int(np.ceil(CANONICAL_RATE / (median_f0 * 0.8))))
         far = np.nonzero(voiced & (np.abs(f0 - median_f0) > 0.2 * median_f0))[0]
         if win_hi - win_lo < 2:
             far = far[:0]
-        a, b = win_lo - lag_min, win_hi - lag_min
+        a, b = win_lo - LAG_MIN, win_hi - LAG_MIN
         for start in range(0, len(far), ACF_BLOCK):
             idx = far[start:start + ACF_BLOCK]
-            acf = frame_autocorrelation(frames.raw_frames[idx], max_lag)
-            r = acf[:, lag_min:lag_max + 1]
+            acf = frame_autocorrelation(frames.raw_frames[idx], MAX_LAG)
+            r = acf[:, LAG_MIN:LAG_MAX + 1]
             peaks = _interior_maxima(r[:, a:b + 1])
             found = np.isfinite(peaks).any(axis=1)
-            lag, r_peak = _refine(r, a + 1 + np.argmax(peaks, axis=1), lag_min)
+            lag, r_peak = _refine(r, a + 1 + np.argmax(peaks, axis=1))
             keep = found & (r_peak >= VOICING_PEAK_THRESHOLD)
             voiced[idx] = keep
-            f0[idx] = np.where(keep, np.clip(fs / lag, F0_MIN, F0_MAX), 0.0)
-            harmonicity[idx] = _harmonicity(acf, f0[idx], keep, fs)
+            f0[idx] = np.where(keep, np.clip(CANONICAL_RATE / lag, F0_MIN, F0_MAX), 0.0)
+            harmonicity[idx] = _harmonicity(acf, f0[idx], keep)
 
     return PitchTrack(f0, voiced, harmonicity)

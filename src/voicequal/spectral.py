@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 from scipy.fft import dct
 
-from .framing import FRAME_BLOCK, FrameSequence
+from .audio_io import CANONICAL_RATE
+from .framing import FRAME_BLOCK, WINDOW, FrameSequence
 
 NFFT = 512
 N_MEL_BANDS = 26
@@ -29,13 +28,12 @@ def _mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m) / 2595.0) - 1.0)
 
 
-@functools.lru_cache(maxsize=8)
-def mel_filterbank(n_bands: int, nfft: int, fs: float) -> np.ndarray:
-    """Triangular mel filterbank weights from MEL_FMIN to MEL_FMAX, shape
-    (n_bands, nfft // 2 + 1); built once per process, so read-only."""
+def mel_filterbank(n_bands: int, nfft: int) -> np.ndarray:
+    """Triangular mel filterbank weights from MEL_FMIN to MEL_FMAX at
+    CANONICAL_RATE, shape (n_bands, nfft // 2 + 1), read-only."""
     mel_pts = np.linspace(_hz_to_mel(MEL_FMIN), _hz_to_mel(MEL_FMAX), n_bands + 2)
     hz_pts = _mel_to_hz(mel_pts)
-    bins = np.fft.rfftfreq(nfft, 1.0 / fs)
+    bins = np.fft.rfftfreq(nfft, 1.0 / CANONICAL_RATE)
     fb = np.zeros((n_bands, len(bins)))
     for b in range(n_bands):
         lo, mid, hi = hz_pts[b], hz_pts[b + 1], hz_pts[b + 2]
@@ -46,10 +44,21 @@ def mel_filterbank(n_bands: int, nfft: int, fs: float) -> np.ndarray:
     return fb
 
 
-def _band_slope(db: np.ndarray, freqs: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """Per-frame least-squares slope of the dB spectrum over [lo, hi] Hz."""
-    sel = (freqs >= lo) & (freqs <= hi)
-    f = freqs[sel]
+# The NFFT-point spectrum's bin frequencies, its bands and the mel filterbank,
+# built once at import.
+FREQS = np.fft.rfftfreq(NFFT, 1.0 / CANONICAL_RATE)
+ALPHA_LOW = (FREQS >= 50) & (FREQS <= 1000)
+ALPHA_HIGH = (FREQS > 1000) & (FREQS <= 5000)
+PEAK_LOW = (FREQS >= 0) & (FREQS <= 2000)
+PEAK_HIGH = (FREQS > 2000) & (FREQS <= 5000)
+SLOPE_LOW = (FREQS >= 0) & (FREQS <= 500)
+SLOPE_HIGH = (FREQS >= 500) & (FREQS <= 1500)
+MEL_FILTERBANK = mel_filterbank(N_MEL_BANDS, NFFT)
+
+
+def _band_slope(db: np.ndarray, sel: np.ndarray) -> np.ndarray:
+    """Per-frame least-squares slope of the dB spectrum over the bins sel."""
+    f = FREQS[sel]
     y = db[:, sel]
     f_c = f - f.mean()
     return (y @ f_c) / np.dot(f_c, f_c)
@@ -68,15 +77,6 @@ def compute_spectral_llfs(frames: FrameSequence) -> dict[str, float]:
     The spectrum is taken FRAME_BLOCK frames at a time; each frame's terms
     are kept and averaged at the end.
     """
-    fs = frames.sample_rate_hz
-    freqs = np.fft.rfftfreq(NFFT, 1.0 / fs)
-    window = frames.window
-    fb_t = mel_filterbank(N_MEL_BANDS, NFFT, fs).T
-    low = (freqs >= 50) & (freqs <= 1000)
-    high = (freqs > 1000) & (freqs <= 5000)
-    peak_low = (freqs >= 0) & (freqs <= 2000)
-    peak_high = (freqs > 2000) & (freqs <= 5000)
-
     n = frames.n_frames
     # each frame's term of each feature, in SPECTRAL_KEYS order; the flux
     # term is a frame's step from the frame before it, 0 for the first
@@ -85,16 +85,16 @@ def compute_spectral_llfs(frames: FrameSequence) -> dict[str, float]:
     last_unit = None
     for start in range(0, n, FRAME_BLOCK):
         block = slice(start, start + FRAME_BLOCK)
-        mag = np.abs(np.fft.rfft(frames.raw_frames[block] * window, NFFT, axis=1))
+        mag = np.abs(np.fft.rfft(frames.raw_frames[block] * WINDOW, NFFT, axis=1))
         power = mag ** 2
         terms[1, block] = 10.0 * np.log10(
-            (power[:, low].sum(axis=1) + _EPS) / (power[:, high].sum(axis=1) + _EPS))
+            (power[:, ALPHA_LOW].sum(axis=1) + _EPS) / (power[:, ALPHA_HIGH].sum(axis=1) + _EPS))
         terms[2, block] = 10.0 * np.log10(
-            (power[:, peak_low].max(axis=1) + _EPS) / (power[:, peak_high].max(axis=1) + _EPS))
+            (power[:, PEAK_LOW].max(axis=1) + _EPS) / (power[:, PEAK_HIGH].max(axis=1) + _EPS))
 
         db = 10.0 * np.log10(power + _EPS)
-        terms[3, block] = _band_slope(db, freqs, 0.0, 500.0)
-        terms[4, block] = _band_slope(db, freqs, 500.0, 1500.0)
+        terms[3, block] = _band_slope(db, SLOPE_LOW)
+        terms[4, block] = _band_slope(db, SLOPE_HIGH)
 
         norms = np.linalg.norm(mag, axis=1, keepdims=True)
         unit = mag / np.where(norms > 0, norms, 1.0)
@@ -103,7 +103,7 @@ def compute_spectral_llfs(frames: FrameSequence) -> dict[str, float]:
         terms[5, block] = np.linalg.norm(steps, axis=1)
         last_unit = unit[-1:]
 
-        log_mel = np.log(power @ fb_t + _EPS)
+        log_mel = np.log(power @ MEL_FILTERBANK.T + _EPS)
         terms[6:, block] = dct(log_mel, type=2, axis=1, norm="ortho")[:, 1:5].T
 
     values = dict(zip(SPECTRAL_KEYS, terms.mean(axis=1).tolist()))

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from scipy.io import wavfile
 
-from voicequal.audio_io import AudioSignal, save_wav
+from voicequal.audio_io import AudioSignal, load_audio, save_wav
 from voicequal.cli import main
-from voicequal.llf import LLF_KEYS
+from voicequal.llf import LLF_KEYS, extract_llf_vector
 from voicequal.quality import QUALITY_IDS
 from voicequal.stats import load_stats
 from voicequal.synth import generate_synthetic
@@ -31,6 +31,18 @@ def test_extract_records(corpus, tmp_path, capsys):
     record = json.loads(lines[0])
     assert record["source"] == corpus[0]
     assert list(record)[1:] == list(LLF_KEYS)
+
+
+def test_extract_converts_a_44k_stereo_wav(tmp_path):
+    # the library analyses 16 kHz only; the CLI loads through load_audio,
+    # which resamples, so any WAV rate still extracts
+    x = generate_synthetic("clean", f0=130.0, duration=1.0, seed=3, sample_rate=44100).samples
+    path, out = tmp_path / "stereo44k.wav", tmp_path / "llf.jsonl"
+    wavfile.write(path, 44100, np.round(np.stack([x, 0.8 * x], axis=1) * 32767).astype(np.int16))
+    assert main(["extract", str(path), "--output", str(out)]) == 0
+    record = json.loads(out.read_text())
+    assert list(record)[1:] == list(LLF_KEYS)
+    assert record == {"source": str(path), **extract_llf_vector(load_audio(path))}
 
 
 def test_fit_stats_then_score(corpus, tmp_path, capsys):

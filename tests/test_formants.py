@@ -58,7 +58,7 @@ def test_frequencies_strictly_ordered_bandwidths_positive():
     n_kept = 0
     for start in range(0, len(voiced), LPC_BLOCK):
         raw = frames.raw_frames[voiced[start:start + LPC_BLOCK]]
-        freqs, bws, kept = _lpc_formants(raw, frames.window, sig.sample_rate_hz)
+        freqs, bws, kept = _lpc_formants(raw)
         freqs, bws = freqs[kept], bws[kept]
         assert np.all(freqs[:, 0] < freqs[:, 1])
         assert np.all(freqs[:, 1] < freqs[:, 2])

@@ -3,7 +3,7 @@ import pytest
 
 from voicequal.audio_io import AudioSignal
 from voicequal.errors import AudioIOError
-from voicequal.framing import frame_signal
+from voicequal.framing import FRAME_LENGTH, HOP, WINDOW, frame_signal
 
 from conftest import sine_signal
 
@@ -13,8 +13,8 @@ def test_frame_count_one_second():
     frames = frame_signal(sig)
     # floor((16000 - 400) / 160) + 1
     assert frames.n_frames == 98
-    assert frames.frame_length == 400
-    assert frames.hop_length == 160
+    assert FRAME_LENGTH == 400
+    assert HOP == 160
 
 
 def test_single_frame_boundary():
@@ -31,8 +31,8 @@ def test_too_short_rejected():
 def test_window_applied():
     sig = sine_signal(220, duration=0.1)
     frames = frame_signal(sig)
-    window = np.hamming(frames.frame_length)
-    windowed = frames.raw_frames * frames.window
+    window = np.hamming(FRAME_LENGTH)
+    windowed = frames.raw_frames * WINDOW
     assert np.allclose(windowed[0], frames.raw_frames[0] * window)
 
 
@@ -42,7 +42,7 @@ def test_all_frames_equal_length_partial_dropped():
     x = np.concatenate([sig.samples, sig.samples[:100]])
     frames = frame_signal(AudioSignal(x, sig.sample_rate_hz, "padded"))
     assert frames.n_frames == (len(x) - 400) // 160 + 1
-    assert (frames.raw_frames * frames.window).shape == (frames.n_frames, 400)
+    assert (frames.raw_frames * WINDOW).shape == (frames.n_frames, 400)
 
 
 def test_rms_is_the_per_frame_formula():

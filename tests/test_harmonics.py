@@ -10,7 +10,7 @@ from voicequal.formants import (
     estimate_formants,
     levinson_durbin,
 )
-from voicequal.framing import frame_signal
+from voicequal.framing import WINDOW, frame_signal
 from voicequal.pitch import PitchTrack, track_pitch
 from voicequal.synth import generate_synthetic
 
@@ -30,8 +30,7 @@ def _analyze(sig, region=DEFAULT_F3_REGION):
     idx = np.nonzero(pitch.voiced)[0]
     lo, hi = (np.full(len(idx), edge) for edge in region)
     formants = np.full((len(idx), 3), 1000.0)  # amplitudes are not read here
-    _, h1_h2, h1_a3 = _spectrum_levels(frames.raw_frames[idx], frames.window,
-                                       pitch.f0_hz[idx], formants, lo, hi, sig.sample_rate_hz)
+    _, h1_h2, h1_a3 = _spectrum_levels(frames.raw_frames[idx], pitch.f0_hz[idx], formants, lo, hi)
     return {"logRelF0-H1-H2": h1_h2.mean(), "logRelF0-H1-A3": h1_a3.mean()}
 
 
@@ -69,24 +68,24 @@ def _reference_harmonics(spectrum_db, f0, lo, hi, bin_hz):
 
 
 def _spectrum_db(frames, i):
-    spectrum = np.fft.rfft(frames.raw_frames[i] * frames.window, 4096)
+    spectrum = np.fft.rfft(frames.raw_frames[i] * WINDOW, 4096)
     return 20.0 * np.log10(np.abs(spectrum) + 1e-12)
 
 
 def _reference_stage(frames, pitch):
     """Per-frame loop reference for the whole voiced-frame stage: one LPC fit
     and one 4096-point spectrum per voiced frame."""
-    fs = frames.sample_rate_hz
+    fs = 16000
     bin_hz = fs / 4096
     order = 2 + fs // 1000
     h1_h2, h1_a3, formants = [], [], []
     for i in np.nonzero(pitch.voiced)[0]:
         f0 = pitch.f0_hz[i]
         x = frames.raw_frames[i]
-        e = np.r_[x[0], x[1:] - PREEMPHASIS * x[:-1]] * frames.window
+        e = np.r_[x[0], x[1:] - PREEMPHASIS * x[:-1]] * WINDOW
         r = np.array([np.dot(e[:len(e) - k], e[k:]) for k in range(order + 1)])
         r[0] *= 1.0 + 1e-9
-        freqs, bws, kept = _pole_formants(levinson_durbin(r[None]), fs)
+        freqs, bws, kept = _pole_formants(levinson_durbin(r[None]))
         spectrum_db = _spectrum_db(frames, i)
         lo, hi = 2000.0, 4000.0
         if r[0] > 0 and kept[0]:

@@ -13,6 +13,8 @@ from voicequal.pitch import track_pitch
 from voicequal.spectral import compute_spectral_llfs
 from voicequal.synth import generate_synthetic
 
+from conftest import sine_signal
+
 
 @pytest.fixture(scope="module")
 def vowel():
@@ -41,6 +43,19 @@ def test_too_short_rejected():
     short = AudioSignal(sig.samples[:3200], sig.sample_rate_hz, "short")  # 200 ms
     with pytest.raises(AudioIOError, match="too short"):
         extract_llf_vector(short)
+
+
+@pytest.mark.parametrize("stage", [frame_signal, extract_llf_vector])
+@pytest.mark.parametrize("make", [
+    lambda: sine_signal(220, duration=0.5, fs=44100),
+    lambda: sine_signal(220, duration=0.5, fs=8000),
+    lambda: generate_synthetic("clean", f0=130.0, duration=0.5, seed=3, sample_rate=44100),
+], ids=["sine-44.1k", "sine-8k", "synthetic-44.1k"])
+def test_other_sample_rates_rejected(stage, make):
+    # LLFs are only comparable from one analysis rate; load_audio converts to it
+    sig = make()
+    with pytest.raises(AudioIOError, match=rf"{sig.sample_rate_hz} Hz.*load_audio"):
+        stage(sig)
 
 
 def test_unvoiced_rejected():
@@ -103,16 +118,23 @@ def _peak_bytes(fn, *args):
 
 
 def _stage_peaks(sig):
-    """Peak bytes of each stage function on one signal."""
+    """Peak bytes of each stage function on one signal. Each stage runs once
+    before the measured call, so one-off allocations (lazy imports, caches)
+    do not count toward a peak, whatever ran earlier in the session."""
     frames = frame_signal(sig)
     pitch = track_pitch(frames)
-    return {
-        "framing": _peak_bytes(frame_signal, sig),
-        "pitch": _peak_bytes(track_pitch, frames),
-        "spectral": _peak_bytes(compute_spectral_llfs, frames),
-        "periods": _peak_bytes(compute_period_llfs, sig, pitch),
-        "voiced frames": _peak_bytes(estimate_formants, frames, pitch),
+    calls = {
+        "framing": (frame_signal, sig),
+        "pitch": (track_pitch, frames),
+        "spectral": (compute_spectral_llfs, frames),
+        "periods": (compute_period_llfs, sig, pitch),
+        "voiced frames": (estimate_formants, frames, pitch),
     }
+    peaks = {}
+    for stage, (fn, *args) in calls.items():
+        fn(*args)
+        peaks[stage] = _peak_bytes(fn, *args)
+    return peaks
 
 
 @pytest.fixture(scope="module")

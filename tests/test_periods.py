@@ -3,7 +3,7 @@ import pytest
 
 from voicequal.audio_io import AudioSignal
 from voicequal.errors import InsufficientVoicingError
-from voicequal.framing import frame_signal, framing
+from voicequal.framing import FRAME_LENGTH, HOP, frame_signal
 from voicequal.periods import (ANCHOR_BLOCK, MARK_BLOCK, PERIOD_KEYS, SEARCH_FRACTION,
                                compute_period_llfs, find_period_marks, voiced_runs)
 from voicequal.pitch import PitchTrack, parabolic_peak, track_pitch
@@ -110,7 +110,7 @@ def _two_loop_marks(signal, pitch):
     searching a whole-signal |x| and refining all marks at once."""
     fs, x = signal.sample_rate_hz, signal.samples
     magnitude = np.abs(x)
-    frame_len, hop = framing(fs)
+    frame_len, hop = FRAME_LENGTH, HOP
 
     def period_at(pos, lo_frame, hi_frame):
         frame = min(max(round((pos - frame_len / 2) / hop), lo_frame), hi_frame - 1)
