@@ -241,8 +241,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once per process: a parser holds reference cycles that only the
+# cyclic garbage collector frees, so one per call would leave garbage behind
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)

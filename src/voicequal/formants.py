@@ -117,60 +117,46 @@ def _lpc_formants(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _pole_formants(levinson_durbin(_lag_products(x, LPC_ORDER)))
 
 
-def _a3_harmonics(f0: np.ndarray, lo_hz: np.ndarray,
-                  hi_hz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Harmonic numbers inside each frame's F3 region, flattened, and their
-    count per frame. A region narrower than one harmonic spacing takes the
-    harmonic nearest its centre."""
-    k_lo = np.maximum(1, np.ceil(lo_hz / f0).astype(int))
-    k_hi = (hi_hz / f0).astype(int)
-    nearest = np.maximum(1, np.rint((lo_hz + hi_hz) / 2 / f0).astype(int))
-    narrow = k_hi < k_lo
-    k_lo = np.where(narrow, nearest, k_lo)
-    counts = np.where(narrow, 1, k_hi - k_lo + 1)
-    first = np.cumsum(counts) - counts
-    return np.repeat(k_lo - first, counts) + np.arange(counts.sum()), counts
-
-
 def _spectrum_levels(raw: np.ndarray, f0: np.ndarray, freqs: np.ndarray,
                      f3_lo: np.ndarray, f3_hi: np.ndarray) -> tuple[np.ndarray, ...]:
     """Per row of raw frames, from its 4096-point spectrum: the level at the
     harmonic nearest each formant in freqs in dB re the level at f0; H1-H2;
-    and H1-A3, with A3 the strongest harmonic in f3_lo..f3_hi, each searched
-    within f0 / 4. f0 <= F0_MAX keeps the second harmonic below Nyquist.
+    and H1-A3, with A3 the strongest harmonic in f3_lo..f3_hi, or the one
+    nearest its centre if none is inside. Each is searched within f0 / 4;
+    f0 <= F0_MAX keeps the second harmonic below Nyquist.
 
-    Each level is the peak of a bin window, in dB once picked. The windows are
-    sorted by row, so each SPECTRUM_BLOCK of rows picks the peaks of its own
-    slice with one reduceat; a padding column keeps each window's end inside.
+    Each level is the peak of a bin window, in dB once picked. All rows have
+    the same windows, so each SPECTRUM_BLOCK of rows picks its peaks from one
+    slice of the bounds with one reduceat; a padding column keeps ends inside.
     """
-    rows = np.arange(len(f0))
+    f0_col = f0[:, None]
+    k_lo = np.maximum(1, np.ceil(f3_lo / f0).astype(int))
+    k_hi = (f3_hi / f0).astype(int)
+    narrow = k_hi < k_lo
+    k_lo = np.where(narrow, np.maximum(1, np.rint((f3_lo + f3_hi) / 2 / f0).astype(int)), k_lo)
+    k_hi = np.where(narrow, k_lo, k_hi)
+    # width-0 windows at f0 and at each formant's harmonic; then H1, H2 and
+    # the A3 harmonics, padded to the longest row by repeating the row's last
+    harmonic = np.maximum(1, np.rint(freqs / f0_col).astype(int)) * f0_col
+    at = np.minimum(np.rint(np.hstack((f0_col, harmonic)) / BIN_HZ).astype(int), N_BINS - 1)
+    a3 = np.minimum(k_lo[:, None] + np.arange((k_hi - k_lo).max() + 1), k_hi[:, None])
+    mid = np.hstack((np.ones_like(f0_col), np.full_like(f0_col, 2.0), a3)) * f0_col
+    lo = np.maximum(0, np.floor((mid - f0_col / 4.0) / BIN_HZ).astype(int))
+    hi = np.minimum(N_BINS - 1, np.ceil((mid + f0_col / 4.0) / BIN_HZ).astype(int))
     width = N_BINS + 1
-    ks, counts = _a3_harmonics(f0, f3_lo, f3_hi)
-    # width-0 windows at f0 and at each formant's harmonic, then H1, H2 and A3
-    harmonic = np.maximum(1, np.rint(freqs / f0[:, None]).astype(int)) * f0[:, None]
-    points = np.concatenate((f0[:, None], harmonic), axis=1)
-    at = np.minimum(np.rint(points / BIN_HZ).astype(int), N_BINS - 1).ravel()
-    searched = np.concatenate((rows, rows, np.repeat(rows, counts)))
-    mid = np.concatenate((np.ones(len(f0)), np.full(len(f0), 2.0), ks)) * f0[searched]
-    half = f0[searched] / 4.0
-    lo = np.concatenate((at, np.maximum(0, np.floor((mid - half) / BIN_HZ).astype(int))))
-    hi = np.concatenate((at, np.minimum(N_BINS - 1, np.ceil((mid + half) / BIN_HZ).astype(int))))
-    owner = np.concatenate((np.repeat(rows, points.shape[1]), searched))
-    order = np.argsort(owner * width + lo)
-    owner, offset = owner[order], owner[order] % SPECTRUM_BLOCK * width
-    bounds = np.stack((offset + lo[order], offset + hi[order] + 1), axis=1).ravel()
-    edges = np.searchsorted(owner, np.arange(0, len(f0) + SPECTRUM_BLOCK, SPECTRUM_BLOCK))
-    peaks, padded = np.empty(len(owner)), np.zeros((SPECTRUM_BLOCK, width))
-    for sub, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
-        x = raw[sub * SPECTRUM_BLOCK:(sub + 1) * SPECTRUM_BLOCK]
+    offset = np.arange(len(f0))[:, None] % SPECTRUM_BLOCK * width
+    bounds = np.stack((offset + np.hstack((at, lo)), offset + np.hstack((at, hi)) + 1), axis=2)
+    peaks, padded = np.empty(bounds.shape[:2]), np.zeros((SPECTRUM_BLOCK, width))
+    for start in range(0, len(f0), SPECTRUM_BLOCK):
+        x = raw[start:start + SPECTRUM_BLOCK]
         block = padded[:len(x)]
         np.abs(np.fft.rfft(x * WINDOW, SPECTRUM_NFFT, axis=1), out=block[:, :N_BINS])
-        peaks[order[a:b]] = np.maximum.reduceat(block.ravel(), bounds[2 * a:2 * b])[::2]
+        picked = np.maximum.reduceat(block.ravel(), bounds[start:start + len(x)].ravel())
+        peaks[start:start + len(x)] = picked[::2].reshape(len(x), -1)
     levels = 20.0 * np.log10(peaks + 1e-12)
-    at, h1, h2, a3 = np.split(levels, np.cumsum([points.size, len(f0), len(f0)]))
-    at = at.reshape(points.shape)
-    a3 = np.maximum.reduceat(a3, np.cumsum(counts) - counts)
-    return at[:, 1:] - at[:, :1], h1 - h2, h1 - a3
+    h1, h2 = levels[:, N_FORMANTS + 1], levels[:, N_FORMANTS + 2]
+    return (levels[:, 1:N_FORMANTS + 1] - levels[:, :1], h1 - h2,
+            h1 - levels[:, N_FORMANTS + 3:].max(axis=1))
 
 
 def estimate_formants(frames: FrameSequence, pitch: PitchTrack) -> FormantTrack:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import datetime
 import math
 import os
 from dataclasses import dataclass, field
@@ -26,7 +25,6 @@ class FeatureStats:
     sigma: dict[str, float]
     corpus: str = ""
     n_utterances: int = 0
-    created: str = ""
     mu_vector: np.ndarray = field(init=False, repr=False, compare=False)
     sigma_vector: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -63,7 +61,6 @@ def fit_stats(vectors: Sequence[LlfVector], corpus: str = "") -> FeatureStats:
         sigma=dict(zip(LLF_KEYS, sigma.tolist())),
         corpus=corpus,
         n_utterances=len(vectors),
-        created=datetime.datetime.now(datetime.timezone.utc).isoformat(),
     )
 
 
@@ -74,19 +71,21 @@ def save_stats(stats: FeatureStats, path: str | os.PathLike) -> None:
         f"schema-version {SCHEMA_VERSION}",
         f"corpus {stats.corpus}",
         f"utterances {stats.n_utterances}",
-        f"created {stats.created}",
     ]
     for key in LLF_KEYS:
         lines.append(f"stat {key} {stats.mu[key]!r} {stats.sigma[key]!r}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise StatsError(f"cannot write stats {path}: {exc}")
 
 
 def load_stats(path: str | os.PathLike) -> FeatureStats:
     """Read a stats file written by save_stats; validates keys and sigmas."""
     mu: dict[str, float] = {}
     sigma: dict[str, float] = {}
-    corpus, n_utt, created = "", 0, ""
+    corpus, n_utt = "", 0
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -108,10 +107,9 @@ def load_stats(path: str | os.PathLike) -> FeatureStats:
             if len(args) != 1 or not (args[0].isascii() and args[0].isdigit()):
                 raise StatsError(f"{where}: utterances needs one non-negative integer")
             n_utt = int(args[0])
-        elif directive == "created":
+        elif directive == "created":  # a timestamp older versions wrote; not kept
             if len(args) > 1:
                 raise StatsError(f"{where}: created takes one timestamp")
-            created = args[0] if args else ""
         elif directive == "stat":
             if len(args) != 3:
                 raise StatsError(f"{where}: malformed stat line")
@@ -132,5 +130,4 @@ def load_stats(path: str | os.PathLike) -> FeatureStats:
     missing = [k for k in LLF_KEYS if k not in mu]
     if missing:
         raise StatsError(f"{path}: missing keys {missing}")
-    return FeatureStats(mu=mu, sigma=sigma, corpus=corpus,
-                        n_utterances=n_utt, created=created)
+    return FeatureStats(mu=mu, sigma=sigma, corpus=corpus, n_utterances=n_utt)

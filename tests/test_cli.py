@@ -1,3 +1,4 @@
+import gc
 import json
 import warnings
 
@@ -58,6 +59,34 @@ def test_fit_stats_then_score(corpus, tmp_path, capsys):
     record = json.loads(scores_path.read_text().splitlines()[0])
     assert set(record["scores"]) == set(QUALITY_IDS)
     assert "z_contributions" in record
+
+
+def test_fit_stats_writes_identical_bytes_run_to_run(corpus, tmp_path, capsys):
+    first, second = tmp_path / "a.txt", tmp_path / "b.txt"
+    for path in (first, second):
+        assert main(["fit-stats", *corpus, "--output", str(path)]) == 0
+    assert first.read_bytes() == second.read_bytes()
+
+
+@pytest.mark.parametrize("target", ["missing/s.txt", "."], ids=["no-directory", "a-directory"])
+def test_fit_stats_to_unwritable_path_exits_5(corpus, tmp_path, capsys, target):
+    path = tmp_path / target
+    assert main(["fit-stats", *corpus, "--output", str(path)]) == 5
+    assert str(path) in capsys.readouterr().err
+
+
+def test_main_leaves_no_cyclic_garbage(corpus, tmp_path):
+    # garbage that only the cyclic collector frees is freed whenever it
+    # runs, which shifts the traced peak of whatever runs next
+    out = str(tmp_path / "llf.jsonl")
+    main(["extract", corpus[0], "--output", out])
+    gc.collect()
+    gc.disable()
+    try:
+        main(["extract", corpus[0], "--output", out])
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_fit_stats_single_file_errors(corpus, tmp_path, capsys):

@@ -128,9 +128,21 @@ def test_block_levels_match_per_frame_reference():
     vowel = generate_synthetic("clean", f0=200.0, duration=0.5, seed=2)
     signals.append(AudioSignal(np.concatenate(
         [vowel.samples, _harmonic_series(200, [1.0, 0.5, 0.1]).samples]), 16000))
-    for sig in signals:
-        frames = frame_signal(sig)
-        pitch = track_pitch(frames)
+    inputs = [(frames, track_pitch(frames)) for frames in map(frame_signal, signals)]
+    # the last signal's first 7 and last 6 voiced frames (3 formants, then
+    # none) at f0 alternating 55 and 1000 Hz: the most A3 harmonics and the
+    # widest windows in one spectrum sub-block
+    frames, pitch = inputs[-1]
+    voiced = np.nonzero(pitch.voiced)[0]
+    chosen = np.concatenate((voiced[:7], voiced[-6:]))
+    mask = np.zeros(len(pitch), dtype=bool)
+    mask[chosen] = True
+    f0 = np.zeros(len(pitch))
+    f0[chosen] = np.resize([55.0, 1000.0], len(chosen))
+    alternating = PitchTrack(f0, mask, pitch.harmonicity.copy())
+    assert len(estimate_formants(frames, alternating)) == 7
+    inputs.append((frames, alternating))
+    for frames, pitch in inputs:
         values = estimate_formants(frames, pitch).values
         reference = _reference_stage(frames, pitch)
         assert set(values) == set(reference)

@@ -9,7 +9,7 @@ from voicequal.formants import estimate_formants
 from voicequal.framing import frame_signal
 from voicequal.llf import LLF_KEYS, extract_llf_vector, validate_llf
 from voicequal.periods import compute_period_llfs
-from voicequal.pitch import track_pitch
+from voicequal.pitch import PitchTrack, track_pitch
 from voicequal.spectral import compute_spectral_llfs
 from voicequal.synth import generate_synthetic
 
@@ -153,6 +153,18 @@ def test_block_stages_stay_below_spectral_peak_memory(stage_peaks):
         peaks = stage_peaks[duration][1]
         for stage in ("pitch", "voiced frames"):
             assert peaks[stage] < peaks["spectral"], (duration, stage)
+
+
+def test_widest_voiced_frame_windows_stay_below_spectral_peak_memory(stage_peaks):
+    # f0 alternating 55 and 1000 Hz puts the most A3 harmonics (padded to
+    # the longest row) and the widest bin windows in every spectrum sub-block
+    sig, peaks = stage_peaks[10.0]
+    frames = frame_signal(sig)
+    pitch = track_pitch(frames)
+    f0 = np.where(np.cumsum(pitch.voiced) % 2, 55.0, 1000.0) * pitch.voiced
+    alternating = PitchTrack(f0, pitch.voiced, pitch.harmonicity)
+    estimate_formants(frames, alternating)
+    assert _peak_bytes(estimate_formants, frames, alternating) < peaks["spectral"]
 
 
 def test_extraction_memory_below_half_the_signal(stage_peaks):

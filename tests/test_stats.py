@@ -76,6 +76,20 @@ def test_save_load_round_trip_exact(tmp_path):
     assert loaded.n_utterances == stats.n_utterances
 
 
+def test_stats_file_with_a_created_line_loads(tmp_path):
+    # files from versions that stamped the fitting time still load
+    stats = fit_stats(_varied_vectors(np.random.default_rng(3), 5), corpus="old")
+    path = tmp_path / "stats.txt"
+    save_stats(stats, path)
+    assert "created" not in path.read_text()
+    lines = path.read_text().splitlines()
+    lines.insert(4, "created 2024-01-01T00:00:00+00:00")
+    path.write_text("\n".join(lines) + "\n")
+    loaded = load_stats(path)
+    assert (loaded.mu, loaded.sigma, loaded.corpus) == (stats.mu, stats.sigma, "old")
+    assert loaded.n_utterances == 5
+
+
 def test_load_missing_key_named(tmp_path):
     rng = np.random.default_rng(4)
     stats = fit_stats(_varied_vectors(rng, 5))
@@ -139,10 +153,16 @@ def test_malformed_directive_exits_with_stats_code(tmp_path, capsys, bad_line):
     save_stats(fit_stats(_varied_vectors(rng, 5)), path)
     directive = bad_line.split()[0]
     lines = path.read_text().splitlines()
-    # replace the first line of the same directive (for stat: the Loudness line)
-    target = next(n for n, line in enumerate(lines)
-                  if line.startswith(directive) and (directive != "stat" or "Loudness" in line))
-    lines[target] = bad_line
+    # replace the first line of the same directive (for stat: the Loudness
+    # line); a directive save_stats no longer writes (created) goes in
+    # before the first stat line
+    target = next((n for n, line in enumerate(lines) if line.startswith(directive)
+                   and (directive != "stat" or "Loudness" in line)), None)
+    if target is None:
+        target = next(n for n, line in enumerate(lines) if line.startswith("stat "))
+        lines.insert(target, bad_line)
+    else:
+        lines[target] = bad_line
     path.write_text("\n".join(lines) + "\n")
 
     with pytest.raises(StatsError, match=rf"stats\.txt:{target + 1}:"):
