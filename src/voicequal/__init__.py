@@ -5,6 +5,7 @@ from .errors import (
     AudioIOError,
     InsufficientVoicingError,
     ManifestError,
+    OutputError,
     SilentInputError,
     StatsError,
     TableError,
@@ -33,6 +34,6 @@ __all__ = [
     "QUALITY_IDS", "CorrelationCategory", "CorrelationTable", "QualityScores",
     "effective_coefficient", "load_table", "score_quality", "score_all",
     "generate_synthetic",
-    "VoiceQualityError", "AudioIOError", "SilentInputError",
+    "VoiceQualityError", "AudioIOError", "SilentInputError", "OutputError",
     "InsufficientVoicingError", "StatsError", "TableError", "ManifestError",
 ]

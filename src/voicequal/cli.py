@@ -3,22 +3,23 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
-import logging
 import os
 import sys
 
 from .audio_io import load_audio, save_wav
-from .errors import ManifestError, StatsError, VoiceQualityError
+from .errors import ManifestError, OutputError, StatsError, VoiceQualityError
 from .evaluation import (
     NEUTRAL_LABEL,
     SUITE_QUALITY,
+    LabeledSample,
     PairwiseEvalReport,
     build_synthetic_suite,
     evaluate_pairs,
     form_pairs,
     format_report,
-    load_manifest,
+    read_manifest,
     synthetic_suite_pairs,
 )
 from .llf import extract_llf_vector
@@ -30,7 +31,8 @@ STATS_ENV_VAR = "VOICEQUAL_STATS"
 
 EXIT_CODES_HELP = (
     "exit codes: 0 success, 1 unexpected error, 2 usage, 3 audio input, "
-    "4 insufficient voicing, 5 statistics, 6 correlation table, 7 manifest"
+    "4 insufficient voicing, 5 statistics, 6 correlation table, 7 manifest, "
+    "8 output file"
 )
 
 
@@ -46,114 +48,109 @@ def _collect_audio_paths(inputs: list[str]) -> list[str]:
     return paths
 
 
-def _extract_many(paths: list[str]):
-    """Extract feature vectors for many files, in input order.
+def _extract_each(paths: list[str], skip: bool = False):
+    """Yield (path, LLF vector) per file, in input order, one file at a time.
 
-    An extraction error is raised again, of the same class, with its file's
-    path in front; load_audio's errors name the file already.
+    A failing file's error is raised again, of the same class, with its path
+    in front (load_audio's errors name the file already); with ``skip`` it is
+    printed as one warning line instead, and the file is left out.
     """
-    vectors = []
     for path in paths:
-        signal = load_audio(path)
         try:
-            vectors.append(extract_llf_vector(signal))
+            signal = load_audio(path)
+            try:
+                vector = extract_llf_vector(signal)
+            except VoiceQualityError as exc:
+                raise type(exc)(f"{path}: {exc}") from exc
         except VoiceQualityError as exc:
-            raise type(exc)(f"{path}: {exc}") from exc
-    return vectors
+            if not skip:
+                raise
+            print(f"warning: skipping {exc}", file=sys.stderr)
+        else:
+            yield path, vector
 
 
-def _write_jsonl(path: str | None, records) -> None:
-    """One JSON line per record, to the file at ``path`` or to stdout."""
-    lines = [json.dumps(record) + "\n" for record in records]
+@contextlib.contextmanager
+def _writing(path):
+    """Map an OSError raised while writing ``path`` to OutputError naming it."""
+    try:
+        yield
+    except OSError as exc:
+        raise OutputError(f"cannot write {path}: {exc}") from None
+
+
+def _open_output(path: str | None):
+    """The file at ``path``, truncated now, or stdout for None or "-"."""
     if path is None or path == "-":
-        sys.stdout.writelines(lines)
-        return
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(lines)
-
-
-def _resolve_stats(args) -> str:
-    path = args.stats or os.environ.get(STATS_ENV_VAR)
-    if not path:
-        raise StatsError(
-            f"no stats file: pass --stats or set ${STATS_ENV_VAR}")
-    return path
+        return contextlib.nullcontext(sys.stdout)
+    with _writing(path):
+        return open(path, "w", encoding="utf-8")
 
 
 def cmd_extract(args) -> int:
-    paths = _collect_audio_paths(args.inputs)
-    vectors = _extract_many(paths)
-    _write_jsonl(args.output, ({"source": path, **vector}
-                               for path, vector in zip(paths, vectors)))
+    with _open_output(args.output) as out:
+        for path, vector in _extract_each(_collect_audio_paths(args.inputs)):
+            print(json.dumps({"source": path, **vector}), file=out, flush=True)
     return 0
 
 
 def cmd_fit_stats(args) -> int:
-    if args.manifest:
-        samples, skipped = load_manifest(args.manifest)
-        if skipped:
-            print(f"warning: skipped {skipped} manifest rows", file=sys.stderr)
-        vectors = [s.llf for s in samples]
-        n_files = len(samples)
-    else:
-        paths = _collect_audio_paths(args.inputs)
-        vectors = _extract_many(paths)
-        n_files = len(paths)
+    paths = ([path for path, _ in read_manifest(args.manifest)] if args.manifest
+             else _collect_audio_paths(args.inputs))
+    vectors = [vector for _, vector in _extract_each(paths, skip=bool(args.manifest))]
     stats = fit_stats(vectors, corpus=args.corpus_label)
     save_stats(stats, args.output)
-    print(f"fitted stats over {n_files} utterances -> {args.output}")
+    print(f"fitted stats over {len(vectors)} utterances -> {args.output}")
     return 0
 
 
 def cmd_score(args) -> int:
-    stats = load_stats(_resolve_stats(args))
+    stats_path = args.stats or os.environ.get(STATS_ENV_VAR)
+    if not stats_path:
+        raise StatsError(f"no stats file: pass --stats or set ${STATS_ENV_VAR}")
+    stats = load_stats(stats_path)
     table = load_table(args.table)
-    paths = _collect_audio_paths(args.inputs)
-    records = []
-    for path, vector in zip(paths, _extract_many(paths)):
-        result = score_all(vector, stats, table)
-        record = {"source": path, "scores": result.scores}
-        if args.with_contributions:
-            record["z_contributions"] = result.z_contributions
-        records.append(record)
-    _write_jsonl(args.output, records)
+    with _open_output(args.output) as out:
+        for path, vector in _extract_each(_collect_audio_paths(args.inputs)):
+            result = score_all(vector, stats, table)
+            record = {"source": path, "scores": result.scores}
+            if args.with_contributions:
+                record["z_contributions"] = result.z_contributions
+            print(json.dumps(record), file=out, flush=True)
     return 0
 
 
 def cmd_evaluate(args) -> int:
     table = load_table(args.table)
-    if args.suite:
-        samples = build_synthetic_suite(args.suite, seed=args.seed)
-        qualities = [SUITE_QUALITY[args.suite]]
-    elif args.manifest:
-        samples, skipped = load_manifest(args.manifest)
-        if skipped:
-            print(f"warning: skipped {skipped} manifest rows", file=sys.stderr)
+    stats_path = args.stats or os.environ.get(STATS_ENV_VAR)
+    stats = load_stats(stats_path) if stats_path else None
+    if not (args.suite or args.manifest):
+        raise ManifestError("evaluate needs --manifest or --suite")
+    rows = None if args.suite else read_manifest(args.manifest)
+
+    with (_open_output(args.output) if args.output else contextlib.nullcontext()) as out:
+        samples = (build_synthetic_suite(args.suite, seed=args.seed) if args.suite
+                   else [LabeledSample(path, label, vector) for path, label in rows
+                         for _, vector in _extract_each([path], skip=True)])
         qualities = sorted({s.dominant_quality for s in samples} - {NEUTRAL_LABEL})
         if not qualities:
             raise ManifestError(f"{args.manifest}: no sample labeled with a quality")
-    else:
-        raise ManifestError("evaluate needs --manifest or --suite")
+        if stats is None:
+            stats = fit_stats([s.llf for s in samples], corpus="evaluation set")
 
-    if args.stats or os.environ.get(STATS_ENV_VAR):
-        stats = load_stats(_resolve_stats(args))
-    else:
-        stats = fit_stats([s.llf for s in samples], corpus="evaluation set")
-
-    per_quality = {}
-    for quality in qualities:
-        per_quality.update(evaluate_pairs(form_pairs(samples, quality), stats, table).per_quality)
-    report = PairwiseEvalReport(per_quality)
-    print(format_report(report))
-    if args.output:
-        record = {
-            "per_quality": {q: {"total_pairs": r.total_pairs,
-                                "correct": r.correct,
-                                "accuracy_percent": r.accuracy_percent}
-                            for q, r in report.per_quality.items()},
-            "mean_accuracy_percent": report.mean_accuracy_percent,
-        }
-        _write_jsonl(args.output, [record])
+        per_quality = {}
+        for quality in qualities:
+            per_quality.update(evaluate_pairs(form_pairs(samples, quality), stats, table).per_quality)
+        report = PairwiseEvalReport(per_quality)
+        print(format_report(report))
+        if out is not None:
+            print(json.dumps({
+                "per_quality": {q: {"total_pairs": r.total_pairs,
+                                    "correct": r.correct,
+                                    "accuracy_percent": r.accuracy_percent}
+                                for q, r in report.per_quality.items()},
+                "mean_accuracy_percent": report.mean_accuracy_percent,
+            }), file=out, flush=True)
     return 0
 
 
@@ -161,18 +158,19 @@ def cmd_synth(args) -> int:
     if args.suite:
         if not args.output_dir:
             raise ManifestError("--suite needs --output-dir")
-        os.makedirs(args.output_dir, exist_ok=True)
-        rows = []
-        for i, (pos, neg) in enumerate(
-                synthetic_suite_pairs(args.suite, args.count, args.seed)):
-            for signal, name, label in (
-                    (pos, f"{args.suite}_{i:02d}.wav", SUITE_QUALITY[args.suite]),
-                    (neg, f"clean_{i:02d}.wav", NEUTRAL_LABEL)):
-                save_wav(signal, os.path.join(args.output_dir, name))
-                rows.append(f"{name},{label}\n")
+        if args.count < 1:
+            raise ManifestError(f"--count must be at least 1, got {args.count}")
         manifest = os.path.join(args.output_dir, "manifest.csv")
-        with open(manifest, "w", encoding="utf-8") as fh:
-            fh.writelines(rows)
+        with _writing(args.output_dir):
+            os.makedirs(args.output_dir, exist_ok=True)
+            with open(manifest, "w", encoding="utf-8") as fh:
+                for i, (pos, neg) in enumerate(
+                        synthetic_suite_pairs(args.suite, args.count, args.seed)):
+                    for signal, name, label in (
+                            (pos, f"{args.suite}_{i:02d}.wav", SUITE_QUALITY[args.suite]),
+                            (neg, f"clean_{i:02d}.wav", NEUTRAL_LABEL)):
+                        save_wav(signal, os.path.join(args.output_dir, name))
+                        fh.write(f"{name},{label}\n")
         print(f"wrote {2 * args.count} files and {manifest}")
         return 0
 
@@ -180,7 +178,8 @@ def cmd_synth(args) -> int:
         args.kind, f0=args.f0, duration=args.duration, seed=args.seed,
         jitter_pct=args.jitter_pct, shimmer_db=args.shimmer_db,
         noise_ratio=args.noise_ratio)
-    save_wav(signal, args.output)
+    with _writing(args.output):
+        save_wav(signal, args.output)
     print(f"wrote {args.output}")
     return 0
 
@@ -248,7 +247,6 @@ _PARSER = build_parser()
 
 def main(argv: list[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
-    logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
     except VoiceQualityError as exc:

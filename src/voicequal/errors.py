@@ -33,3 +33,8 @@ class TableError(VoiceQualityError):
 class ManifestError(VoiceQualityError):
     """Evaluation manifest is malformed or references bad data."""
     exit_code = 7
+
+
+class OutputError(VoiceQualityError):
+    """An output file or directory could not be written."""
+    exit_code = 8

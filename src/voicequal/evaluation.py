@@ -3,21 +3,18 @@
 from __future__ import annotations
 
 import csv
-import logging
 import os
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-from .audio_io import AudioSignal, load_audio
-from .errors import ManifestError, VoiceQualityError
+from .audio_io import AudioSignal
+from .errors import ManifestError
 from .llf import LLF_KEYS, LlfVector, extract_llf_vector
 from .quality import QUALITY_IDS, CorrelationTable, scores_from_z
 from .stats import FeatureStats
 from .synth import generate_synthetic
-
-log = logging.getLogger(__name__)
 
 NEUTRAL_LABEL = "NEUTRAL-VOICE"
 
@@ -110,11 +107,12 @@ def evaluate_pairs(grid: PairGrid, stats: FeatureStats,
     return PairwiseEvalReport({grid.quality: QualityResult(len(grid), correct)})
 
 
-def load_manifest(path: str | os.PathLike) -> tuple[list[LabeledSample], int]:
-    """Load a `path,label` CSV manifest, extracting features per row.
+def read_manifest(path: str | os.PathLike) -> list[tuple[str, str]]:
+    """Parse a `path,label` CSV manifest into (audio path, label) rows.
 
-    Rows whose audio fails to load or extract are skipped with a warning;
-    returns (samples, skipped_count). Unknown labels are hard errors.
+    Paths are relative to the manifest's directory. Every row is checked
+    (shape, label, a regular file at the path) before any audio is loaded;
+    errors name `manifest:line`.
     """
     base = os.path.dirname(os.fspath(path))
     try:
@@ -125,7 +123,7 @@ def load_manifest(path: str | os.PathLike) -> tuple[list[LabeledSample], int]:
     except (OSError, UnicodeDecodeError) as exc:
         raise ManifestError(f"cannot read manifest {path}: {exc}")
 
-    samples: list[LabeledSample] = []
+    checked = []
     for lineno, row in rows:
         if len(row) != 2:
             raise ManifestError(f"{path}:{lineno}: expected 'path,label'")
@@ -135,13 +133,8 @@ def load_manifest(path: str | os.PathLike) -> tuple[list[LabeledSample], int]:
         file_path = os.path.join(base, row[0].strip())  # an absolute path stays as it is
         if not os.path.isfile(file_path):
             raise ManifestError(f"{path}:{lineno}: missing file {file_path}")
-        try:
-            llf = extract_llf_vector(load_audio(file_path))
-        except VoiceQualityError as exc:
-            log.warning("skipping %s: %s", file_path, exc)
-            continue
-        samples.append(LabeledSample(file_path, label, llf))
-    return samples, len(rows) - len(samples)
+        checked.append((file_path, label))
+    return checked
 
 
 # quality targeted by each synthetic suite

@@ -266,3 +266,98 @@ def test_extraction_errors_name_their_file(tmp_path, capsys, command):
         err = capsys.readouterr().err
         assert f"error: {path}: {message}" in err
         assert err.count(str(path)) == 1
+
+
+def _noise_wav(path):
+    rng = np.random.default_rng(0)
+    wavfile.write(path, 16000, (0.5 * rng.standard_normal(16000)).astype(np.float32))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["extract", "score"])
+def test_lines_written_before_a_failing_file_are_kept(corpus, tmp_path, capsys, command):
+    stats = []
+    if command == "score":
+        stats = ["--stats", str(tmp_path / "stats.txt")]
+        assert main(["fit-stats", *corpus, "--output", stats[1]]) == 0
+    noise = _noise_wav(tmp_path / "noise.wav")
+    alone, batch = tmp_path / "alone.jsonl", tmp_path / "batch.jsonl"
+    assert main([command, corpus[0], *stats, "--output", str(alone)]) == 0
+    assert main([command, corpus[0], noise, corpus[1], *stats, "--output", str(batch)]) == 4
+    assert batch.read_bytes() == alone.read_bytes()
+    assert f"error: {noise}: insufficient voicing" in capsys.readouterr().err
+
+
+def _count_extractions(monkeypatch):
+    import voicequal.cli as cli
+    import voicequal.evaluation as evaluation
+    calls = []
+    for module, name in ((cli, "load_audio"), (evaluation, "extract_llf_vector")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    return calls
+
+
+@pytest.mark.parametrize("argv", [
+    ["extract", "{wav}"],
+    ["score", "{wav}", "--stats", "{stats}"],
+    ["evaluate", "--suite", "jittered"],
+    ["evaluate", "--manifest", "{manifest}"],
+], ids=["extract", "score", "evaluate-suite", "evaluate-manifest"])
+def test_unwritable_output_exits_8_before_extraction(corpus, tmp_path, capsys, monkeypatch, argv):
+    stats, manifest = tmp_path / "stats.txt", tmp_path / "m.csv"
+    assert main(["fit-stats", *corpus, "--output", str(stats)]) == 0
+    manifest.write_text("v0.wav,Jit\nv1.wav,NEUTRAL-VOICE\n")
+    calls = _count_extractions(monkeypatch)
+    target = tmp_path / "nodir" / "out.jsonl"
+    argv = [a.format(wav=corpus[0], stats=stats, manifest=manifest) for a in argv]
+    assert main([*argv, "--output", str(target)]) == 8
+    assert f"error: cannot write {target}" in capsys.readouterr().err
+    assert calls == []
+
+
+def test_unwritable_synth_output_exits_8(tmp_path, capsys):
+    target = tmp_path / "nodir" / "v.wav"
+    assert main(["synth", "--output", str(target)]) == 8
+    assert str(target) in capsys.readouterr().err
+    a_file = tmp_path / "file"
+    a_file.write_text("")
+    assert main(["synth", "--suite", "jittered", "--output-dir", str(a_file), "--count", "1"]) == 8
+    assert str(a_file) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_synth_suite_count_below_1_exits_7(tmp_path, capsys, count):
+    suite_dir = tmp_path / "suite"
+    assert main(["synth", "--suite", "jittered", "--output-dir", str(suite_dir),
+                 "--count", count]) == 7
+    assert f"--count must be at least 1, got {count}" in capsys.readouterr().err
+    assert not suite_dir.exists()
+
+
+def test_manifest_is_checked_in_full_before_any_audio_loads(corpus, tmp_path, capsys, monkeypatch):
+    manifest = tmp_path / "m.csv"
+    manifest.write_text("v0.wav,Jit\nv1.wav,NEUTRAL-VOICE\nv2.wav,Sparkly\n")
+    calls = _count_extractions(monkeypatch)
+    for argv in (["evaluate", "--manifest", str(manifest)],
+                 ["fit-stats", "--manifest", str(manifest), "--output", str(tmp_path / "s.txt")]):
+        assert main(argv) == 7
+        assert f"{manifest}:3: unknown quality label 'Sparkly'" in capsys.readouterr().err
+    assert calls == []
+
+
+@pytest.mark.parametrize("command", ["evaluate", "fit-stats"])
+def test_each_skipped_manifest_row_prints_one_line(corpus, tmp_path, capsys, caplog, command):
+    bad = [_noise_wav(tmp_path / "noise.wav"), str(tmp_path / "junk.wav")]
+    (tmp_path / "junk.wav").write_bytes(b"not audio")
+    manifest = tmp_path / "m.csv"
+    manifest.write_text("v0.wav,Jit\nnoise.wav,Jit\nv1.wav,NEUTRAL-VOICE\n"
+                        "junk.wav,NEUTRAL-VOICE\nv2.wav,NEUTRAL-VOICE\n")
+    output = ["--output", str(tmp_path / "s.txt")] if command == "fit-stats" else []
+    assert main([command, "--manifest", str(manifest), *output]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    for line, path in zip(err, bad):
+        assert line.startswith("warning: skipping ") and line.count(path) == 1
+    assert caplog.records == []

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from voicequal.audio_io import save_wav
+from voicequal.cli import main
 from voicequal.errors import ManifestError
 from voicequal.evaluation import (
     NEUTRAL_LABEL,
@@ -17,11 +18,11 @@ from voicequal.evaluation import (
     evaluate_pairs,
     form_pairs,
     format_report,
-    load_manifest,
+    read_manifest,
 )
 from voicequal.llf import LLF_KEYS
 from voicequal.quality import QUALITY_IDS, score_all
-from voicequal.stats import MIN_SIGMA, FeatureStats
+from voicequal.stats import MIN_SIGMA, FeatureStats, load_stats
 from voicequal.synth import generate_synthetic
 
 from conftest import loop_score, random_stats
@@ -236,17 +237,22 @@ def test_report_mean_is_unweighted():
     assert "Jit" in text and "100.00" in text and "Average" in text
 
 
-def test_load_manifest(tmp_path):
+def test_load_manifest(tmp_path, capsys):
     for i in range(2):
         save_wav(generate_synthetic("clean", f0=130.0 + 10 * i, seed=i),
                  tmp_path / f"v{i}.wav")
     manifest = tmp_path / "manifest.csv"
     manifest.write_text("v0.wav,Jit\nv1.wav,NEUTRAL-VOICE\n")
-    samples, skipped = load_manifest(manifest)
-    assert len(samples) == 2
-    assert skipped == 0
-    assert samples[0].dominant_quality == "Jit"
-    assert list(samples[0].llf) == list(LLF_KEYS)
+    rows = read_manifest(manifest)
+    assert rows == [(str(tmp_path / "v0.wav"), "Jit"),
+                    (str(tmp_path / "v1.wav"), NEUTRAL_LABEL)]
+    # every row extracts: the stats cover both, with every LLF, none skipped
+    stats_path = tmp_path / "stats.txt"
+    assert main(["fit-stats", "--manifest", str(manifest), "--output", str(stats_path)]) == 0
+    stats = load_stats(stats_path)
+    assert stats.n_utterances == 2
+    assert list(stats.mu) == list(LLF_KEYS)
+    assert capsys.readouterr().err == ""
 
 
 def test_manifest_unknown_label(tmp_path):
@@ -254,31 +260,36 @@ def test_manifest_unknown_label(tmp_path):
     manifest = tmp_path / "m.csv"
     manifest.write_text("v.wav,Sparkly\n")
     with pytest.raises(ManifestError, match="Sparkly"):
-        load_manifest(manifest)
+        read_manifest(manifest)
 
 
 def test_manifest_error_reports_the_file_line(tmp_path):
-    (tmp_path / "a.wav").write_bytes(b"not audio")  # skipped with a warning
+    (tmp_path / "a.wav").write_bytes(b"not audio")  # never loaded: rows are only parsed
     manifest = tmp_path / "m.csv"
     manifest.write_text("# c\n\na.wav,Jit\nb.wav,NOPE\n")
     with pytest.raises(ManifestError, match=r"m\.csv:4: unknown quality label 'NOPE'"):
-        load_manifest(manifest)
+        read_manifest(manifest)
 
 
 def test_manifest_missing_file(tmp_path):
     manifest = tmp_path / "m.csv"
     manifest.write_text("ghost.wav,Jit\n")
     with pytest.raises(ManifestError, match="ghost.wav"):
-        load_manifest(manifest)
+        read_manifest(manifest)
 
 
-def test_manifest_skips_bad_rows_with_count(tmp_path):
-    import numpy as np
+def test_manifest_skips_bad_rows_with_count(tmp_path, capsys):
     from scipy.io import wavfile
-    save_wav(generate_synthetic("clean", seed=0), tmp_path / "good.wav")
-    wavfile.write(tmp_path / "flat.wav", 16000, np.zeros(16000, dtype=np.int16))
+    for i in range(2):
+        save_wav(generate_synthetic("clean", f0=130.0 + 10 * i, seed=i),
+                 tmp_path / f"good{i}.wav")
+    flat = tmp_path / "flat.wav"
+    wavfile.write(flat, 16000, np.zeros(16000, dtype=np.int16))
     manifest = tmp_path / "m.csv"
-    manifest.write_text("good.wav,Jit\nflat.wav,NEUTRAL-VOICE\n")
-    samples, skipped = load_manifest(manifest)
-    assert len(samples) == 1
-    assert skipped == 1
+    manifest.write_text("good0.wav,Jit\nflat.wav,NEUTRAL-VOICE\ngood1.wav,NEUTRAL-VOICE\n")
+    stats_path = tmp_path / "stats.txt"
+    assert main(["fit-stats", "--manifest", str(manifest), "--output", str(stats_path)]) == 0
+    assert load_stats(stats_path).n_utterances == 2  # 3 rows, 1 skipped
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("warning: skipping ") and str(flat) in err[0]
