@@ -84,28 +84,29 @@ def load_audio(path: str | os.PathLike) -> AudioSignal:
     Rates below 8 kHz and non-finite samples are rejected. Channels are
     averaged, the result is resampled with a polyphase (band-limited)
     resampler, and peak-normalized only if any sample exceeds full scale.
+    Every error reads "<path>: <reason>".
     """
     try:
         rate, data = wavfile.read(os.fspath(path))
     except FileNotFoundError:
-        raise AudioIOError(f"cannot read {path}: file not found")
+        raise AudioIOError(f"{path}: cannot read: file not found")
     except Exception as exc:
-        raise AudioIOError(f"cannot read {path}: {exc}")
+        raise AudioIOError(f"{path}: cannot read: {exc}")
     if rate < 8000:  # before resampling: a bogus rate of 1 Hz would upsample 16000x
-        raise AudioIOError(f"unsupported sample rate {rate} Hz in {path}: need at least 8000 Hz")
+        raise AudioIOError(f"{path}: unsupported sample rate {rate} Hz: need at least 8000 Hz")
 
     if data.dtype not in _SCALES:
-        raise AudioIOError(f"unsupported encoding {data.dtype} in {path}")
+        raise AudioIOError(f"{path}: unsupported encoding {data.dtype}")
     if data.size == 0:
-        raise AudioIOError(f"zero-length audio in {path}")
+        raise AudioIOError(f"{path}: zero-length audio")
     # NaN propagates through both extremes; checked before the channel mean
     # and the resampler, which would warn on inf
     if not (np.isfinite(data.min()) and np.isfinite(data.max())):
-        raise AudioIOError(f"non-finite samples in {path}")
+        raise AudioIOError(f"{path}: non-finite samples")
     x = _decode(data, *_SCALES[data.dtype])
     del data
     if not np.any(x):
-        raise SilentInputError(f"silent input: {path}")
+        raise SilentInputError(f"{path}: silent input")
 
     if rate != CANONICAL_RATE:
         g = math.gcd(int(rate), CANONICAL_RATE)

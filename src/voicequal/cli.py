@@ -52,7 +52,7 @@ def _extract_each(paths: list[str], skip: bool = False):
     """Yield (path, LLF vector) per file, in input order, one file at a time.
 
     A failing file's error is raised again, of the same class, with its path
-    in front (load_audio's errors name the file already); with ``skip`` it is
+    in front (load_audio's errors lead with it already); with ``skip`` it is
     printed as one warning line instead, and the file is left out.
     """
     for path in paths:
@@ -79,17 +79,24 @@ def _writing(path):
         raise OutputError(f"cannot write {path}: {exc}") from None
 
 
-def _open_output(path: str | None):
-    """The file at ``path``, truncated now, or stdout for None or "-"."""
+def _open_output(path: str | None, inputs: tuple[str, ...] | list[str] = ()):
+    """The file at ``path``, truncated now, or stdout for None or "-".
+
+    An existing file that is one of ``inputs`` is refused, not truncated.
+    """
     if path is None or path == "-":
         return contextlib.nullcontext(sys.stdout)
+    if os.path.isfile(path) and any(os.path.isfile(p) and os.path.samefile(p, path)
+                                    for p in inputs):
+        raise OutputError(f"cannot write {path}: it is one of the inputs")
     with _writing(path):
         return open(path, "w", encoding="utf-8")
 
 
 def cmd_extract(args) -> int:
-    with _open_output(args.output) as out:
-        for path, vector in _extract_each(_collect_audio_paths(args.inputs)):
+    paths = _collect_audio_paths(args.inputs)
+    with _open_output(args.output, paths) as out:
+        for path, vector in _extract_each(paths):
             print(json.dumps({"source": path, **vector}), file=out, flush=True)
     return 0
 
@@ -110,8 +117,9 @@ def cmd_score(args) -> int:
         raise StatsError(f"no stats file: pass --stats or set ${STATS_ENV_VAR}")
     stats = load_stats(stats_path)
     table = load_table(args.table)
-    with _open_output(args.output) as out:
-        for path, vector in _extract_each(_collect_audio_paths(args.inputs)):
+    paths = _collect_audio_paths(args.inputs)
+    with _open_output(args.output, paths) as out:
+        for path, vector in _extract_each(paths):
             result = score_all(vector, stats, table)
             record = {"source": path, "scores": result.scores}
             if args.with_contributions:

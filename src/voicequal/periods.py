@@ -37,10 +37,6 @@ class PeriodMarks:
     positions: np.ndarray
     amplitudes: np.ndarray
 
-    @property
-    def periods(self) -> np.ndarray:
-        return np.diff(self.positions)
-
 
 def voiced_runs(voiced: np.ndarray):
     """(start, end) frame-index pairs of voiced runs of at least
@@ -70,9 +66,9 @@ def _refine_marks(x: np.ndarray, marks: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 def _largest_magnitude(x: np.ndarray, start: int, end: int) -> int:
-    """Index of the first sample of largest |x| in x[start:end], or -1 if
-    all are zero; |x| is taken ANCHOR_BLOCK samples at a time."""
-    best, anchor = 0.0, -1
+    """Index of the first sample of largest |x| in x[start:end], not all
+    zero; |x| is taken ANCHOR_BLOCK samples at a time."""
+    best, anchor = 0.0, start
     for lo in range(start, end, ANCHOR_BLOCK):
         block = np.abs(x[lo:min(lo + ANCHOR_BLOCK, end)])
         i = int(block.argmax())
@@ -89,16 +85,14 @@ def find_period_marks(signal: AudioSignal, pitch: PitchTrack) -> list[PeriodMark
 
     def period_at(pos: float, lo_frame: int, hi_frame: int) -> float:
         frame = min(max(round((pos - FRAME_LENGTH / 2) / HOP), lo_frame), hi_frame - 1)
-        f0 = f0_hz[frame]
-        return CANONICAL_RATE / f0 if f0 > 0 else CANONICAL_RATE / 100.0
+        return CANONICAL_RATE / f0_hz[frame]
 
     regions = []
     for lo_frame, hi_frame in voiced_runs(pitch.voiced):
+        # a voiced frame's RMS is above zero, so the region is not all zero
         start = lo_frame * HOP
         end = min((hi_frame - 1) * HOP + FRAME_LENGTH, len(x))
         anchor = _largest_magnitude(x, start, end)
-        if anchor < 0:
-            continue
 
         marks = array("q", [anchor])  # 8 bytes a mark, not a list of int objects
         # march forward, then backward, one expected period at a time; each
@@ -138,18 +132,14 @@ def compute_period_llfs(signal: AudioSignal, pitch: PitchTrack) -> dict[str, flo
     shimmerLocaldB is mean |20 log10(A_i+1 / A_i)| over consecutive period
     peak amplitudes; both pool period pairs across voiced regions.
     """
-    if not voiced_runs(pitch.voiced):
-        raise InsufficientVoicingError(
-            f"need {MIN_CONSECUTIVE_VOICED} consecutive voiced frames")
-
-    f0_voiced = pitch.f0_hz[pitch.voiced]
-    f0_semitone = float(np.mean(12.0 * np.log2(f0_voiced / F0_REFERENCE_HZ)))
-
     regions = find_period_marks(signal, pitch)
-    if not regions:  # a region keeps at least two marks: one period
+    if not regions:  # also without a voiced run; a region keeps at least one period
         raise InsufficientVoicingError("no period marks found in voiced regions")
-    periods = np.concatenate([marks.periods for marks in regions])
-    period_diffs = np.concatenate([np.abs(np.diff(marks.periods)) for marks in regions])
+    f0_semitone = float(np.mean(12.0 * np.log2(pitch.f0_hz[pitch.voiced] / F0_REFERENCE_HZ)))
+
+    region_periods = [np.diff(marks.positions) for marks in regions]
+    periods = np.concatenate(region_periods)
+    period_diffs = np.concatenate([np.abs(np.diff(p)) for p in region_periods])
     amp_ratios_db = np.concatenate([np.abs(20.0 * np.log10(m.amplitudes[1:] / m.amplitudes[:-1]))
                                     for m in regions])
     jitter = float(np.mean(period_diffs) / np.mean(periods)) if len(period_diffs) else 0.0

@@ -32,28 +32,29 @@ MAX_LAG = LAG_MAX + 2
 
 @dataclass(frozen=True)
 class PitchTrack:
-    """Per-frame fundamental frequency, voicing flag, and harmonicity.
-
-    Unvoiced frames carry f0 = 0 and harmonicity 0. A voiced frame's
-    harmonicity is the largest normalized autocorrelation over the integer
-    lags round(CANONICAL_RATE / f0) - 1 .. round(CANONICAL_RATE / f0) + 1, the r of
-    HNRdBACF.
+    """Per-frame fundamental frequency and harmonicity; a frame is voiced iff
+    its f0 is nonzero, and an unvoiced frame's harmonicity is 0. A voiced
+    frame's harmonicity is the largest normalized autocorrelation over the
+    integer lags round(CANONICAL_RATE / f0) - 1 .. + 1, the r of HNRdBACF.
     """
 
     f0_hz: np.ndarray
-    voiced: np.ndarray
     harmonicity: np.ndarray
 
     def __post_init__(self):
-        for arr in (self.f0_hz, self.voiced, self.harmonicity):
+        for arr in (self.f0_hz, self.harmonicity):
             arr.setflags(write=False)
 
     def __len__(self) -> int:
         return len(self.f0_hz)
 
     @property
+    def voiced(self) -> np.ndarray:
+        return self.f0_hz > 0
+
+    @property
     def n_voiced(self) -> int:
-        return int(np.count_nonzero(self.voiced))
+        return int(np.count_nonzero(self.f0_hz))
 
 
 def frame_autocorrelation(raw_frames: np.ndarray, max_lag: int) -> np.ndarray:
@@ -117,18 +118,22 @@ def _pick_peaks(r: np.ndarray) -> np.ndarray:
     return np.where(r_max > 0, np.argmax(candidate, axis=1) + 1, -1)
 
 
-def _refine(r: np.ndarray, peak: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Parabolic refinement of each row's peak lag and correlation value."""
-    rows = np.arange(len(r))
-    delta, r_peak = parabolic_peak(r[rows, peak - 1], r[rows, peak], r[rows, peak + 1])
-    return LAG_MIN + peak + delta, r_peak
-
-
-def _harmonicity(acf: np.ndarray, f0: np.ndarray, voiced: np.ndarray) -> np.ndarray:
-    """Per row of acf, the PitchTrack harmonicity for f0 (>= F0_MIN) and voiced."""
-    lags = np.rint(CANONICAL_RATE / np.where(voiced, f0, F0_MAX)).astype(int)  # unvoiced f0 is 0
+def _harmonicity(acf: np.ndarray, f0: np.ndarray) -> np.ndarray:
+    """Per row of acf, the PitchTrack harmonicity for f0 (0 or in [F0_MIN, F0_MAX])."""
+    voiced = f0 > 0
+    lags = np.rint(CANONICAL_RATE / np.where(voiced, f0, F0_MAX)).astype(int)
     cols = lags[:, None] + np.arange(-1, 2)
     return np.where(voiced, np.take_along_axis(acf, cols, axis=1).max(axis=1), 0.0)
+
+
+def _decide(acf: np.ndarray, lag: np.ndarray, ok: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """f0 and harmonicity per row of acf from its peak at column lag, refined
+    parabolically; a row is voiced where ok and the peak reaches VOICING_PEAK_THRESHOLD."""
+    rows = np.arange(len(acf))
+    delta, r_peak = parabolic_peak(acf[rows, lag - 1], acf[rows, lag], acf[rows, lag + 1])
+    voiced = ok & (r_peak >= VOICING_PEAK_THRESHOLD)
+    f0 = np.where(voiced, np.clip(CANONICAL_RATE / (lag + delta), F0_MIN, F0_MAX), 0.0)
+    return f0, _harmonicity(acf, f0)
 
 
 def track_pitch(frames: FrameSequence) -> PitchTrack:
@@ -138,45 +143,33 @@ def track_pitch(frames: FrameSequence) -> PitchTrack:
     and its RMS reaches 1% of the loudest frame's RMS.
     """
     n_frames = frames.n_frames
-    rms_floor = VOICING_RMS_FRACTION * (frames.rms.max() if n_frames else 0.0)
+    rms_floor = VOICING_RMS_FRACTION * frames.rms.max()
 
     f0 = np.zeros(n_frames)
-    voiced = np.zeros(n_frames, dtype=bool)
     harmonicity = np.zeros(n_frames)
     for start in range(0, n_frames, ACF_BLOCK):
         block = slice(start, start + ACF_BLOCK)
         acf = frame_autocorrelation(frames.raw_frames[block], MAX_LAG)
-        r = acf[:, LAG_MIN:LAG_MAX + 1]
-        peak = _pick_peaks(r)
+        peak = _pick_peaks(acf[:, LAG_MIN:LAG_MAX + 1])
         found = peak >= 0
-        lag, r_peak = _refine(r, np.where(found, peak, 1))
-        v = (found & (r_peak >= VOICING_PEAK_THRESHOLD)
-             & (frames.rms[block] >= rms_floor) & (rms_floor > 0))
-        voiced[block] = v
-        f0[block] = np.where(v, np.clip(CANONICAL_RATE / lag, F0_MIN, F0_MAX), 0.0)
-        harmonicity[block] = _harmonicity(acf, f0[block], v)
+        f0[block], harmonicity[block] = _decide(
+            acf, LAG_MIN + np.where(found, peak, 1),
+            found & (frames.rms[block] >= rms_floor) & (rms_floor > 0))
 
     # Second pass: frames far from the voiced median get re-picked within a
     # window around the median lag, which suppresses occasional period
-    # multiples/submultiples on heavily perturbed signals.
-    if voiced.any():
-        median_f0 = float(np.median(f0[voiced]))
+    # multiples/submultiples on heavily perturbed signals. The median f0 is
+    # at most F0_MAX, so the window spans at least 4 lags (16..20 at F0_MAX).
+    if f0.any():
+        median_f0 = float(np.median(f0[f0 > 0]))
         win_lo = max(LAG_MIN, int(CANONICAL_RATE / (median_f0 * 1.25)))
         win_hi = min(LAG_MAX, int(np.ceil(CANONICAL_RATE / (median_f0 * 0.8))))
-        far = np.nonzero(voiced & (np.abs(f0 - median_f0) > 0.2 * median_f0))[0]
-        if win_hi - win_lo < 2:
-            far = far[:0]
-        a, b = win_lo - LAG_MIN, win_hi - LAG_MIN
+        far = np.nonzero((f0 > 0) & (np.abs(f0 - median_f0) > 0.2 * median_f0))[0]
         for start in range(0, len(far), ACF_BLOCK):
             idx = far[start:start + ACF_BLOCK]
             acf = frame_autocorrelation(frames.raw_frames[idx], MAX_LAG)
-            r = acf[:, LAG_MIN:LAG_MAX + 1]
-            peaks = _interior_maxima(r[:, a:b + 1])
-            found = np.isfinite(peaks).any(axis=1)
-            lag, r_peak = _refine(r, a + 1 + np.argmax(peaks, axis=1))
-            keep = found & (r_peak >= VOICING_PEAK_THRESHOLD)
-            voiced[idx] = keep
-            f0[idx] = np.where(keep, np.clip(CANONICAL_RATE / lag, F0_MIN, F0_MAX), 0.0)
-            harmonicity[idx] = _harmonicity(acf, f0[idx], keep)
+            peaks = _interior_maxima(acf[:, win_lo:win_hi + 1])
+            f0[idx], harmonicity[idx] = _decide(
+                acf, win_lo + 1 + np.argmax(peaks, axis=1), np.isfinite(peaks).any(axis=1))
 
-    return PitchTrack(f0, voiced, harmonicity)
+    return PitchTrack(f0, harmonicity)

@@ -168,3 +168,10 @@ def test_load_peak_memory_below_twice_the_signal(tmp_path):
     # the float32 WAV data (half the signal) and the signal itself
     assert peak < 2 * sig.samples.nbytes
 
+
+
+def test_unsupported_sample_type_rejected(tmp_path):
+    path = tmp_path / "i64.wav"
+    wavfile.write(path, 16000, np.ones(4000, dtype=np.int64))
+    with pytest.raises(AudioIOError, match=f"^{path}: unsupported encoding int64$"):
+        load_audio(path)

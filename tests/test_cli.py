@@ -1,6 +1,7 @@
 import gc
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from voicequal.audio_io import AudioSignal, load_audio, save_wav
 from voicequal.cli import main
 from voicequal.llf import LLF_KEYS, extract_llf_vector
 from voicequal.quality import QUALITY_IDS
-from voicequal.stats import load_stats
+from voicequal.stats import SCHEMA_VERSION, load_stats
 from voicequal.synth import generate_synthetic
 
 
@@ -361,3 +362,92 @@ def test_each_skipped_manifest_row_prints_one_line(corpus, tmp_path, capsys, cap
     for line, path in zip(err, bad):
         assert line.startswith("warning: skipping ") and line.count(path) == 1
     assert caplog.records == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["extract", "{wav}"],
+    ["extract", "{dir}"],
+    ["score", "{wav}", "--stats", "{stats}"],
+], ids=["extract", "extract-dir", "score"])
+def test_output_that_is_an_input_exits_8_and_leaves_it_intact(corpus, tmp_path, capsys, argv):
+    stats = tmp_path / "stats.txt"
+    assert main(["fit-stats", *corpus, "--output", str(stats)]) == 0
+    wav = corpus[0]
+    before = Path(wav).read_bytes()
+    argv = [a.format(wav=wav, dir=tmp_path, stats=stats) for a in argv]
+    assert main([*argv, "--output", wav]) == 8
+    assert f"error: cannot write {wav}: it is one of the inputs" in capsys.readouterr().err
+    assert Path(wav).read_bytes() == before
+
+
+def test_extract_dir_collects_only_wavs_in_sorted_order(tmp_path, capsys):
+    vowel = generate_synthetic("clean", f0=150.0, duration=0.5, seed=0)
+    for name in ("b.wav", "a.wav", "C.WAV"):
+        save_wav(vowel, tmp_path / name)
+    (tmp_path / "notes.txt").write_text("not audio")
+    (tmp_path / "a.wav.bak").write_bytes(b"not audio")
+    assert main(["extract", str(tmp_path)]) == 0
+    sources = [json.loads(line)["source"] for line in capsys.readouterr().out.splitlines()]
+    assert sources == [str(tmp_path / name) for name in ("C.WAV", "a.wav", "b.wav")]
+
+
+def test_evaluate_manifest_warnings_lead_with_the_row_path(corpus, tmp_path, capsys):
+    bad = [str(tmp_path / name) for name in ("junk.wav", "noise.wav", "flat.wav")]
+    (tmp_path / "junk.wav").write_bytes(b"not audio")
+    _noise_wav(tmp_path / "noise.wav")
+    wavfile.write(tmp_path / "flat.wav", 16000, np.zeros(8000, dtype=np.int16))
+    manifest = tmp_path / "m.csv"
+    manifest.write_text("v0.wav,Jit\njunk.wav,Jit\nv1.wav,NEUTRAL-VOICE\n"
+                        "noise.wav,NEUTRAL-VOICE\nflat.wav,Jit\nv2.wav,NEUTRAL-VOICE\n")
+    assert main(["evaluate", "--manifest", str(manifest)]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 3
+    for line, path, reason in zip(err, bad, ("cannot read", "insufficient voicing",
+                                             "silent input")):
+        assert line.startswith(f"warning: skipping {path}: {reason}")
+        assert line.count(path) == 1
+
+
+def _table(header=QUALITY_IDS, rows=LLF_KEYS):
+    """Correlation table text: a header, then one all-SP row per key."""
+    return f"qualities {' '.join(header)}\n" + "".join(
+        f"{key}{' SP' * len(header)}\n" for key in rows)
+
+
+@pytest.mark.parametrize("text, line, reason", [
+    (_table(("Jit", "Sparkle", *QUALITY_IDS[1:])), 1, "unknown quality ids ['Sparkle']"),
+    (_table((*QUALITY_IDS, "Jit")), 1, "duplicate quality column"),
+    ("Loudness SP\n" + _table(), 1, "feature row before qualities header"),
+    (_table(rows=("Loudness", "Sparkle")), 3, "unknown feature key 'Sparkle'"),
+    (_table(rows=()) + "Loudness" + " SP" * 23 + "\n", 2, "row 'Loudness' has 23 cells, expected 24"),
+    ("version v9\n", None, "missing qualities header"),
+    (_table(QUALITY_IDS[:-1]), None, f"missing quality columns ['{QUALITY_IDS[-1]}']"),
+], ids=["unknown-quality", "duplicate-quality", "row-before-header", "unknown-feature",
+        "cell-count", "missing-header", "missing-quality"])
+def test_malformed_table_exits_6_naming_file_and_line(tmp_path, capsys, text, line, reason):
+    table = tmp_path / "table.txt"
+    table.write_text(text)
+    assert main(["evaluate", "--suite", "jittered", "--table", str(table)]) == 6
+    where = f"{table}:{line}" if line else str(table)
+    assert f"error: {where}: {reason}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad_line, reason", [
+    ("stat Sparkle 0 1", "unknown feature key 'Sparkle'"),
+    ("stat Loudness 2 3", "duplicate key 'Loudness'"),
+    ("stat mfcc1 0 one", "malformed number for 'mfcc1'"),
+], ids=["unknown-key", "duplicate-key", "malformed-number"])
+def test_malformed_stats_exits_5_naming_file_and_line(tmp_path, capsys, bad_line, reason):
+    stats = tmp_path / "stats.txt"
+    stats.write_text(f"schema-version {SCHEMA_VERSION}\nstat Loudness 0 1\n{bad_line}\n")
+    assert main(["score", "unused.wav", "--stats", str(stats)]) == 5
+    assert f"error: {stats}:3: {reason}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row", ["v1.wav", "v1.wav,NEUTRAL-VOICE,extra"],
+                         ids=["one-field", "three-fields"])
+def test_malformed_manifest_row_exits_7_naming_file_and_line(corpus, tmp_path, capsys, row):
+    manifest = tmp_path / "m.csv"
+    manifest.write_text(f"v0.wav,Jit\n{row}\n")
+    assert main(["evaluate", "--manifest", str(manifest)]) == 7
+    assert f"error: {manifest}:2: expected 'path,label'" in capsys.readouterr().err

@@ -139,7 +139,7 @@ def test_block_levels_match_per_frame_reference():
     mask[chosen] = True
     f0 = np.zeros(len(pitch))
     f0[chosen] = np.resize([55.0, 1000.0], len(chosen))
-    alternating = PitchTrack(f0, mask, pitch.harmonicity.copy())
+    alternating = PitchTrack(f0, pitch.harmonicity.copy())
     assert len(estimate_formants(frames, alternating)) == 7
     inputs.append((frames, alternating))
     for frames, pitch in inputs:
@@ -166,7 +166,7 @@ def test_stage_matches_per_frame_reference_at_block_edges(n_voiced):
         chosen[-1] = voiced[-10]
     mask = np.zeros(len(pitch), dtype=bool)
     mask[chosen] = True
-    part = PitchTrack(np.where(mask, pitch.f0_hz, 0.0), mask, pitch.harmonicity.copy())
+    part = PitchTrack(np.where(mask, pitch.f0_hz, 0.0), pitch.harmonicity.copy())
     track = estimate_formants(frames, part)
     assert track.n_frames == max(1, n_voiced - 1)
     reference = _reference_stage(frames, part)

@@ -162,7 +162,7 @@ def test_widest_voiced_frame_windows_stay_below_spectral_peak_memory(stage_peaks
     frames = frame_signal(sig)
     pitch = track_pitch(frames)
     f0 = np.where(np.cumsum(pitch.voiced) % 2, 55.0, 1000.0) * pitch.voiced
-    alternating = PitchTrack(f0, pitch.voiced, pitch.harmonicity)
+    alternating = PitchTrack(f0, pitch.harmonicity)
     estimate_formants(frames, alternating)
     assert _peak_bytes(estimate_formants, frames, alternating) < peaks["spectral"]
 

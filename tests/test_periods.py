@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -164,7 +166,7 @@ def _comb_cases():
     n_frames = (n - 400) // 160 + 1
     voiced = np.zeros(n_frames, dtype=bool)
     voiced[2:-2] = True
-    pitch = PitchTrack(np.where(voiced, 160.0, 0.0), voiced, np.zeros(n_frames))
+    pitch = PitchTrack(np.where(voiced, 160.0, 0.0), np.zeros(n_frames))
     for period in (65, 100, 135):
         for offset in range(period):
             k = np.arange(offset, n, period)
@@ -180,7 +182,7 @@ def _tie_cases():
     n_frames = (n - 400) // 160 + 1
     voiced = np.zeros(n_frames, dtype=bool)
     voiced[2:-2] = True
-    pitch = PitchTrack(np.where(voiced, 160.0, 0.0), voiced, np.zeros(n_frames))
+    pitch = PitchTrack(np.where(voiced, 160.0, 0.0), np.zeros(n_frames))
     start = 2 * 160
     k = np.arange(start + 50, n - 450, 100)
     for first, second in ((500, 700), (ANCHOR_BLOCK - 1, ANCHOR_BLOCK),
@@ -210,3 +212,17 @@ def test_period_marks_match_two_loop_reference():
         for marks, (positions, amplitudes) in zip(got, want):
             assert np.array_equal(marks.positions, positions)
             assert np.array_equal(marks.amplitudes, amplitudes)
+
+
+@pytest.mark.parametrize("runs_of_two", [False, True], ids=["none-voiced", "runs-of-two"])
+def test_no_run_of_three_voiced_frames_raises_without_warnings(runs_of_two):
+    # no run of three voiced frames: no region, so no period marks, and no
+    # mean over the voiced frames (an empty set for none-voiced) is taken
+    n_frames = 20
+    voiced = (np.arange(n_frames) % 3 != 2) & runs_of_two
+    pitch = PitchTrack(np.where(voiced, 160.0, 0.0), np.where(voiced, 0.9, 0.0))
+    signal = raw_pulse_train(160, duration=(HOP * (n_frames - 1) + FRAME_LENGTH) / 16000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InsufficientVoicingError):
+            compute_period_llfs(signal, pitch)

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -6,7 +7,7 @@ import voicequal.pitch
 from voicequal.audio_io import CANONICAL_RATE, AudioSignal
 from voicequal.framing import FRAME_LENGTH, frame_signal
 from voicequal.pitch import F0_MAX, F0_MIN, _harmonicity, frame_autocorrelation, track_pitch
-from voicequal.synth import generate_synthetic
+from voicequal.synth import KINDS, generate_synthetic
 
 from conftest import raw_pulse_train, sine_signal
 
@@ -118,7 +119,7 @@ def test_harmonicity_reads_no_lag_beyond_the_autocorrelation(monkeypatch):
     assert set(passed) == {max_lag} and max_lag < FRAME_LENGTH
     fs = CANONICAL_RATE
     acf = np.tile(np.arange(max_lag + 1.0), (2, 1))  # each lag reads as itself
-    read = _harmonicity(acf, np.array([F0_MIN, F0_MAX]), np.array([True, True]))
+    read = _harmonicity(acf, np.array([F0_MIN, F0_MAX]))
     assert read[0] == max_lag == np.rint(fs / F0_MIN) + 1
 
 
@@ -135,3 +136,33 @@ def test_harmonicity_is_the_acf_max_around_the_pitch_lag():
         expected[i] = max(acf[i, max(tau, 2)] for tau in (lag - 1, lag, lag + 1))
     assert pitch.n_voiced > 0.9 * len(pitch)
     assert np.array_equal(pitch.harmonicity, expected)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_voicing_is_nonzero_f0_and_unvoiced_frames_have_no_harmonicity(kind):
+    # a vowel between two stretches of silence, so both decisions occur
+    vowel = generate_synthetic(kind, f0=150.0, duration=0.5, seed=1).samples
+    gap = np.zeros(1600)
+    pitch = track_pitch(frame_signal(AudioSignal(np.concatenate([gap, vowel, gap]), 16000)))
+    assert np.array_equal(pitch.voiced, pitch.f0_hz > 0)
+    assert 0 < pitch.n_voiced < len(pitch)
+    assert np.all(pitch.harmonicity[pitch.f0_hz == 0] == 0)
+    assert np.all(pitch.harmonicity[pitch.f0_hz > 0] > 0)
+
+
+def test_second_pass_repicks_frames_far_from_the_median(monkeypatch):
+    # the first pass analyses every frame once; the frames far from the
+    # voiced median f0 are analysed a second time, in the median-lag window
+    rows = []
+
+    def recording(raw_frames, max_lag):
+        rows.append(len(raw_frames))
+        return frame_autocorrelation(raw_frames, max_lag)
+
+    monkeypatch.setattr(voicequal.pitch, "frame_autocorrelation", recording)
+    frames = frame_signal(generate_synthetic("jittered", f0=120.0, duration=10.0, seed=1,
+                                             jitter_pct=5.0))
+    pitch = track_pitch(frames)
+    assert frames.n_frames == 998
+    assert sum(rows) - frames.n_frames == 438
+    assert pitch.n_voiced == 871
