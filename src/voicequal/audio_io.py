@@ -1,7 +1,9 @@
-"""WAV decoding and normalization into a canonical in-memory signal.
+"""WAV decoding and normalization into a canonical signal.
 
 All downstream analysis runs at a single canonical sample rate; multichannel
 input is averaged to mono and out-of-range samples trigger peak normalization.
+A WAV already at that rate is never decoded whole: its samples are decoded
+from the mapped file, DECODE_BLOCK sample frames at a time, as they are read.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.io import wavfile
-from scipy.signal import firwin, resample_poly
+from scipy.signal import firwin, upfirdn
 
 from .errors import AudioIOError, SilentInputError
 
@@ -22,22 +24,25 @@ CANONICAL_RATE = 16000
 
 @dataclass(frozen=True)
 class AudioSignal:
-    """Mono PCM samples in [-1, 1] at a fixed sample rate."""
+    """Mono PCM samples in [-1, 1] at a fixed sample rate: an array, or the
+    WavSamples of a CANONICAL_RATE WAV, which load_audio has checked."""
 
-    samples: np.ndarray
+    samples: np.ndarray | WavSamples
     sample_rate_hz: int
     source_id: str = ""
 
     def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=np.float64)
-        samples.setflags(write=False)
-        object.__setattr__(self, "samples", samples)
         if self.sample_rate_hz <= 0:
             raise AudioIOError(f"invalid sample rate {self.sample_rate_hz}")
+        if isinstance(self.samples, WavSamples):
+            return
+        samples = np.ascontiguousarray(self.samples, dtype=np.float64)
+        samples.setflags(write=False)
+        object.__setattr__(self, "samples", samples)
         if samples.size == 0:
             raise AudioIOError("empty signal")
-        if not np.all(np.isfinite(samples)):
-            raise AudioIOError("non-finite samples")
+        if not (np.isfinite(samples.min()) and np.isfinite(samples.max())):
+            raise AudioIOError("non-finite samples")  # NaN propagates through both
 
     @property
     def duration_s(self) -> float:
@@ -53,29 +58,162 @@ _SCALES = {
     np.dtype(np.float32): (0.0, 1.0),
     np.dtype(np.float64): (0.0, 1.0),
 }
-# Sample frames per decoding block: each block is converted to float64 and
-# averaged over its channels before the next, so no float64 copy of every
-# channel is ever made.
+# Sample frames per decoded chunk: the WAV data is only ever converted to
+# float64 this many frames at a time, so no float64 copy of the file, or of
+# every channel, is made.
 DECODE_BLOCK = 8192
 
 
-def _decode(data: np.ndarray, offset: float, scale: float) -> np.ndarray:
-    """(data - offset) / scale as float64, with channels averaged."""
-    x = np.empty(len(data))
-    for start in range(0, len(data), DECODE_BLOCK):
-        block = data[start:start + DECODE_BLOCK].astype(np.float64)
-        block -= offset
-        block /= scale
-        x[start:start + DECODE_BLOCK] = block if block.ndim == 1 else block.mean(axis=1)
+def _convert(channel: np.ndarray, offset: float, scale: float) -> np.ndarray:
+    x = channel.astype(np.float64)
+    if offset:  # subtracting 0 and dividing by 1 leave every float as it is
+        x -= offset
+    if scale != 1.0:
+        x /= scale
     return x
+
+
+def _decode(data: np.ndarray, offset: float, scale: float) -> np.ndarray:
+    """(data - offset) / scale as float64, with channels averaged: summed in
+    order, then divided by their count, as a mean over them would."""
+    if data.ndim == 1:
+        return _convert(data, offset, scale)
+    x = _convert(data[:, 0], offset, scale)
+    for c in range(1, data.shape[1]):
+        x += _convert(data[:, c], offset, scale)
+    x /= data.shape[1]
+    return x
+
+
+class WavSamples:
+    """The float64 samples of a CANONICAL_RATE WAV, read from the mapped file.
+
+    ``len(x)`` is the sample count; ``x[a:b]`` and ``x[idx]``, for an integer
+    index array, return float64 arrays with the same values a whole-file
+    decode would give, peak normalization included; ``np.asarray(x)`` reads
+    every sample. Slices are served from DECODE_BLOCK-frame chunks, of which
+    the last two decoded are kept, so a read across a chunk edge decodes
+    neither chunk again. The file must not change while the samples are read.
+    """
+
+    def __init__(self, data: np.ndarray, peak: float):
+        self._data = data
+        self._scales = _SCALES[data.dtype]
+        self._peak = peak
+        self._chunks: dict[int, np.ndarray] = {}
+
+    def __len__(self) -> int:
+        return len(self._data)
+
+    def _decoded(self, data: np.ndarray) -> np.ndarray:
+        x = _decode(data, *self._scales)
+        if self._peak > 1.0:
+            x /= self._peak
+        return x
+
+    def _chunk(self, k: int) -> np.ndarray:
+        chunk = self._chunks.get(k)
+        if chunk is None:
+            if len(self._chunks) == 2:
+                del self._chunks[next(iter(self._chunks))]  # the older one
+            chunk = self._decoded(self._data[k * DECODE_BLOCK:(k + 1) * DECODE_BLOCK])
+            chunk.setflags(write=False)
+            self._chunks[k] = chunk
+        return chunk
+
+    def __getitem__(self, key) -> np.ndarray:
+        if not isinstance(key, slice):
+            idx = np.asarray(key)
+            return self._decoded(self._data[idx.reshape(-1)]).reshape(idx.shape)
+        start, stop, step = key.indices(len(self._data))
+        if step != 1:
+            raise IndexError("WavSamples slices take no step")
+        if stop <= start:
+            return np.empty(0)
+        first, last = start // DECODE_BLOCK, (stop - 1) // DECODE_BLOCK
+        if first == last:
+            return self._chunk(first)[start - first * DECODE_BLOCK:stop - first * DECODE_BLOCK]
+        x = np.concatenate([self._chunk(k)[max(start - k * DECODE_BLOCK, 0):stop - k * DECODE_BLOCK]
+                            for k in range(first, last + 1)])
+        x.setflags(write=False)
+        return x
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.array(self[:], dtype=dtype)
+
+
+def _checked_chunks(data: np.ndarray, spans, path):
+    """Decoded data[lo:hi] for each (lo, hi) of spans, which together cover
+    data. Raises AudioIOError at a chunk with a non-finite sample, and
+    SilentInputError after the last if every sample decoded to zero."""
+    sound = False
+    for lo, hi in spans:
+        raw = data[lo:hi]
+        # NaN propagates through both extremes; checked before the channel
+        # mean and the resampler, which would warn on inf
+        if not (np.isfinite(raw.min()) and np.isfinite(raw.max())):
+            raise AudioIOError(f"{path}: non-finite samples")
+        x = _decode(raw, *_SCALES[data.dtype])
+        sound = sound or bool(np.any(x))
+        yield x
+    if not sound:
+        raise SilentInputError(f"{path}: silent input")
 
 
 @functools.lru_cache(maxsize=16)
 def _resampling_filter(up: int, down: int) -> np.ndarray:
     """resample_poly's default low-pass filter for up/down, designed once."""
     h = firwin(20 * max(up, down) + 1, 1.0 / max(up, down), window=("kaiser", 5.0))
-    h.setflags(write=False)  # resample_poly scales a copy
+    h.setflags(write=False)  # shared by every load
     return h
+
+
+def _resample(data: np.ndarray, rate: int, path) -> np.ndarray:
+    """The decoded data resampled from rate to CANONICAL_RATE, equal to
+    scipy's resample_poly with _resampling_filter, DECODE_BLOCK outputs at
+    a time.
+
+    resample_poly filters with h, its filter scaled by up and zero-padded:
+    output o is upfirdn(h, x, up, down)[o + pre]. So outputs [o0, o1) come
+    from upfirdn over the inputs from m0 through the last one output o1 - 1
+    reads, m0 being a multiple of down, which keeps the output grid, at or
+    before the first input output o0 reads. The first chunk starts at input
+    0 and the last one ends at the last input, so every input is checked.
+    """
+    g = math.gcd(rate, CANONICAL_RATE)
+    up, down = CANONICAL_RATE // g, rate // g
+    n_in = len(data)
+    n_out = -(-n_in * up // down)
+    window = _resampling_filter(up, down)
+    half_len = (len(window) - 1) // 2
+    pre_pad = down - half_len % down
+    pre = (half_len + pre_pad) // down
+    # resample_poly pads h at the end until upfirdn yields n_out + pre outputs
+    post_pad = max(0, (n_out + pre - 1) * down + 1 - (n_in - 1) * up - len(window) - pre_pad)
+    h = np.concatenate((np.zeros(pre_pad), window * up, np.zeros(post_pad)))
+
+    starts = range(0, n_out, DECODE_BLOCK)
+    spans = []
+    for o0 in starts:
+        o1 = min(o0 + DECODE_BLOCK, n_out)
+        m_lo = -(-((o0 + pre) * down - len(h) + 1) // up)
+        m_hi = n_in - 1 if o1 == n_out else (o1 + pre - 1) * down // up
+        spans.append((max(0, m_lo // down * down), m_hi + 1))
+    x = np.empty(n_out)
+    for o0, (m0, _), chunk in zip(starts, spans, _checked_chunks(data, spans, path)):
+        o1, skip = min(o0 + DECODE_BLOCK, n_out), o0 + pre - m0 * up // down
+        x[o0:o1] = upfirdn(h, chunk, up, down)[skip:skip + o1 - o0]
+    return x
+
+
+def _read_wav(path: str) -> tuple[int, np.ndarray]:
+    try:
+        rate, data = wavfile.read(path, mmap=True)
+    except ValueError:  # 24-bit and empty data chunks cannot be mapped
+        return wavfile.read(path)
+    # a plain array over the mapping, which keeps it open: slicing a memmap
+    # costs as much as converting the slice
+    return rate, data.view(np.ndarray)
 
 
 def load_audio(path: str | os.PathLike) -> AudioSignal:
@@ -84,10 +222,12 @@ def load_audio(path: str | os.PathLike) -> AudioSignal:
     Rates below 8 kHz and non-finite samples are rejected. Channels are
     averaged, the result is resampled with a polyphase (band-limited)
     resampler, and peak-normalized only if any sample exceeds full scale.
-    Every error reads "<path>: <reason>".
+    A CANONICAL_RATE file is checked in one pass over its chunks and its
+    samples are a WavSamples over the mapped file; any other rate is
+    resampled into one array. Every error reads "<path>: <reason>".
     """
     try:
-        rate, data = wavfile.read(os.fspath(path))
+        rate, data = _read_wav(os.fspath(path))
     except FileNotFoundError:
         raise AudioIOError(f"{path}: cannot read: file not found")
     except Exception as exc:
@@ -99,28 +239,20 @@ def load_audio(path: str | os.PathLike) -> AudioSignal:
         raise AudioIOError(f"{path}: unsupported encoding {data.dtype}")
     if data.size == 0:
         raise AudioIOError(f"{path}: zero-length audio")
-    # NaN propagates through both extremes; checked before the channel mean
-    # and the resampler, which would warn on inf
-    if not (np.isfinite(data.min()) and np.isfinite(data.max())):
-        raise AudioIOError(f"{path}: non-finite samples")
-    x = _decode(data, *_SCALES[data.dtype])
-    del data
-    if not np.any(x):
-        raise SilentInputError(f"{path}: silent input")
 
-    if rate != CANONICAL_RATE:
-        g = math.gcd(int(rate), CANONICAL_RATE)
-        up, down = CANONICAL_RATE // g, rate // g
-        x = resample_poly(x, up, down, window=_resampling_filter(up, down))
-
-    peak = max(x.max(), -x.min())
-    if peak > 1.0:
-        x /= peak
-
-    return AudioSignal(x, CANONICAL_RATE, source_id=os.fspath(path))
+    if rate == CANONICAL_RATE:
+        spans = [(lo, lo + DECODE_BLOCK) for lo in range(0, len(data), DECODE_BLOCK)]
+        peak = max(max(x.max(), -x.min()) for x in _checked_chunks(data, spans, path))
+        samples = WavSamples(data, peak)
+    else:
+        samples = _resample(data, rate, path)
+        peak = max(samples.max(), -samples.min())
+        if peak > 1.0:
+            samples /= peak
+    return AudioSignal(samples, CANONICAL_RATE, source_id=os.fspath(path))
 
 
 def save_wav(signal: AudioSignal, path: str | os.PathLike) -> None:
     """Write a signal as 32-bit float WAV (lossless enough for round trips)."""
     wavfile.write(os.fspath(path), signal.sample_rate_hz,
-                  signal.samples.astype(np.float32))
+                  np.asarray(signal.samples, dtype=np.float32))

@@ -79,16 +79,21 @@ def _writing(path):
         raise OutputError(f"cannot write {path}: {exc}") from None
 
 
-def _open_output(path: str | None, inputs: tuple[str, ...] | list[str] = ()):
+def _refuse_input(path: str, inputs) -> None:
+    """Raise OutputError if ``path`` is an existing file that is one of ``inputs``."""
+    if os.path.isfile(path) and any(os.path.isfile(p) and os.path.samefile(p, path)
+                                    for p in inputs):
+        raise OutputError(f"cannot write {path}: it is one of the inputs")
+
+
+def _open_output(path: str | None, inputs=()):
     """The file at ``path``, truncated now, or stdout for None or "-".
 
     An existing file that is one of ``inputs`` is refused, not truncated.
     """
     if path is None or path == "-":
         return contextlib.nullcontext(sys.stdout)
-    if os.path.isfile(path) and any(os.path.isfile(p) and os.path.samefile(p, path)
-                                    for p in inputs):
-        raise OutputError(f"cannot write {path}: it is one of the inputs")
+    _refuse_input(path, inputs)
     with _writing(path):
         return open(path, "w", encoding="utf-8")
 
@@ -104,6 +109,7 @@ def cmd_extract(args) -> int:
 def cmd_fit_stats(args) -> int:
     paths = ([path for path, _ in read_manifest(args.manifest)] if args.manifest
              else _collect_audio_paths(args.inputs))
+    _refuse_input(args.output, [args.manifest, *paths] if args.manifest else paths)
     vectors = [vector for _, vector in _extract_each(paths, skip=bool(args.manifest))]
     stats = fit_stats(vectors, corpus=args.corpus_label)
     save_stats(stats, args.output)
@@ -135,8 +141,9 @@ def cmd_evaluate(args) -> int:
     if not (args.suite or args.manifest):
         raise ManifestError("evaluate needs --manifest or --suite")
     rows = None if args.suite else read_manifest(args.manifest)
+    inputs = [] if args.suite else [args.manifest, *(path for path, _ in rows)]
 
-    with (_open_output(args.output) if args.output else contextlib.nullcontext()) as out:
+    with (_open_output(args.output, inputs) if args.output else contextlib.nullcontext()) as out:
         samples = (build_synthetic_suite(args.suite, seed=args.seed) if args.suite
                    else [LabeledSample(path, label, vector) for path, label in rows
                          for _, vector in _extract_each([path], skip=True)])

@@ -21,22 +21,63 @@ WINDOW.setflags(write=False)
 FRAME_BLOCK = 64
 
 
+class RawFrames:
+    """The unwindowed frames of a sample sequence, read from it by range.
+
+    ``frames[a:b]`` is a read-only (b - a, FRAME_LENGTH) strided view over
+    one read of the samples those frames span. ``frames[idx]``, for an
+    index array, copies its frames, reading one range per run of
+    consecutive indices; ``frames[i]`` is one frame, and
+    ``np.asarray(frames)`` all of them.
+    """
+
+    def __init__(self, samples, n_frames: int):
+        self._samples = samples
+        self._n_frames = n_frames
+
+    def __len__(self) -> int:
+        return self._n_frames
+
+    def __getitem__(self, key) -> np.ndarray:
+        if isinstance(key, slice):
+            start, stop, step = key.indices(self._n_frames)
+            if step != 1:
+                raise IndexError("RawFrames slices take no step")
+            if stop <= start:
+                return np.empty((0, FRAME_LENGTH))
+            span = self._samples[start * HOP:(stop - 1) * HOP + FRAME_LENGTH]
+            # frame i starts HOP samples after frame i - 1, in the same memory
+            return np.ndarray((stop - start, FRAME_LENGTH), np.float64, span,
+                              strides=(HOP * span.itemsize, span.itemsize))
+        if np.ndim(key) == 0:
+            i = range(self._n_frames)[key]
+            return self[i:i + 1][0]
+        idx = np.asarray(key)
+        frames = np.empty((len(idx), FRAME_LENGTH))
+        edges = [0, *(np.flatnonzero(np.diff(idx) != 1) + 1).tolist(), len(idx)]
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            frames[lo:hi] = self[idx[lo]:idx[lo] + hi - lo]
+        return frames
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.array(self[:], dtype=dtype)
+
+
 @dataclass(frozen=True)
 class FrameSequence:
     """Unwindowed analysis frames; each spectral stage multiplies in
     ``WINDOW`` where it needs it, so no windowed copy is stored.
 
-    ``raw_frames`` is a read-only strided view of the signal, not a copy:
-    consumers slice it in blocks or fancy-index it, which copies only the
-    frames they take.
+    Stages read ``raw_frames`` in blocks or by index, which reads only the
+    samples of the frames they take.
     """
 
-    raw_frames: np.ndarray    # (n_frames, FRAME_LENGTH) view, unwindowed
+    raw_frames: RawFrames     # n_frames frames of FRAME_LENGTH samples, unwindowed
     rms: np.ndarray           # (n_frames,) raw-frame RMS, for voicing and loudness
 
     @property
     def n_frames(self) -> int:
-        return self.raw_frames.shape[0]
+        return len(self.raw_frames)
 
 
 def frame_signal(signal: AudioSignal) -> FrameSequence:
@@ -49,12 +90,12 @@ def frame_signal(signal: AudioSignal) -> FrameSequence:
         raise AudioIOError(
             f"unsupported analysis rate {signal.sample_rate_hz} Hz: extraction analyses "
             f"{CANONICAL_RATE} Hz signals, and load_audio resamples any WAV to that rate")
-    x = signal.samples
-    if len(x) < FRAME_LENGTH:
+    n_samples = len(signal.samples)
+    if n_samples < FRAME_LENGTH:
         raise AudioIOError(
-            f"signal too short: {len(x)} samples, need at least {FRAME_LENGTH}")
+            f"signal too short: {n_samples} samples, need at least {FRAME_LENGTH}")
 
-    raw = np.lib.stride_tricks.sliding_window_view(x, FRAME_LENGTH)[::HOP]
+    raw = RawFrames(signal.samples, (n_samples - FRAME_LENGTH) // HOP + 1)
     rms = np.empty(len(raw))
     for start in range(0, len(raw), FRAME_BLOCK):
         block = raw[start:start + FRAME_BLOCK]

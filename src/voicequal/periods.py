@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio_io import CANONICAL_RATE, AudioSignal
+from .audio_io import CANONICAL_RATE, DECODE_BLOCK, AudioSignal
 from .errors import InsufficientVoicingError
 from .framing import FRAME_LENGTH, HOP
 from .pitch import PitchTrack, parabolic_peak
@@ -20,10 +20,6 @@ F0_REFERENCE_HZ = 27.5
 MIN_CONSECUTIVE_VOICED = 3
 # half-width of the peak search window, as a fraction of the local period
 SEARCH_FRACTION = 0.35
-# Samples per block in the search for a voiced region's largest magnitude:
-# neither |x| nor the argmax of a read-only region (which NumPy copies) is
-# ever taken whole.
-ANCHOR_BLOCK = 8192
 # Marks per block in the sub-sample refinement.
 MARK_BLOCK = 1024
 
@@ -46,7 +42,7 @@ def voiced_runs(voiced: np.ndarray):
     return [(int(a), int(b)) for a, b in zip(starts, ends) if b - a >= MIN_CONSECUTIVE_VOICED]
 
 
-def _refine_marks(x: np.ndarray, marks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _refine_marks(x, marks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Parabolic sub-sample refinement of the peaks at sample indices marks,
     MARK_BLOCK marks at a time.
 
@@ -65,12 +61,12 @@ def _refine_marks(x: np.ndarray, marks: np.ndarray) -> tuple[np.ndarray, np.ndar
     return positions, amplitudes
 
 
-def _largest_magnitude(x: np.ndarray, start: int, end: int) -> int:
+def _largest_magnitude(x, start: int, end: int) -> int:
     """Index of the first sample of largest |x| in x[start:end], not all
-    zero; |x| is taken ANCHOR_BLOCK samples at a time."""
+    zero; x is read and |x| taken DECODE_BLOCK samples at a time."""
     best, anchor = 0.0, start
-    for lo in range(start, end, ANCHOR_BLOCK):
-        block = np.abs(x[lo:min(lo + ANCHOR_BLOCK, end)])
+    for lo in range(start, end, DECODE_BLOCK):
+        block = np.abs(x[lo:min(lo + DECODE_BLOCK, end)])
         i = int(block.argmax())
         if block[i] > best:
             best, anchor = block[i], lo + i
@@ -79,7 +75,12 @@ def _largest_magnitude(x: np.ndarray, start: int, end: int) -> int:
 
 def find_period_marks(signal: AudioSignal, pitch: PitchTrack) -> list[PeriodMarks]:
     """Locate one glottal peak per pitch period within each voiced region
-    of a CANONICAL_RATE signal."""
+    of a CANONICAL_RATE signal.
+
+    A region's samples are read DECODE_BLOCK at a time: the search windows
+    of each march come from the block last read, and a window that leaves
+    it reads the next block in the marching direction.
+    """
     x = signal.samples
     f0_hz = pitch.f0_hz.tolist()
 
@@ -99,6 +100,7 @@ def find_period_marks(signal: AudioSignal, pitch: PitchTrack) -> list[PeriodMark
         # direction stops when its window leaves the region or fails to step
         for sign in (1, -1):
             pos = float(anchor)
+            block_lo = block_hi = 0  # the block read last is x[block_lo:block_hi]
             while True:
                 t = sign * period_at(pos, lo_frame, hi_frame)
                 near = int(round(pos + t * (1 - SEARCH_FRACTION)))
@@ -106,7 +108,11 @@ def find_period_marks(signal: AudioSignal, pitch: PitchTrack) -> list[PeriodMark
                 lo, hi = min(near, far), max(near, far) + 1
                 if (hi > end or lo <= int(pos)) if sign > 0 else (lo < start or hi >= int(pos)):
                     break
-                m = lo + int(np.abs(x[lo:hi]).argmax())
+                if lo < block_lo or hi > block_hi:
+                    block_lo = lo if sign > 0 else max(start, hi - DECODE_BLOCK)
+                    block_hi = min(end, block_lo + DECODE_BLOCK)
+                    block = x[block_lo:block_hi]
+                m = lo + int(np.abs(block[lo - block_lo:hi - block_lo]).argmax())
                 marks.append(m)
                 pos = float(m)
 

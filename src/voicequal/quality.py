@@ -34,6 +34,9 @@ class CorrelationCategory(enum.Enum):
     IC = "IC"
 
 
+# a dict lookup per table cell, not an enum call
+_CATEGORY_BY_CODE = {c.value: c for c in CorrelationCategory}
+
 # signed coefficient c * w of each category
 _COEFFICIENTS = {
     CorrelationCategory.SN: -1.0,
@@ -124,9 +127,8 @@ def _parse_table(lines, origin: str) -> CorrelationTable:
                 f"{origin}:{lineno}: row {feature!r} has {len(codes)} cells, "
                 f"expected {len(qualities)}")
         for quality, code in zip(qualities, codes):
-            try:
-                cat = CorrelationCategory(code)
-            except ValueError:
+            cat = _CATEGORY_BY_CODE.get(code)
+            if cat is None:
                 raise TableError(
                     f"{origin}:{lineno}: row {feature!r}, column {quality!r}: "
                     f"unknown category code {code!r}")

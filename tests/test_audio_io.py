@@ -1,12 +1,17 @@
 import math
+import struct
 
 import numpy as np
 import pytest
 from scipy.io import wavfile
 from scipy.signal import resample_poly
 
-from voicequal.audio_io import CANONICAL_RATE, DECODE_BLOCK, AudioSignal, load_audio, save_wav
+import voicequal.audio_io as audio_io
+from voicequal.audio_io import (CANONICAL_RATE, DECODE_BLOCK, AudioSignal, WavSamples,
+                                load_audio, save_wav)
 from voicequal.errors import AudioIOError, SilentInputError
+from voicequal.llf import extract_llf_vector
+from voicequal.synth import KINDS, generate_synthetic
 
 
 def _write_int16(path, rate, x):
@@ -85,7 +90,7 @@ def test_channel_averaging_is_linear(tmp_path):
     wavfile.write(stereo_path, 16000, np.stack([x, x], axis=1).astype(np.float32))
     mono = load_audio(mono_path)
     stereo = load_audio(stereo_path)
-    assert np.max(np.abs(mono.samples - stereo.samples)) < 1e-6
+    assert np.max(np.abs(np.asarray(mono.samples) - np.asarray(stereo.samples))) < 1e-6
 
 
 def test_peak_normalization_only_when_needed(tmp_path):
@@ -97,12 +102,25 @@ def test_peak_normalization_only_when_needed(tmp_path):
     assert np.max(np.abs(sig.samples)) == pytest.approx(1.0)
 
 
+def _write_24bit(path, rate, x):
+    """Mono 24-bit PCM WAV, which scipy cannot map and reads whole."""
+    ints = np.round(x * (2 ** 23 - 1)).astype("<i4")
+    data = ints.view(np.uint8).reshape(-1, 4)[:, :3].tobytes()
+    fmt = struct.pack("<HHIIHH", 1, 1, rate, 3 * rate, 3, 24)
+    path.write_bytes(b"RIFF" + struct.pack("<I", 36 + len(data)) + b"WAVEfmt "
+                     + struct.pack("<I", len(fmt)) + fmt + b"data"
+                     + struct.pack("<I", len(data)) + data)
+
+
 def test_24bit_and_8bit_supported(tmp_path):
     x = (0.5 * np.sin(2 * np.pi * 100 * np.arange(4000) / 16000))
     p8 = tmp_path / "u8.wav"
     wavfile.write(p8, 16000, ((x + 1) * 127.5).astype(np.uint8))
     sig = load_audio(p8)
     assert np.corrcoef(sig.samples, x)[0, 1] > 0.999
+    p24 = tmp_path / "i24.wav"
+    _write_24bit(p24, 16000, x)
+    assert np.max(np.abs(np.asarray(load_audio(p24).samples) - x)) < 1e-6
 
 
 def _reference_load(path, target_rate=CANONICAL_RATE):
@@ -132,24 +150,82 @@ def _reference_load(path, target_rate=CANONICAL_RATE):
 ])
 def test_decode_matches_whole_array_reference(tmp_path, dtype, rate, channels, amp):
     rng = np.random.default_rng(channels)
-    # more sample frames than one decode block, so the block loop turns over
-    x = amp * np.clip(rng.standard_normal((DECODE_BLOCK + 1000, channels)) / 3, -1, 1)
+    # more sample frames than one decode block, so the block loop turns over,
+    # and several blocks
+    for n_frames in (DECODE_BLOCK + 1000, 4 * DECODE_BLOCK + 3):
+        x = amp * np.clip(rng.standard_normal((n_frames, channels)) / 3, -1, 1)
+        path = tmp_path / f"d{n_frames}.wav"
+        wavfile.write(path, rate, _encode(x[:, 0] if channels == 1 else x, dtype))
+        got = load_audio(path).samples
+        want = _reference_load(path)
+        assert np.array_equal(got, want)
+        # the resampling filter is designed once per rate pair: a second load
+        # takes it from the cache and must resample the same
+        assert np.array_equal(load_audio(path).samples, want)
+        if amp > 1 and rate == CANONICAL_RATE:  # over full scale: normalized
+            assert np.max(np.abs(got)) == 1.0
+
+
+def _encode(x, dtype):
+    """Samples in about [-1, 1] (floats may exceed it) as WAV data of dtype."""
     if dtype == np.uint8:
-        data = np.round((x + 1) * 127.5).astype(np.uint8)
-    elif np.issubdtype(dtype, np.integer):
-        data = np.round(x * (np.iinfo(dtype).max - 1)).astype(dtype)
-    else:
-        data = x.astype(dtype)
-    path = tmp_path / "d.wav"
-    wavfile.write(path, rate, data[:, 0] if channels == 1 else data)
-    got = load_audio(path).samples
+        return np.round((x + 1) * 127.5).clip(0, 255).astype(np.uint8)
+    if np.issubdtype(dtype, np.integer):
+        return np.round(x * (np.iinfo(dtype).max - 1)).astype(dtype)
+    return x.astype(dtype)
+
+
+@pytest.mark.parametrize("block", [1000, 4096, 16384])
+@pytest.mark.parametrize("rate", [8000, 11025, 22050, 32000, 44100, 48000])
+def test_resampling_chunk_by_chunk_matches_whole_file_resample_poly(tmp_path, monkeypatch,
+                                                                    rate, block):
+    # outputs are resampled `block` at a time, each chunk from about its own
+    # share of the inputs, and equal resample_poly over the whole file
+    # across every chunk edge
+    monkeypatch.setattr(audio_io, "DECODE_BLOCK", block)
+    lengths = []
+    upfirdn = audio_io.upfirdn
+    monkeypatch.setattr(audio_io, "upfirdn",
+                        lambda h, x, up, down: lengths.append(len(x)) or upfirdn(h, x, up, down))
+    rng = np.random.default_rng(rate)
+    x = np.clip(rng.standard_normal((int(3.2 * rate), 2)) / 3, -1, 1)
+    path = tmp_path / "r.wav"
+    wavfile.write(path, rate, _encode(x, np.int16))
     want = _reference_load(path)
-    assert np.array_equal(got, want)
-    # the resampling filter is designed once per rate pair: a second load
-    # takes it from the cache and must resample the same
     assert np.array_equal(load_audio(path).samples, want)
-    if amp > 1 and rate == CANONICAL_RATE:  # over full scale: normalized
-        assert np.max(np.abs(got)) == 1.0
+    assert len(lengths) == -(-len(want) // block) > 3
+    assert max(lengths) < block * rate / CANONICAL_RATE + 1000
+
+
+# (dtype, channels, rate) cases that are also extracted at 30 s
+_LONG_CASES = {(np.float32, 1, 16000), (np.uint8, 2, 16000), (np.int32, 1, 22050),
+               (np.int16, 2, 44100), (np.float64, 2, 48000)}
+
+
+@pytest.mark.parametrize("rate", [16000, 22050, 44100, 48000])
+@pytest.mark.parametrize("channels", [1, 2])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int16, np.int32, np.uint8])
+def test_loaded_signal_extracts_as_its_samples_held_in_one_array(tmp_path, dtype, channels,
+                                                                 rate):
+    # a 16 kHz WAV is read from the file chunk by chunk as the stages ask, any
+    # other rate is resampled into one array; either way every LLF is the
+    # float extracted from the same samples held as one array
+    lengths = [4960, DECODE_BLOCK - 1, DECODE_BLOCK + 1]  # at 16 kHz
+    if (dtype, channels, rate) in _LONG_CASES:
+        lengths.append(30 * CANONICAL_RATE)
+    for i, n in enumerate(lengths):
+        vowel = generate_synthetic(KINDS[i], f0=110.0 + 20 * i, duration=max(0.6, n / 16000),
+                                   seed=i, sample_rate=rate).samples[:round(n * rate / 16000)]
+        # float data above full scale, to be peak-normalized
+        x = (1.7 if np.issubdtype(dtype, np.floating) else 0.9) * vowel / np.abs(vowel).max()
+        path = tmp_path / f"v{n}.wav"
+        wavfile.write(path, rate, _encode(np.stack([x, 0.8 * x], axis=1) if channels == 2
+                                          else x, dtype))
+        sig = load_audio(path)
+        assert isinstance(sig.samples, WavSamples) == (rate == CANONICAL_RATE)
+        held = AudioSignal(np.asarray(sig.samples), CANONICAL_RATE)
+        got, want = extract_llf_vector(sig), extract_llf_vector(held)
+        assert [v.hex() for v in got.values()] == [v.hex() for v in want.values()], n
 
 
 def test_load_peak_memory_below_twice_the_signal(tmp_path):
@@ -166,7 +242,7 @@ def test_load_peak_memory_below_twice_the_signal(tmp_path):
     finally:
         tracemalloc.stop()
     # the float32 WAV data (half the signal) and the signal itself
-    assert peak < 2 * sig.samples.nbytes
+    assert peak < 2 * np.asarray(sig.samples).nbytes
 
 
 

@@ -364,20 +364,30 @@ def test_each_skipped_manifest_row_prints_one_line(corpus, tmp_path, capsys, cap
     assert caplog.records == []
 
 
-@pytest.mark.parametrize("argv", [
-    ["extract", "{wav}"],
-    ["extract", "{dir}"],
-    ["score", "{wav}", "--stats", "{stats}"],
-], ids=["extract", "extract-dir", "score"])
-def test_output_that_is_an_input_exits_8_and_leaves_it_intact(corpus, tmp_path, capsys, argv):
-    stats = tmp_path / "stats.txt"
+@pytest.mark.parametrize("argv,target", [
+    (["extract", "{wav}"], "{wav}"),
+    (["extract", "{dir}"], "{wav}"),
+    (["score", "{wav}", "--stats", "{stats}"], "{wav}"),
+    (["fit-stats", "{wav}", "{wav1}"], "{wav}"),
+    (["fit-stats", "--manifest", "{manifest}"], "{manifest}"),
+    (["evaluate", "--manifest", "{manifest}"], "{manifest}"),
+    (["evaluate", "--manifest", "{manifest}"], "{wav}"),
+], ids=["extract", "extract-dir", "score", "fit-stats", "fit-stats-manifest",
+        "evaluate-manifest", "evaluate-manifest-row"])
+def test_output_that_is_an_input_exits_8_and_leaves_it_intact(corpus, tmp_path, capsys,
+                                                              monkeypatch, argv, target):
+    stats, manifest = tmp_path / "stats.txt", tmp_path / "m.csv"
     assert main(["fit-stats", *corpus, "--output", str(stats)]) == 0
-    wav = corpus[0]
-    before = Path(wav).read_bytes()
-    argv = [a.format(wav=wav, dir=tmp_path, stats=stats) for a in argv]
-    assert main([*argv, "--output", wav]) == 8
-    assert f"error: cannot write {wav}: it is one of the inputs" in capsys.readouterr().err
-    assert Path(wav).read_bytes() == before
+    manifest.write_text("v0.wav,Jit\nv1.wav,NEUTRAL-VOICE\n")
+    fields = {"wav": corpus[0], "wav1": corpus[1], "dir": tmp_path, "stats": stats,
+              "manifest": manifest}
+    target = target.format(**fields)
+    before = Path(target).read_bytes()
+    calls = _count_extractions(monkeypatch)
+    assert main([*(a.format(**fields) for a in argv), "--output", target]) == 8
+    assert f"error: cannot write {target}: it is one of the inputs" in capsys.readouterr().err
+    assert Path(target).read_bytes() == before
+    assert calls == []
 
 
 def test_extract_dir_collects_only_wavs_in_sorted_order(tmp_path, capsys):
@@ -451,3 +461,43 @@ def test_malformed_manifest_row_exits_7_naming_file_and_line(corpus, tmp_path, c
     manifest.write_text(f"v0.wav,Jit\n{row}\n")
     assert main(["evaluate", "--manifest", str(manifest)]) == 7
     assert f"error: {manifest}:2: expected 'path,label'" in capsys.readouterr().err
+
+
+def _traced_peak(fn, *args):
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("case", ["nan-in-last-chunk", "all-zero"])
+def test_wav_failures_are_found_at_open_without_holding_the_file(tmp_path, capsys, case):
+    x = np.zeros(30 * 16000, dtype=np.float32)
+    if case == "nan-in-last-chunk":
+        x[:] = 0.5 * np.sin(2 * np.pi * 150 * np.arange(len(x)) / 16000)
+        x[-5] = np.nan
+    path = tmp_path / "bad.wav"
+    wavfile.write(path, 16000, x)
+    rc, peak = _traced_peak(main, ["extract", str(path)])
+    assert rc == 3
+    reason = "non-finite samples" if case == "nan-in-last-chunk" else "silent input"
+    assert f"error: {path}: {reason}" in capsys.readouterr().err
+    # checked chunk by chunk from the mapped file, never read or decoded whole
+    assert peak < 0.5 * x.nbytes
+
+
+def test_extract_memory_does_not_grow_with_a_16k_wav(tmp_path):
+    # a 16 kHz WAV is read from the file by range: from 10 s to 60 s, the
+    # traced peak grows only by the per-frame and per-period results
+    peaks = {}
+    for duration in (10.0, 60.0):
+        path = tmp_path / f"v{duration:.0f}.wav"
+        save_wav(generate_synthetic("clean", f0=130.0, duration=duration, seed=4), path)
+        argv = ["extract", str(path), "--output", str(tmp_path / "out.jsonl")]
+        main(argv)  # warm-up
+        rc, peaks[duration] = _traced_peak(main, argv)
+        assert rc == 0
+    assert peaks[60.0] <= 1.5 * peaks[10.0], peaks

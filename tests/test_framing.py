@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from voicequal.audio_io import AudioSignal
+import voicequal.audio_io as audio_io
+from voicequal.audio_io import DECODE_BLOCK, AudioSignal, load_audio, save_wav
 from voicequal.errors import AudioIOError
 from voicequal.framing import FRAME_LENGTH, HOP, WINDOW, frame_signal
+from voicequal.synth import generate_synthetic
 
 from conftest import sine_signal
 
@@ -49,3 +51,23 @@ def test_rms_is_the_per_frame_formula():
     frames = frame_signal(sine_signal(220, duration=0.2))
     expected = [np.sqrt(np.mean(raw ** 2)) for raw in frames.raw_frames]
     assert frames.rms.tolist() == expected
+
+
+def test_frames_of_a_16k_wav_are_read_by_range_decoding_each_chunk_once(tmp_path, monkeypatch):
+    path = tmp_path / "v.wav"
+    save_wav(generate_synthetic("jittered", f0=130.0, duration=3.0, seed=1), path)
+    sig = load_audio(path)
+    decoded = []
+    decode = audio_io._decode
+    monkeypatch.setattr(audio_io, "_decode", lambda data, *a: decoded.append(len(data))
+                        or decode(data, *a))
+    frames = frame_signal(sig)
+    # the RMS pass reads 64-frame blocks that cross chunk edges; the last
+    # two chunks are kept, so none is decoded twice
+    assert len(decoded) == -(-len(sig.samples) // DECODE_BLOCK) > 4
+    whole = np.lib.stride_tricks.sliding_window_view(np.asarray(sig.samples), FRAME_LENGTH)[::HOP]
+    assert np.array_equal(frames.raw_frames[:], whole)
+    assert np.array_equal(frames.raw_frames[50:120], whole[50:120])
+    idx = np.array([0, 1, 2, 50, 51, 52, 53, 200, 203, len(whole) - 1])
+    assert np.array_equal(frames.raw_frames[idx], whole[idx])
+    assert np.array_equal(frames.raw_frames[-1], whole[-1])

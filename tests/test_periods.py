@@ -3,10 +3,10 @@ import warnings
 import numpy as np
 import pytest
 
-from voicequal.audio_io import AudioSignal
+from voicequal.audio_io import DECODE_BLOCK, AudioSignal
 from voicequal.errors import InsufficientVoicingError
 from voicequal.framing import FRAME_LENGTH, HOP, frame_signal
-from voicequal.periods import (ANCHOR_BLOCK, MARK_BLOCK, PERIOD_KEYS, SEARCH_FRACTION,
+from voicequal.periods import (MARK_BLOCK, PERIOD_KEYS, SEARCH_FRACTION,
                                compute_period_llfs, find_period_marks, voiced_runs)
 from voicequal.pitch import PitchTrack, parabolic_peak, track_pitch
 from voicequal.synth import generate_synthetic, pulse_train
@@ -178,15 +178,15 @@ def _comb_cases():
 def _tie_cases():
     """Regions whose largest positive and negative samples tie in magnitude,
     in either order, within one anchor block and across a block boundary."""
-    n = 3 * ANCHOR_BLOCK
+    n = 3 * DECODE_BLOCK
     n_frames = (n - 400) // 160 + 1
     voiced = np.zeros(n_frames, dtype=bool)
     voiced[2:-2] = True
     pitch = PitchTrack(np.where(voiced, 160.0, 0.0), np.zeros(n_frames))
     start = 2 * 160
     k = np.arange(start + 50, n - 450, 100)
-    for first, second in ((500, 700), (ANCHOR_BLOCK - 1, ANCHOR_BLOCK),
-                          (ANCHOR_BLOCK - 50, 2 * ANCHOR_BLOCK + 50)):
+    for first, second in ((500, 700), (DECODE_BLOCK - 1, DECODE_BLOCK),
+                          (DECODE_BLOCK - 50, 2 * DECODE_BLOCK + 50)):
         for sign in (1.0, -1.0):
             x = np.zeros(n)
             x[k] = 0.5

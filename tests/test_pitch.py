@@ -129,7 +129,7 @@ def test_harmonicity_is_the_acf_max_around_the_pitch_lag():
     frames = frame_signal(generate_synthetic("jittered", f0=120.0, duration=1.0, seed=1))
     pitch = track_pitch(frames)
     fs = CANONICAL_RATE
-    acf = frame_autocorrelation(frames.raw_frames, int(fs / F0_MIN) + 2)
+    acf = frame_autocorrelation(frames.raw_frames[:], int(fs / F0_MIN) + 2)
     expected = np.zeros(len(pitch))
     for i in np.nonzero(pitch.voiced)[0]:
         lag = int(np.rint(fs / pitch.f0_hz[i]))
