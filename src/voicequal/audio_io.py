@@ -2,8 +2,8 @@
 
 All downstream analysis runs at a single canonical sample rate; multichannel
 input is averaged to mono and out-of-range samples trigger peak normalization.
-A WAV already at that rate is never decoded whole: its samples are decoded
-from the mapped file, DECODE_BLOCK sample frames at a time, as they are read.
+A WAV already at that rate is never decoded whole: the stages read its
+samples by range, and each range is decoded from the mapped file.
 """
 
 from __future__ import annotations
@@ -58,8 +58,8 @@ _SCALES = {
     np.dtype(np.float32): (0.0, 1.0),
     np.dtype(np.float64): (0.0, 1.0),
 }
-# Sample frames per decoded chunk: the WAV data is only ever converted to
-# float64 this many frames at a time, so no float64 copy of the file, or of
+# Sample frames per chunk when a WAV is checked at open or resampled, and
+# samples per read in the period search: no float64 copy of the file, or of
 # every channel, is made.
 DECODE_BLOCK = 8192
 
@@ -88,19 +88,17 @@ def _decode(data: np.ndarray, offset: float, scale: float) -> np.ndarray:
 class WavSamples:
     """The float64 samples of a CANONICAL_RATE WAV, read from the mapped file.
 
-    ``len(x)`` is the sample count; ``x[a:b]`` and ``x[idx]``, for an integer
-    index array, return float64 arrays with the same values a whole-file
-    decode would give, peak normalization included; ``np.asarray(x)`` reads
-    every sample. Slices are served from DECODE_BLOCK-frame chunks, of which
-    the last two decoded are kept, so a read across a chunk edge decodes
-    neither chunk again. The file must not change while the samples are read.
+    ``len(x)`` is the sample count; a slice ``x[a:b]`` and an integer index
+    array ``x[idx]`` decode just the samples they name and return float64 arrays
+    with the values a whole-file decode would give, peak normalization
+    included (decoding is elementwise); ``np.asarray(x)`` reads every
+    sample. The file must not change while the samples are read.
     """
 
     def __init__(self, data: np.ndarray, peak: float):
         self._data = data
         self._scales = _SCALES[data.dtype]
         self._peak = peak
-        self._chunks: dict[int, np.ndarray] = {}
 
     def __len__(self) -> int:
         return len(self._data)
@@ -111,32 +109,11 @@ class WavSamples:
             x /= self._peak
         return x
 
-    def _chunk(self, k: int) -> np.ndarray:
-        chunk = self._chunks.get(k)
-        if chunk is None:
-            if len(self._chunks) == 2:
-                del self._chunks[next(iter(self._chunks))]  # the older one
-            chunk = self._decoded(self._data[k * DECODE_BLOCK:(k + 1) * DECODE_BLOCK])
-            chunk.setflags(write=False)
-            self._chunks[k] = chunk
-        return chunk
-
     def __getitem__(self, key) -> np.ndarray:
-        if not isinstance(key, slice):
-            idx = np.asarray(key)
-            return self._decoded(self._data[idx.reshape(-1)]).reshape(idx.shape)
-        start, stop, step = key.indices(len(self._data))
-        if step != 1:
-            raise IndexError("WavSamples slices take no step")
-        if stop <= start:
-            return np.empty(0)
-        first, last = start // DECODE_BLOCK, (stop - 1) // DECODE_BLOCK
-        if first == last:
-            return self._chunk(first)[start - first * DECODE_BLOCK:stop - first * DECODE_BLOCK]
-        x = np.concatenate([self._chunk(k)[max(start - k * DECODE_BLOCK, 0):stop - k * DECODE_BLOCK]
-                            for k in range(first, last + 1)])
-        x.setflags(write=False)
-        return x
+        if isinstance(key, slice):
+            return self._decoded(self._data[key])
+        idx = np.asarray(key)
+        return self._decoded(self._data[idx.reshape(-1)]).reshape(idx.shape)
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         return np.array(self[:], dtype=dtype)
@@ -200,7 +177,9 @@ def _resample(data: np.ndarray, rate: int, path) -> np.ndarray:
         m_hi = n_in - 1 if o1 == n_out else (o1 + pre - 1) * down // up
         spans.append((max(0, m_lo // down * down), m_hi + 1))
     x = np.empty(n_out)
-    for o0, (m0, _), chunk in zip(starts, spans, _checked_chunks(data, spans, path)):
+    # the chunks come first: after the last, zip asks them for one more,
+    # which runs their silence check
+    for chunk, o0, (m0, _) in zip(_checked_chunks(data, spans, path), starts, spans):
         o1, skip = min(o0 + DECODE_BLOCK, n_out), o0 + pre - m0 * up // down
         x[o0:o1] = upfirdn(h, chunk, up, down)[skip:skip + o1 - o0]
     return x

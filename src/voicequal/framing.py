@@ -47,8 +47,10 @@ class RawFrames:
                 return np.empty((0, FRAME_LENGTH))
             span = self._samples[start * HOP:(stop - 1) * HOP + FRAME_LENGTH]
             # frame i starts HOP samples after frame i - 1, in the same memory
-            return np.ndarray((stop - start, FRAME_LENGTH), np.float64, span,
-                              strides=(HOP * span.itemsize, span.itemsize))
+            frames = np.ndarray((stop - start, FRAME_LENGTH), np.float64, span,
+                                strides=(HOP * span.itemsize, span.itemsize))
+            frames.setflags(write=False)
+            return frames
         if np.ndim(key) == 0:
             i = range(self._n_frames)[key]
             return self[i:i + 1][0]

@@ -52,6 +52,12 @@ def test_silent_input_rejected(tmp_path):
     _write_int16(path, 16000, np.zeros(4000))
     with pytest.raises(SilentInputError, match="silent input"):
         load_audio(path)
+    # read as one chunk and as several, at 16 kHz and resampled
+    for rate in (16000, 22050, 44100):
+        for n in (4000, 3 * rate):
+            _write_int16(path, rate, np.zeros((n, 2)))
+            with pytest.raises(SilentInputError, match=f"^{path}: silent input$"):
+                load_audio(path)
 
 
 def test_zero_length_rejected(tmp_path):
@@ -231,19 +237,22 @@ def test_loaded_signal_extracts_as_its_samples_held_in_one_array(tmp_path, dtype
 def test_load_peak_memory_below_twice_the_signal(tmp_path):
     import tracemalloc
 
+    # a rate other than 16 kHz, which load_audio resamples into one array
+    rate = 44100
     path = tmp_path / "long.wav"
-    t = np.arange(40 * CANONICAL_RATE) / CANONICAL_RATE
-    wavfile.write(path, CANONICAL_RATE, (0.5 * np.sin(2 * np.pi * 150 * t)).astype(np.float32))
-    del t
+    t = np.arange(40 * rate) / rate
+    x = 0.5 * np.sin(2 * np.pi * 150 * t)
+    _write_int16(path, rate, np.stack([x, 0.8 * x], axis=1))
+    del t, x
     tracemalloc.start()
     try:
         sig = load_audio(path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the float32 WAV data (half the signal) and the signal itself
-    assert peak < 2 * np.asarray(sig.samples).nbytes
-
+    # the signal and one chunk's temporaries: neither the whole file nor a
+    # float64 copy of it at 44.1 kHz (4.2 times the signal if decoded whole)
+    assert peak < 2 * sig.samples.nbytes
 
 
 def test_unsupported_sample_type_rejected(tmp_path):

@@ -191,6 +191,10 @@ def test_audio_error_exit_code(tmp_path, capsys):
     assert main(["extract", str(bad)]) == 3
     wavfile.write(bad, 0, np.ones(32, dtype=np.int16))
     assert main(["extract", str(bad)]) == 3
+    for rate in (16000, 44100):  # read from the file, and resampled
+        wavfile.write(bad, rate, np.zeros((3 * rate, 2), dtype=np.int16))
+        assert main(["extract", str(bad)]) == 3
+        assert capsys.readouterr().err.endswith(f"error: {bad}: silent input\n")
 
 
 @pytest.mark.parametrize("argv, exit_code", [

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 import voicequal.audio_io as audio_io
-from voicequal.audio_io import DECODE_BLOCK, AudioSignal, load_audio, save_wav
+from voicequal.audio_io import AudioSignal, load_audio, save_wav
 from voicequal.errors import AudioIOError
-from voicequal.framing import FRAME_LENGTH, HOP, WINDOW, frame_signal
+from voicequal.framing import FRAME_BLOCK, FRAME_LENGTH, HOP, WINDOW, frame_signal
 from voicequal.synth import generate_synthetic
 
 from conftest import sine_signal
@@ -53,7 +53,7 @@ def test_rms_is_the_per_frame_formula():
     assert frames.rms.tolist() == expected
 
 
-def test_frames_of_a_16k_wav_are_read_by_range_decoding_each_chunk_once(tmp_path, monkeypatch):
+def test_frames_of_a_16k_wav_are_read_by_range(tmp_path, monkeypatch):
     path = tmp_path / "v.wav"
     save_wav(generate_synthetic("jittered", f0=130.0, duration=3.0, seed=1), path)
     sig = load_audio(path)
@@ -62,9 +62,11 @@ def test_frames_of_a_16k_wav_are_read_by_range_decoding_each_chunk_once(tmp_path
     monkeypatch.setattr(audio_io, "_decode", lambda data, *a: decoded.append(len(data))
                         or decode(data, *a))
     frames = frame_signal(sig)
-    # the RMS pass reads 64-frame blocks that cross chunk edges; the last
-    # two chunks are kept, so none is decoded twice
-    assert len(decoded) == -(-len(sig.samples) // DECODE_BLOCK) > 4
+    # the RMS pass decodes one range per 64-frame block: its frames' samples,
+    # the last FRAME_LENGTH - HOP of them shared with the next block
+    n_blocks = -(-frames.n_frames // FRAME_BLOCK)
+    assert len(decoded) == n_blocks > 4
+    assert sum(decoded) == frames.n_frames * HOP + n_blocks * (FRAME_LENGTH - HOP)
     whole = np.lib.stride_tricks.sliding_window_view(np.asarray(sig.samples), FRAME_LENGTH)[::HOP]
     assert np.array_equal(frames.raw_frames[:], whole)
     assert np.array_equal(frames.raw_frames[50:120], whole[50:120])

@@ -3,7 +3,8 @@ import warnings
 import numpy as np
 import pytest
 
-from voicequal.audio_io import DECODE_BLOCK, AudioSignal
+import voicequal.audio_io as audio_io
+from voicequal.audio_io import DECODE_BLOCK, AudioSignal, load_audio, save_wav
 from voicequal.errors import InsufficientVoicingError
 from voicequal.framing import FRAME_LENGTH, HOP, frame_signal
 from voicequal.periods import (MARK_BLOCK, PERIOD_KEYS, SEARCH_FRACTION,
@@ -212,6 +213,28 @@ def test_period_marks_match_two_loop_reference():
         for marks, (positions, amplitudes) in zip(got, want):
             assert np.array_equal(marks.positions, positions)
             assert np.array_equal(marks.amplitudes, amplitudes)
+
+
+def test_period_marks_of_a_16k_wav_are_found_through_coarse_reads(tmp_path, monkeypatch):
+    path = tmp_path / "v.wav"
+    save_wav(generate_synthetic("jittered", f0=130.0, duration=6.0, seed=1), path)
+    sig = load_audio(path)
+    pitch = track_pitch(frame_signal(sig))
+    decoded = []
+    decode = audio_io._decode
+    monkeypatch.setattr(audio_io, "_decode", lambda data, *a: decoded.append(len(data))
+                        or decode(data, *a))
+    got = find_period_marks(sig, pitch)
+    n_marks = sum(len(marks.positions) for marks in got)
+    # DECODE_BLOCK-sample reads for the anchor search and each march, and
+    # index reads per block of marks for the refinement: not a read per mark
+    assert len(decoded) < n_marks / 10
+    assert sum(decoded) < 3 * len(sig.samples)
+    want = find_period_marks(AudioSignal(np.asarray(sig.samples), 16000), pitch)
+    assert len(got) == len(want) > 0
+    for marks, held in zip(got, want):
+        assert np.array_equal(marks.positions, held.positions)
+        assert np.array_equal(marks.amplitudes, held.amplitudes)
 
 
 @pytest.mark.parametrize("runs_of_two", [False, True], ids=["none-voiced", "runs-of-two"])
