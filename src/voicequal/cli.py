@@ -80,9 +80,10 @@ def _writing(path):
 
 
 def _refuse_input(path: str, inputs) -> None:
-    """Raise OutputError if ``path`` is an existing file that is one of ``inputs``."""
-    if os.path.isfile(path) and any(os.path.isfile(p) and os.path.samefile(p, path)
-                                    for p in inputs):
+    """Raise OutputError if ``path`` is an existing file that is one of
+    ``inputs`` (None, for an optional input not given, is skipped)."""
+    if os.path.isfile(path) and any(p is not None and os.path.isfile(p)
+                                    and os.path.samefile(p, path) for p in inputs):
         raise OutputError(f"cannot write {path}: it is one of the inputs")
 
 
@@ -124,7 +125,7 @@ def cmd_score(args) -> int:
     stats = load_stats(stats_path)
     table = load_table(args.table)
     paths = _collect_audio_paths(args.inputs)
-    with _open_output(args.output, paths) as out:
+    with _open_output(args.output, [*paths, stats_path, args.table]) as out:
         for path, vector in _extract_each(paths):
             result = score_all(vector, stats, table)
             record = {"source": path, "scores": result.scores}
@@ -141,7 +142,9 @@ def cmd_evaluate(args) -> int:
     if not (args.suite or args.manifest):
         raise ManifestError("evaluate needs --manifest or --suite")
     rows = None if args.suite else read_manifest(args.manifest)
-    inputs = [] if args.suite else [args.manifest, *(path for path, _ in rows)]
+    inputs = [stats_path, args.table]
+    if rows is not None:
+        inputs += [args.manifest, *(path for path, _ in rows)]
 
     with (_open_output(args.output, inputs) if args.output else contextlib.nullcontext()) as out:
         samples = (build_synthetic_suite(args.suite, seed=args.seed) if args.suite

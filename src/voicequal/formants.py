@@ -5,7 +5,11 @@ formant re the f0 level."""
 
 from __future__ import annotations
 
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -28,11 +32,40 @@ SPECTRUM_NFFT = 4096
 BIN_HZ = CANONICAL_RATE / SPECTRUM_NFFT
 N_BINS = SPECTRUM_NFFT // 2 + 1
 # Voiced frames per spectrum sub-block of an LPC block: one sub-block's
-# complex spectrum and magnitudes stay under 0.6 MB, below the all-frame
-# spectral stage's peak.
+# complex spectrum and magnitudes stay near 0.4 MB, below the all-frame
+# spectral stage's peak. With two LPC blocks in flight, each takes half as
+# many, so both blocks together stay below that peak too.
 SPECTRUM_BLOCK = 8
 # F3 search region used for a frame without three formants
 DEFAULT_F3_REGION = (2000.0, 4000.0)
+
+# LPC blocks in flight at once. Batched eigvals and rfft release the GIL, so
+# two blocks run on two CPUs; two blocks' working sets fit where the spectral
+# stage peaks, more would not.
+MAX_WORKERS = 2
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
+WORKERS = min(MAX_WORKERS, _usable_cpus())
+
+
+def _new_pool() -> None:
+    """Replace _POOL. Its threads start at the first block submitted, so one
+    CPU starts none; a child process after fork() gets a new pool, since its
+    parent's threads do not exist in it."""
+    global _POOL
+    _POOL = ThreadPoolExecutor(MAX_WORKERS, thread_name_prefix="voicequal-voiced")
+
+
+_new_pool()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_new_pool)
 
 
 @dataclass(frozen=True)
@@ -104,21 +137,34 @@ def _pole_formants(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             np.count_nonzero(valid, axis=1) >= N_FORMANTS)
 
 
+def _preemphasized(raw: np.ndarray) -> np.ndarray:
+    """Rows of raw frames pre-emphasized and Hamming-windowed, built in one
+    array over its flat, contiguous view, so no ufunc buffers a strided
+    operand."""
+    x = np.empty_like(raw)
+    flat_x, flat_raw = x.reshape(-1), raw.reshape(-1)
+    np.multiply(flat_raw[:-1], -PREEMPHASIS, out=flat_x[1:])
+    flat_x[1:] += flat_raw[1:]
+    x[:, 0] = raw[:, 0]  # a row's first sample has no predecessor
+    x *= WINDOW
+    return x
+
+
 def _lpc_formants(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """_pole_formants of each row of raw frames, from a pre-emphasized,
     Hamming-windowed LPC fit of order LPC_ORDER.
 
     A zero-energy frame keeps the polynomial [1, 0, ..., 0], whose roots at
-    0 are no valid poles.
+    0 are no valid poles. The pre-emphasized frames are freed before the
+    pole fit.
     """
-    x = raw.copy()
-    x[:, 1:] -= PREEMPHASIS * raw[:, :-1]
-    x *= WINDOW
-    return _pole_formants(levinson_durbin(_lag_products(x, LPC_ORDER)))
+    r = _lag_products(_preemphasized(raw), LPC_ORDER)
+    return _pole_formants(levinson_durbin(r))
 
 
 def _spectrum_levels(raw: np.ndarray, f0: np.ndarray, freqs: np.ndarray,
-                     f3_lo: np.ndarray, f3_hi: np.ndarray) -> tuple[np.ndarray, ...]:
+                     f3_lo: np.ndarray, f3_hi: np.ndarray,
+                     rows: int = SPECTRUM_BLOCK) -> tuple[np.ndarray, ...]:
     """Per row of raw frames, from its 4096-point spectrum: the level at the
     harmonic nearest each formant in freqs in dB re the level at f0; H1-H2;
     and H1-A3, with A3 the strongest harmonic in f3_lo..f3_hi, or the one
@@ -126,8 +172,9 @@ def _spectrum_levels(raw: np.ndarray, f0: np.ndarray, freqs: np.ndarray,
     f0 <= F0_MAX keeps the second harmonic below Nyquist.
 
     Each level is the peak of a bin window, in dB once picked. All rows have
-    the same windows, so each SPECTRUM_BLOCK of rows picks its peaks from one
-    slice of the bounds with one reduceat; a padding column keeps ends inside.
+    the same windows, so each sub-block of ``rows`` rows picks its peaks from
+    one slice of the bounds with one reduceat; a padding column keeps ends
+    inside.
     """
     f0_col = f0[:, None]
     k_lo = np.maximum(1, np.ceil(f3_lo / f0).astype(int))
@@ -144,11 +191,11 @@ def _spectrum_levels(raw: np.ndarray, f0: np.ndarray, freqs: np.ndarray,
     lo = np.maximum(0, np.floor((mid - f0_col / 4.0) / BIN_HZ).astype(int))
     hi = np.minimum(N_BINS - 1, np.ceil((mid + f0_col / 4.0) / BIN_HZ).astype(int))
     width = N_BINS + 1
-    offset = np.arange(len(f0))[:, None] % SPECTRUM_BLOCK * width
+    offset = np.arange(len(f0))[:, None] % rows * width
     bounds = np.stack((offset + np.hstack((at, lo)), offset + np.hstack((at, hi)) + 1), axis=2)
-    peaks, padded = np.empty(bounds.shape[:2]), np.zeros((SPECTRUM_BLOCK, width))
-    for start in range(0, len(f0), SPECTRUM_BLOCK):
-        x = raw[start:start + SPECTRUM_BLOCK]
+    peaks, padded = np.empty(bounds.shape[:2]), np.zeros((rows, width))
+    for start in range(0, len(f0), rows):
+        x = raw[start:start + rows]
         block = padded[:len(x)]
         np.abs(np.fft.rfft(x * WINDOW, SPECTRUM_NFFT, axis=1), out=block[:, :N_BINS])
         picked = np.maximum.reduceat(block.ravel(), bounds[start:start + len(x)].ravel())
@@ -159,6 +206,40 @@ def _spectrum_levels(raw: np.ndarray, f0: np.ndarray, freqs: np.ndarray,
             h1 - levels[:, N_FORMANTS + 3:].max(axis=1))
 
 
+def _block_sums(raw_frames, f0_hz: np.ndarray, rows: int, idx: np.ndarray):
+    """One block's terms of the pass's running sums: F1-F3 frequency,
+    bandwidth and amplitude summed over the frames with formants (3 x 3), the
+    number of those frames, and H1-H2 and H1-A3 summed over every frame.
+    The spectra are taken ``rows`` frames at a time."""
+    raw = raw_frames[idx]  # fancy indexing copies
+    freqs, bws, kept = _lpc_formants(raw)
+    f3_lo = np.where(kept, freqs[:, 2] - bws[:, 2], DEFAULT_F3_REGION[0])
+    f3_hi = np.where(kept, freqs[:, 2] + bws[:, 2], DEFAULT_F3_REGION[1])
+    amplitudes, h1_h2, h1_a3 = _spectrum_levels(raw, f0_hz[idx], freqs, f3_lo, f3_hi, rows)
+    return (np.stack((freqs, bws, amplitudes))[:, kept].sum(axis=1),
+            np.count_nonzero(kept), np.array([h1_h2.sum(), h1_a3.sum()]))
+
+
+def _pooled(fn, items, width: int):
+    """fn of each item, in order, with at most ``width`` calls on _POOL at once.
+
+    A call's error is raised here; calls not yet started are cancelled and
+    running ones are waited for, so none outlives the caller's pass.
+    """
+    pending = deque()
+    try:
+        for item in items:
+            if len(pending) == width:
+                yield pending.popleft().result()
+            pending.append(_POOL.submit(fn, item))
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        for future in pending:
+            future.cancel()
+        wait(pending)
+
+
 def estimate_formants(frames: FrameSequence, pitch: PitchTrack) -> FormantTrack:
     """The 11 voiced-frame LLFs from one pass over blocks of voiced frames.
 
@@ -167,23 +248,27 @@ def estimate_formants(frames: FrameSequence, pitch: PitchTrack) -> FormantTrack:
     poles have no formants. Their spectra (_spectrum_levels) give H1-H2;
     H1-A3 over F3 +/- its bandwidth, or 2-4 kHz for a frame without
     formants; and FnamplitudeLogRelF0. Only running sums outlive a block.
+
+    With WORKERS > 1 and at least one full block per worker, WORKERS blocks
+    run at once on the pool, each taking its spectra SPECTRUM_BLOCK / WORKERS
+    frames at a time; their sums are added in block order, as inline, so the
+    values do not depend on the worker count.
     """
     voiced = np.nonzero(pitch.voiced)[0]
+    blocks = (voiced[start:start + LPC_BLOCK] for start in range(0, len(voiced), LPC_BLOCK))
+    pooled = WORKERS > 1 and len(voiced) >= WORKERS * LPC_BLOCK
+    block_sums = partial(_block_sums, frames.raw_frames, pitch.f0_hz,
+                         SPECTRUM_BLOCK // WORKERS if pooled else SPECTRUM_BLOCK)
+    parts = _pooled(block_sums, blocks, WORKERS) if pooled else map(block_sums, blocks)
 
     # rows: frequency, bandwidth and amplitude of F1-F3, summed over the
     # frames with formants; and H1-H2, H1-A3 summed over every voiced frame
     formant_sums, n_formant = np.zeros((3, N_FORMANTS)), 0
     harmonic_sums = np.zeros(2)
-    for start in range(0, len(voiced), LPC_BLOCK):
-        idx = voiced[start:start + LPC_BLOCK]
-        raw = frames.raw_frames[idx]  # fancy indexing copies
-        freqs, bws, kept = _lpc_formants(raw)
-        f3_lo = np.where(kept, freqs[:, 2] - bws[:, 2], DEFAULT_F3_REGION[0])
-        f3_hi = np.where(kept, freqs[:, 2] + bws[:, 2], DEFAULT_F3_REGION[1])
-        amplitudes, h1_h2, h1_a3 = _spectrum_levels(raw, pitch.f0_hz[idx], freqs, f3_lo, f3_hi)
-        formant_sums += np.stack((freqs, bws, amplitudes))[:, kept].sum(axis=1)
-        n_formant += np.count_nonzero(kept)
-        harmonic_sums += h1_h2.sum(), h1_a3.sum()
+    for block_formants, block_kept, block_harmonics in parts:
+        formant_sums += block_formants
+        n_formant += block_kept
+        harmonic_sums += block_harmonics
 
     if n_formant == 0:
         raise InsufficientVoicingError("no frames yielded three valid formants")

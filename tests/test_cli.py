@@ -1,6 +1,7 @@
 import gc
 import json
 import warnings
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ from scipy.io import wavfile
 from voicequal.audio_io import AudioSignal, load_audio, save_wav
 from voicequal.cli import main
 from voicequal.llf import LLF_KEYS, extract_llf_vector
-from voicequal.quality import QUALITY_IDS
+from voicequal.quality import DEFAULT_TABLE_RESOURCE, QUALITY_IDS
 from voicequal.stats import SCHEMA_VERSION, load_stats
 from voicequal.synth import generate_synthetic
 
@@ -376,15 +377,22 @@ def test_each_skipped_manifest_row_prints_one_line(corpus, tmp_path, capsys, cap
     (["fit-stats", "--manifest", "{manifest}"], "{manifest}"),
     (["evaluate", "--manifest", "{manifest}"], "{manifest}"),
     (["evaluate", "--manifest", "{manifest}"], "{wav}"),
+    (["score", "{wav}", "--stats", "{stats}"], "{stats}"),
+    (["score", "{wav}", "--stats", "{stats}", "--table", "{table}"], "{table}"),
+    (["evaluate", "--manifest", "{manifest}", "--stats", "{stats}"], "{stats}"),
+    (["evaluate", "--manifest", "{manifest}", "--table", "{table}"], "{table}"),
+    (["evaluate", "--suite", "jittered", "--stats", "{stats}"], "{stats}"),
 ], ids=["extract", "extract-dir", "score", "fit-stats", "fit-stats-manifest",
-        "evaluate-manifest", "evaluate-manifest-row"])
+        "evaluate-manifest", "evaluate-manifest-row", "score-stats", "score-table",
+        "evaluate-stats", "evaluate-table", "evaluate-suite-stats"])
 def test_output_that_is_an_input_exits_8_and_leaves_it_intact(corpus, tmp_path, capsys,
                                                               monkeypatch, argv, target):
-    stats, manifest = tmp_path / "stats.txt", tmp_path / "m.csv"
+    stats, manifest, table = tmp_path / "stats.txt", tmp_path / "m.csv", tmp_path / "table.txt"
     assert main(["fit-stats", *corpus, "--output", str(stats)]) == 0
     manifest.write_text("v0.wav,Jit\nv1.wav,NEUTRAL-VOICE\n")
+    table.write_bytes((resources.files("voicequal.data") / DEFAULT_TABLE_RESOURCE).read_bytes())
     fields = {"wav": corpus[0], "wav1": corpus[1], "dir": tmp_path, "stats": stats,
-              "manifest": manifest}
+              "manifest": manifest, "table": table}
     target = target.format(**fields)
     before = Path(target).read_bytes()
     calls = _count_extractions(monkeypatch)

@@ -1,9 +1,13 @@
+import threading
+
 import numpy as np
 import pytest
 
+from voicequal import formants
 from voicequal.audio_io import AudioSignal
 from voicequal.formants import (
     DEFAULT_F3_REGION,
+    LPC_BLOCK,
     PREEMPHASIS,
     _pole_formants,
     _spectrum_levels,
@@ -150,12 +154,11 @@ def test_block_levels_match_per_frame_reference():
             assert values[key] == pytest.approx(want, rel=1e-12, abs=1e-12), key
 
 
-@pytest.mark.parametrize("n_voiced", [1, 7, 8, 9, 63, 64, 65])
-def test_stage_matches_per_frame_reference_at_block_edges(n_voiced):
-    # n_voiced frames across the edges of the 8-frame spectrum sub-blocks
-    # and the 64-frame LPC blocks; past the first, the last frame is one of
-    # three bare harmonics, which has no three formants
-    vowel = generate_synthetic("clean", f0=200.0, duration=1.0, seed=2)
+def _partly_voiced(n_voiced):
+    """Frames of a vowel followed by three bare harmonics, and a pitch track
+    voicing the first n_voiced - 1 voiced frames of the vowel and, past the
+    first, one bare-harmonic frame, which has no three formants."""
+    vowel = generate_synthetic("clean", f0=200.0, duration=2.0, seed=2)
     sig = AudioSignal(np.concatenate(
         [vowel.samples, _harmonic_series(200, [1.0, 0.5, 0.1]).samples]), 16000)
     frames = frame_signal(sig)
@@ -166,10 +169,42 @@ def test_stage_matches_per_frame_reference_at_block_edges(n_voiced):
         chosen[-1] = voiced[-10]
     mask = np.zeros(len(pitch), dtype=bool)
     mask[chosen] = True
-    part = PitchTrack(np.where(mask, pitch.f0_hz, 0.0), pitch.harmonicity.copy())
-    track = estimate_formants(frames, part)
-    assert track.n_frames == max(1, n_voiced - 1)
+    return frames, PitchTrack(np.where(mask, pitch.f0_hz, 0.0), pitch.harmonicity.copy())
+
+
+@pytest.mark.parametrize("n_voiced", [1, 7, 8, 9, 63, 64, 65, 127, 128, 129])
+def test_stage_matches_per_frame_reference_at_block_edges(n_voiced, monkeypatch):
+    # n_voiced frames across the edges of the spectrum sub-blocks and the
+    # 64-frame LPC blocks, inline and, from two full blocks on, two blocks
+    # at a time on the pool
+    frames, part = _partly_voiced(n_voiced)
     reference = _reference_stage(frames, part)
-    assert set(track.values) == set(reference)
-    for key, want in reference.items():
-        assert track.values[key] == pytest.approx(want, rel=1e-12, abs=1e-12), key
+    for workers in (1, 2):
+        monkeypatch.setattr(formants, "WORKERS", workers)
+        track = estimate_formants(frames, part)
+        assert track.n_frames == max(1, n_voiced - 1)
+        assert set(track.values) == set(reference)
+        for key, want in reference.items():
+            assert track.values[key] == pytest.approx(want, rel=1e-12, abs=1e-12), key
+
+
+@pytest.mark.parametrize("n_voiced", [1, 63, 64, 65, 127, 128, 129, 193])
+def test_same_values_on_one_worker_and_two(n_voiced, monkeypatch):
+    # every block's sums are added in block order on the caller's thread, so
+    # the pool changes no bit; fewer voiced frames than one full block per
+    # worker run inline
+    frames, part = _partly_voiced(n_voiced)
+    threads = []
+    block_sums = formants._block_sums
+    monkeypatch.setattr(formants, "_block_sums", lambda *args: threads.append(
+        threading.current_thread().name) or block_sums(*args))
+    results = []
+    for workers in (1, 2):
+        monkeypatch.setattr(formants, "WORKERS", workers)
+        threads.clear()
+        track = estimate_formants(frames, part)
+        results.append((len(track), track.values))
+        pooled = workers > 1 and n_voiced >= workers * LPC_BLOCK
+        assert len(threads) == -(-n_voiced // LPC_BLOCK)
+        assert all(name.startswith("voicequal-voiced") == pooled for name in threads)
+    assert results[0] == results[1]

@@ -1,11 +1,17 @@
+import multiprocessing
+import sys
+import threading
 import tracemalloc
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from voicequal import formants
 from voicequal.audio_io import AudioSignal
 from voicequal.errors import AudioIOError, InsufficientVoicingError
-from voicequal.formants import estimate_formants
+from voicequal.formants import LPC_BLOCK, MAX_WORKERS, estimate_formants
 from voicequal.framing import frame_signal
 from voicequal.llf import LLF_KEYS, extract_llf_vector, validate_llf
 from voicequal.periods import compute_period_llfs
@@ -14,6 +20,16 @@ from voicequal.spectral import compute_spectral_llfs
 from voicequal.synth import generate_synthetic
 
 from conftest import sine_signal
+
+
+@pytest.fixture(scope="module", autouse=True)
+def most_blocks_in_flight():
+    """The voiced-frame pass runs with as many blocks at once as it ever
+    does, whatever the number of CPUs here, so the memory bars below hold
+    for the pooled pass and the results for both paths."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(formants, "WORKERS", MAX_WORKERS)
+        yield
 
 
 @pytest.fixture(scope="module")
@@ -137,19 +153,26 @@ def _stage_peaks(sig):
     return peaks
 
 
+# the shortest clean vowel below with one full block of voiced frames per
+# worker: the shortest whose voiced-frame pass uses the pool
+POOLED_S = 1.3
+
+
 @pytest.fixture(scope="module")
 def stage_peaks():
     """(signal, stage peaks) of a clean vowel, by duration in seconds."""
     signals = {d: generate_synthetic("clean", f0=130.0, duration=d, seed=4)
-               for d in (1.0, 10.0, 40.0)}
+               for d in (1.0, POOLED_S, 10.0, 40.0)}
     return {d: (sig, _stage_peaks(sig)) for d, sig in signals.items()}
 
 
 def test_block_stages_stay_below_spectral_peak_memory(stage_peaks):
     # the per-frame stages work in fixed frame blocks, so none of them may
     # allocate more at its peak than the spectral stage, whose blocks hold
-    # the most per frame
-    for duration in (1.0, 10.0):
+    # the most per frame; from POOLED_S on, two voiced-frame blocks at once
+    sig = stage_peaks[POOLED_S][0]
+    assert track_pitch(frame_signal(sig)).voiced.sum() == MAX_WORKERS * LPC_BLOCK
+    for duration in (1.0, POOLED_S, 10.0):
         peaks = stage_peaks[duration][1]
         for stage in ("pitch", "voiced frames"):
             assert peaks[stage] < peaks["spectral"], (duration, stage)
@@ -186,3 +209,58 @@ def test_stage_memory_does_not_grow_with_the_signal(stage_peaks):
         # by its block working set
         if stage != "periods":
             assert peak < 1.5 * at_10s[stage], stage
+
+
+class WorkerError(Exception):
+    pass
+
+
+def test_an_error_in_a_pool_worker_reaches_the_caller(monkeypatch):
+    sig = generate_synthetic("clean", f0=130.0, duration=2.0, seed=4)
+    want = extract_llf_vector(sig)
+    threads = []
+
+    def failing(raw):
+        threads.append(threading.current_thread().name)
+        raise WorkerError("failed in a worker")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(formants, "_lpc_formants", failing)
+        with pytest.raises(WorkerError, match="failed in a worker"):
+            extract_llf_vector(sig)
+    # the first failing block stops the pass: no block starts after it
+    called = len(threads)
+    assert 1 <= called <= MAX_WORKERS
+    assert all(name.startswith("voicequal-voiced") for name in threads)
+    assert extract_llf_vector(sig) == want
+    assert len(threads) == called
+
+
+def test_threads_extracting_at_once_get_the_serial_vectors():
+    # more caller threads than CPUs share the pool, switching often; each
+    # must get its own vectors, the same as one call at a time
+    signals = [generate_synthetic(kind, f0=f0, duration=2.0, seed=5)
+               for kind, f0 in (("clean", 120.0), ("breathy", 190.0),
+                                ("jittered", 150.0), ("shimmered", 230.0))]
+    serial = [extract_llf_vector(sig) for sig in signals]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(len(signals)) as callers:
+            for _ in range(3):
+                futures = [callers.submit(extract_llf_vector, sig) for sig in signals]
+                assert [future.result(timeout=60) for future in futures] == serial
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="no fork() on this platform")
+def test_a_forked_child_extracts_after_its_parent_used_the_pool():
+    sig = generate_synthetic("clean", f0=130.0, duration=2.0, seed=4)
+    want = extract_llf_vector(sig)  # the parent's pool threads are running now
+    with warnings.catch_warnings():
+        # newer Pythons warn on fork() in a process with threads
+        warnings.filterwarnings("ignore", ".*multi-threaded.*", DeprecationWarning)
+        with multiprocessing.get_context("fork").Pool(1) as child:
+            assert child.apply_async(extract_llf_vector, (sig,)).get(timeout=60) == want
