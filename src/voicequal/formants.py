@@ -224,7 +224,10 @@ def _pooled(fn, items, width: int):
     """fn of each item, in order, with at most ``width`` calls on _POOL at once.
 
     A call's error is raised here; calls not yet started are cancelled and
-    running ones are waited for, so none outlives the caller's pass.
+    running ones are waited for, so none outlives the caller's pass. Never
+    call it from a _POOL thread (fn included): that thread would wait on
+    calls that need a free pool thread to start, and with every thread
+    waiting so, none of them starts.
     """
     pending = deque()
     try:
@@ -249,14 +252,15 @@ def estimate_formants(frames: FrameSequence, pitch: PitchTrack) -> FormantTrack:
     H1-A3 over F3 +/- its bandwidth, or 2-4 kHz for a frame without
     formants; and FnamplitudeLogRelF0. Only running sums outlive a block.
 
-    With WORKERS > 1 and at least one full block per worker, WORKERS blocks
+    With WORKERS > 1 and a second block at least half full, WORKERS blocks
     run at once on the pool, each taking its spectra SPECTRUM_BLOCK / WORKERS
     frames at a time; their sums are added in block order, as inline, so the
-    values do not depend on the worker count.
+    values do not depend on the worker count. A second block under half full
+    does not pay for the handoff to the pool.
     """
     voiced = np.nonzero(pitch.voiced)[0]
     blocks = (voiced[start:start + LPC_BLOCK] for start in range(0, len(voiced), LPC_BLOCK))
-    pooled = WORKERS > 1 and len(voiced) >= WORKERS * LPC_BLOCK
+    pooled = WORKERS > 1 and len(voiced) >= LPC_BLOCK + LPC_BLOCK // 2
     block_sums = partial(_block_sums, frames.raw_frames, pitch.f0_hz,
                          SPECTRUM_BLOCK // WORKERS if pooled else SPECTRUM_BLOCK)
     parts = _pooled(block_sums, blocks, WORKERS) if pooled else map(block_sums, blocks)

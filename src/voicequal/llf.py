@@ -67,8 +67,10 @@ def extract_llf_vector(signal: AudioSignal) -> LlfVector:
     to it) of at least 300 ms with three consecutive voiced frames.
     """
     if signal.duration_s < MIN_DURATION_S:
+        # whole milliseconds rounded down, so a signal short of the limit
+        # never reads as the limit
         raise AudioIOError(
-            f"signal too short: {signal.duration_s * 1000:.0f} ms, "
+            f"signal too short: {len(signal.samples) * 1000 // signal.sample_rate_hz} ms, "
             f"need {MIN_DURATION_S * 1000:.0f} ms")
 
     frames = frame_signal(signal)

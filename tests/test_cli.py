@@ -274,6 +274,18 @@ def test_extraction_errors_name_their_file(tmp_path, capsys, command):
         assert err.count(str(path)) == 1
 
 
+def test_too_short_message_never_reads_the_limit(tmp_path, capsys):
+    # 4,799 samples at 16 kHz are 299.94 ms: shown rounded down, not up to
+    # the 300 ms they fall short of
+    vowel = generate_synthetic("clean", f0=150.0, duration=0.5, seed=0)
+    path = tmp_path / "edge.wav"
+    save_wav(AudioSignal(vowel.samples[:4799], 16000), path)
+    assert main(["extract", str(path)]) == 3
+    assert f"error: {path}: signal too short: 299 ms, need 300 ms" in capsys.readouterr().err
+    save_wav(AudioSignal(vowel.samples[:4800], 16000), path)
+    assert main(["extract", str(path)]) == 0
+
+
 def _noise_wav(path):
     rng = np.random.default_rng(0)
     wavfile.write(path, 16000, (0.5 * rng.standard_normal(16000)).astype(np.float32))

@@ -172,11 +172,11 @@ def _partly_voiced(n_voiced):
     return frames, PitchTrack(np.where(mask, pitch.f0_hz, 0.0), pitch.harmonicity.copy())
 
 
-@pytest.mark.parametrize("n_voiced", [1, 7, 8, 9, 63, 64, 65, 127, 128, 129])
+@pytest.mark.parametrize("n_voiced", [1, 7, 8, 9, 63, 64, 65, 95, 96, 97, 98, 127, 128, 129])
 def test_stage_matches_per_frame_reference_at_block_edges(n_voiced, monkeypatch):
     # n_voiced frames across the edges of the spectrum sub-blocks and the
-    # 64-frame LPC blocks, inline and, from two full blocks on, two blocks
-    # at a time on the pool
+    # 64-frame LPC blocks, inline and, from a half-full second block on, two
+    # blocks at a time on the pool
     frames, part = _partly_voiced(n_voiced)
     reference = _reference_stage(frames, part)
     for workers in (1, 2):
@@ -188,11 +188,11 @@ def test_stage_matches_per_frame_reference_at_block_edges(n_voiced, monkeypatch)
             assert track.values[key] == pytest.approx(want, rel=1e-12, abs=1e-12), key
 
 
-@pytest.mark.parametrize("n_voiced", [1, 63, 64, 65, 127, 128, 129, 193])
+@pytest.mark.parametrize("n_voiced", [1, 63, 64, 65, 95, 96, 97, 98, 127, 128, 129, 193])
 def test_same_values_on_one_worker_and_two(n_voiced, monkeypatch):
     # every block's sums are added in block order on the caller's thread, so
-    # the pool changes no bit; fewer voiced frames than one full block per
-    # worker run inline
+    # the pool changes no bit; voiced frames that leave the second block
+    # under half full run inline
     frames, part = _partly_voiced(n_voiced)
     threads = []
     block_sums = formants._block_sums
@@ -204,7 +204,7 @@ def test_same_values_on_one_worker_and_two(n_voiced, monkeypatch):
         threads.clear()
         track = estimate_formants(frames, part)
         results.append((len(track), track.values))
-        pooled = workers > 1 and n_voiced >= workers * LPC_BLOCK
+        pooled = workers > 1 and n_voiced >= LPC_BLOCK + LPC_BLOCK // 2
         assert len(threads) == -(-n_voiced // LPC_BLOCK)
         assert all(name.startswith("voicequal-voiced") == pooled for name in threads)
     assert results[0] == results[1]

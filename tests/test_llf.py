@@ -153,9 +153,10 @@ def _stage_peaks(sig):
     return peaks
 
 
-# the shortest clean vowel below with one full block of voiced frames per
-# worker: the shortest whose voiced-frame pass uses the pool
-POOLED_S = 1.3
+# the shortest clean vowel below, in 10 ms steps, whose second block of
+# voiced frames is half full: the shortest whose voiced-frame pass uses the
+# pool
+POOLED_S = 0.98
 
 
 @pytest.fixture(scope="module")
@@ -171,7 +172,7 @@ def test_block_stages_stay_below_spectral_peak_memory(stage_peaks):
     # allocate more at its peak than the spectral stage, whose blocks hold
     # the most per frame; from POOLED_S on, two voiced-frame blocks at once
     sig = stage_peaks[POOLED_S][0]
-    assert track_pitch(frame_signal(sig)).voiced.sum() == MAX_WORKERS * LPC_BLOCK
+    assert track_pitch(frame_signal(sig)).voiced.sum() == LPC_BLOCK + LPC_BLOCK // 2
     for duration in (1.0, POOLED_S, 10.0):
         peaks = stage_peaks[duration][1]
         for stage in ("pitch", "voiced frames"):
