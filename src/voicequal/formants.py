@@ -6,7 +6,7 @@ formant re the f0 level."""
 from __future__ import annotations
 
 import os
-from collections import deque
+import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import partial
@@ -24,8 +24,8 @@ FORMANT_FMAX = 5500.0
 MAX_BANDWIDTH = 700.0
 N_FORMANTS = 3
 LPC_ORDER = 2 + CANONICAL_RATE // 1000
-# Voiced frames per LPC block: the pre-emphasized frames and the stacked
-# companion matrices of one block stay near 200 kB.
+# At most this many voiced frames per LPC block: the pre-emphasized frames
+# and the stacked companion matrices of one block stay near 200 kB.
 LPC_BLOCK = 64
 
 SPECTRUM_NFFT = 4096
@@ -39,28 +39,23 @@ SPECTRUM_BLOCK = 8
 # F3 search region used for a frame without three formants
 DEFAULT_F3_REGION = (2000.0, 4000.0)
 
-# LPC blocks in flight at once. Batched eigvals and rfft release the GIL, so
-# two blocks run on two CPUs; two blocks' working sets fit where the spectral
-# stage peaks, more would not.
+# LPC blocks in flight at once: the caller's and one on _POOL. Batched
+# eigvals and rfft release the GIL, so two blocks run on two CPUs; two
+# blocks' working sets fit where the spectral stage peaks, more would not.
 MAX_WORKERS = 2
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no CPU affinity on this platform
-        return os.cpu_count() or 1
-
-
-WORKERS = min(MAX_WORKERS, _usable_cpus())
-
-
 def _new_pool() -> None:
-    """Replace _POOL. Its threads start at the first block submitted, so one
-    CPU starts none; a child process after fork() gets a new pool, since its
-    parent's threads do not exist in it."""
-    global _POOL
-    _POOL = ThreadPoolExecutor(MAX_WORKERS, thread_name_prefix="voicequal-voiced")
+    """Set WORKERS from the CPUs this process may run on, and replace _POOL.
+    Its thread starts at the first block submitted, so one CPU starts none.
+    A child process after fork() runs this again: its parent's thread does
+    not exist in it, and it may have been pinned to fewer CPUs."""
+    global WORKERS, _POOL
+    try:
+        WORKERS = min(MAX_WORKERS, len(os.sched_getaffinity(0)))
+    except AttributeError:  # no CPU affinity on this platform
+        WORKERS = min(MAX_WORKERS, os.cpu_count() or 1)
+    _POOL = ThreadPoolExecutor(MAX_WORKERS - 1, thread_name_prefix="voicequal-voiced")
 
 
 _new_pool()
@@ -220,50 +215,64 @@ def _block_sums(raw_frames, f0_hz: np.ndarray, rows: int, idx: np.ndarray):
             np.count_nonzero(kept), np.array([h1_h2.sum(), h1_a3.sum()]))
 
 
-def _pooled(fn, items, width: int):
-    """fn of each item, in order, with at most ``width`` calls on _POOL at once.
+def _even_blocks(voiced: np.ndarray):
+    """voiced cut into the fewest contiguous blocks of at most LPC_BLOCK
+    items, whose sizes differ by at most one."""
+    n, n_blocks = len(voiced), -(-len(voiced) // LPC_BLOCK)
+    return (voiced[i * n // n_blocks:(i + 1) * n // n_blocks] for i in range(n_blocks))
 
-    A call's error is raised here; calls not yet started are cancelled and
-    running ones are waited for, so none outlives the caller's pass. Never
-    call it from a _POOL thread (fn included): that thread would wait on
-    calls that need a free pool thread to start, and with every thread
-    waiting so, none of them starts.
-    """
-    pending = deque()
+
+def _pooled(fn, items) -> list:
+    """fn of each item, in order. The caller and one _POOL thread each take
+    the next item when they finish one, so neither waits for the other
+    before the last. An error stops both from taking more; the other's
+    running call is waited for and the error raised here."""
+    items, lock, stop, results = enumerate(items), threading.Lock(), threading.Event(), {}
+
+    def take_items():
+        while True:
+            with lock:  # one generator, advanced from two threads
+                taken = None if stop.is_set() else next(items, None)
+            if taken is None:
+                return
+            try:
+                results[taken[0]] = fn(taken[1])
+            except BaseException:
+                stop.set()
+                raise
+
+    future = _POOL.submit(take_items)
     try:
-        for item in items:
-            if len(pending) == width:
-                yield pending.popleft().result()
-            pending.append(_POOL.submit(fn, item))
-        while pending:
-            yield pending.popleft().result()
+        take_items()
     finally:
-        for future in pending:
-            future.cancel()
-        wait(pending)
+        stop.set()
+        future.cancel()
+        wait((future,))
+    if not future.cancelled():
+        future.result()
+    return [results[n] for n in range(len(results))]
 
 
 def estimate_formants(frames: FrameSequence, pitch: PitchTrack) -> FormantTrack:
     """The 11 voiced-frame LLFs from one pass over blocks of voiced frames.
 
-    Each LPC_BLOCK of voiced frames is gathered once. F1-F3 come from the
-    roots of an LPC fit (_lpc_formants); frames with fewer than three valid
-    poles have no formants. Their spectra (_spectrum_levels) give H1-H2;
-    H1-A3 over F3 +/- its bandwidth, or 2-4 kHz for a frame without
+    The voiced frames are cut into _even_blocks, each gathered once. F1-F3
+    come from the roots of an LPC fit (_lpc_formants); frames with fewer than
+    three valid poles have no formants. Their spectra (_spectrum_levels) give
+    H1-H2; H1-A3 over F3 +/- its bandwidth, or 2-4 kHz for a frame without
     formants; and FnamplitudeLogRelF0. Only running sums outlive a block.
 
-    With WORKERS > 1 and a second block at least half full, WORKERS blocks
-    run at once on the pool, each taking its spectra SPECTRUM_BLOCK / WORKERS
-    frames at a time; their sums are added in block order, as inline, so the
-    values do not depend on the worker count. A second block under half full
-    does not pay for the handoff to the pool.
+    With WORKERS > 1 and two or more blocks, the caller and the pool share
+    the blocks (_pooled), each taking its spectra SPECTRUM_BLOCK / WORKERS
+    frames at a time. The blocks depend on the voiced frames only and their
+    sums are added in block order, so the values do not depend on WORKERS.
     """
     voiced = np.nonzero(pitch.voiced)[0]
-    blocks = (voiced[start:start + LPC_BLOCK] for start in range(0, len(voiced), LPC_BLOCK))
-    pooled = WORKERS > 1 and len(voiced) >= LPC_BLOCK + LPC_BLOCK // 2
+    blocks = _even_blocks(voiced)
+    pooled = WORKERS > 1 and len(voiced) > LPC_BLOCK
     block_sums = partial(_block_sums, frames.raw_frames, pitch.f0_hz,
                          SPECTRUM_BLOCK // WORKERS if pooled else SPECTRUM_BLOCK)
-    parts = _pooled(block_sums, blocks, WORKERS) if pooled else map(block_sums, blocks)
+    parts = _pooled(block_sums, blocks) if pooled else map(block_sums, blocks)
 
     # rows: frequency, bandwidth and amplitude of F1-F3, summed over the
     # frames with formants; and H1-H2, H1-A3 summed over every voiced frame

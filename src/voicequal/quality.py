@@ -7,6 +7,7 @@ import enum
 from dataclasses import dataclass, field
 from functools import cached_property
 from importlib import resources
+from operator import attrgetter
 
 import numpy as np
 
@@ -37,22 +38,17 @@ class CorrelationCategory(enum.Enum):
 # a dict lookup per table cell, not an enum call
 _CATEGORY_BY_CODE = {c.value: c for c in CorrelationCategory}
 
-# signed coefficient c * w of each category
-_COEFFICIENTS = {
-    CorrelationCategory.SN: -1.0,
-    CorrelationCategory.N: -0.75,
-    CorrelationCategory.WN: -0.25,
-    CorrelationCategory.NEUTRAL: 0.0,
-    CorrelationCategory.WP: 0.25,
-    CorrelationCategory.P: 0.75,
-    CorrelationCategory.SP: 1.0,
-    CorrelationCategory.IC: 0.0,
-}
+# signed coefficient c * w of each category, by its code: looking a member
+# up by itself would call the enum's Python-level __hash__
+_COEFFICIENTS = {"SN": -1.0, "N": -0.75, "WN": -0.25, "-": 0.0,
+                 "WP": 0.25, "P": 0.75, "SP": 1.0, "IC": 0.0}
+# the table's cells in coefficient-matrix order, rows QUALITY_IDS
+_CELLS = [(q, k) for q in QUALITY_IDS for k in LLF_KEYS]
 
 
 def effective_coefficient(category: CorrelationCategory) -> float:
     """Signed coefficient c * w for one table cell."""
-    return _COEFFICIENTS[category]
+    return _COEFFICIENTS[category.value]
 
 
 @dataclass(frozen=True)
@@ -69,8 +65,10 @@ class CorrelationTable:
     active_counts: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        coefficients = np.array([[_COEFFICIENTS[self.entries[(q, k)]] for k in LLF_KEYS]
-                                 for q in QUALITY_IDS])
+        # each cell's code straight to its coefficient, in C-level maps
+        codes = map(attrgetter("_value_"), map(self.entries.__getitem__, _CELLS))
+        coefficients = np.fromiter(map(_COEFFICIENTS.__getitem__, codes), float, len(_CELLS))
+        coefficients = coefficients.reshape(len(QUALITY_IDS), len(LLF_KEYS))
         counts = np.count_nonzero(coefficients, axis=1)
         empty = [q for q, n in zip(QUALITY_IDS, counts) if n == 0]
         if empty:

@@ -7,6 +7,7 @@ from voicequal.audio_io import AudioSignal
 from voicequal.errors import InsufficientVoicingError
 from voicequal.formants import (
     LPC_BLOCK,
+    _even_blocks,
     _lag_products,
     _lpc_formants,
     estimate_formants,
@@ -50,14 +51,30 @@ def test_synthetic_vowel_bandwidths():
         assert abs(values[f"F{n + 1}bandwidth"] - want) < 40
 
 
+def test_even_blocks_partition_the_voiced_frames():
+    # the fewest blocks of at most LPC_BLOCK frames, as even as they can be,
+    # joining back into the voiced indices in order
+    for n in range(1, 401):
+        voiced = 3 * np.arange(n) + 5
+        blocks = list(_even_blocks(voiced))
+        sizes = [len(block) for block in blocks]
+        assert len(blocks) == -(-n // LPC_BLOCK), n
+        assert max(sizes) - min(sizes) <= 1, n
+        assert max(sizes) <= LPC_BLOCK, n
+        assert np.array_equal(np.concatenate(blocks), voiced), n
+    assert [len(block) for block in _even_blocks(np.arange(98))] == [49, 49]
+    assert sorted({len(block) for block in _even_blocks(np.arange(998))}) == [62, 63]
+    assert list(_even_blocks(np.arange(0))) == []
+
+
 def test_frequencies_strictly_ordered_bandwidths_positive():
     sig = _synthetic_vowel(f0=140.0, seed=3)
     frames = frame_signal(sig)
     pitch = track_pitch(frames)
     voiced = np.nonzero(pitch.voiced)[0]
     n_kept = 0
-    for start in range(0, len(voiced), LPC_BLOCK):
-        raw = frames.raw_frames[voiced[start:start + LPC_BLOCK]]
+    for block in _even_blocks(voiced):
+        raw = frames.raw_frames[block]
         freqs, bws, kept = _lpc_formants(raw)
         freqs, bws = freqs[kept], bws[kept]
         assert np.all(freqs[:, 0] < freqs[:, 1])

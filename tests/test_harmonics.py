@@ -9,6 +9,7 @@ from voicequal.formants import (
     DEFAULT_F3_REGION,
     LPC_BLOCK,
     PREEMPHASIS,
+    SPECTRUM_BLOCK,
     _pole_formants,
     _spectrum_levels,
     estimate_formants,
@@ -172,11 +173,12 @@ def _partly_voiced(n_voiced):
     return frames, PitchTrack(np.where(mask, pitch.f0_hz, 0.0), pitch.harmonicity.copy())
 
 
-@pytest.mark.parametrize("n_voiced", [1, 7, 8, 9, 63, 64, 65, 95, 96, 97, 98, 127, 128, 129])
+@pytest.mark.parametrize("n_voiced", [1, 7, 8, 9, 63, 64, 65, 66, 95, 96, 97, 98, 127, 128,
+                                     129, 193])
 def test_stage_matches_per_frame_reference_at_block_edges(n_voiced, monkeypatch):
     # n_voiced frames across the edges of the spectrum sub-blocks and the
-    # 64-frame LPC blocks, inline and, from a half-full second block on, two
-    # blocks at a time on the pool
+    # even LPC blocks (65: 32 + 33; 129: 3 x 43), inline and, from a second
+    # block on, two blocks at a time on the caller and the pool
     frames, part = _partly_voiced(n_voiced)
     reference = _reference_stage(frames, part)
     for workers in (1, 2):
@@ -188,23 +190,34 @@ def test_stage_matches_per_frame_reference_at_block_edges(n_voiced, monkeypatch)
             assert track.values[key] == pytest.approx(want, rel=1e-12, abs=1e-12), key
 
 
-@pytest.mark.parametrize("n_voiced", [1, 63, 64, 65, 95, 96, 97, 98, 127, 128, 129, 193])
+@pytest.mark.parametrize("n_voiced", [1, 63, 64, 65, 66, 95, 96, 97, 98, 127, 128, 129, 193])
 def test_same_values_on_one_worker_and_two(n_voiced, monkeypatch):
-    # every block's sums are added in block order on the caller's thread, so
-    # the pool changes no bit; voiced frames that leave the second block
-    # under half full run inline
+    # the blocks depend on the voiced frames only, and their sums are added
+    # in block order on the caller's thread, so the pool changes no bit; from
+    # a second block on, the caller and the pool share the blocks, each
+    # taking its spectra half as many frames at a time
     frames, part = _partly_voiced(n_voiced)
-    threads = []
+    calls = []
     block_sums = formants._block_sums
-    monkeypatch.setattr(formants, "_block_sums", lambda *args: threads.append(
-        threading.current_thread().name) or block_sums(*args))
+
+    def recorded(raw_frames, f0_hz, rows, idx):
+        calls.append((int(idx[0]), threading.current_thread(), rows))
+        return block_sums(raw_frames, f0_hz, rows, idx)
+
+    monkeypatch.setattr(formants, "_block_sums", recorded)
     results = []
     for workers in (1, 2):
         monkeypatch.setattr(formants, "WORKERS", workers)
-        threads.clear()
+        calls.clear()
         track = estimate_formants(frames, part)
         results.append((len(track), track.values))
-        pooled = workers > 1 and n_voiced >= LPC_BLOCK + LPC_BLOCK // 2
-        assert len(threads) == -(-n_voiced // LPC_BLOCK)
-        assert all(name.startswith("voicequal-voiced") == pooled for name in threads)
+        pooled = workers > 1 and n_voiced > LPC_BLOCK
+        assert len({first for first, _, _ in calls}) == len(calls) == -(-n_voiced // LPC_BLOCK)
+        for _, thread, rows in calls:
+            if pooled:
+                assert thread is threading.current_thread() or thread.name.startswith(
+                    "voicequal-voiced")
+            else:
+                assert thread is threading.current_thread()
+            assert rows == (SPECTRUM_BLOCK // 2 if pooled else SPECTRUM_BLOCK)
     assert results[0] == results[1]

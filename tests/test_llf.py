@@ -1,6 +1,8 @@
 import multiprocessing
+import os
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -153,10 +155,9 @@ def _stage_peaks(sig):
     return peaks
 
 
-# the shortest clean vowel below, in 10 ms steps, whose second block of
-# voiced frames is half full: the shortest whose voiced-frame pass uses the
-# pool
-POOLED_S = 0.98
+# the shortest clean vowel below, in 10 ms steps, with a second block of
+# voiced frames: the shortest whose voiced-frame pass runs two blocks at once
+POOLED_S = 0.67
 
 
 @pytest.fixture(scope="module")
@@ -170,13 +171,15 @@ def stage_peaks():
 def test_block_stages_stay_below_spectral_peak_memory(stage_peaks):
     # the per-frame stages work in fixed frame blocks, so none of them may
     # allocate more at its peak than the spectral stage, whose blocks hold
-    # the most per frame; from POOLED_S on, two voiced-frame blocks at once
-    sig = stage_peaks[POOLED_S][0]
-    assert track_pitch(frame_signal(sig)).voiced.sum() == LPC_BLOCK + LPC_BLOCK // 2
-    for duration in (1.0, POOLED_S, 10.0):
+    # the most per frame
+    for duration in (1.0, 10.0):
         peaks = stage_peaks[duration][1]
         for stage in ("pitch", "voiced frames"):
             assert peaks[stage] < peaks["spectral"], (duration, stage)
+    # from POOLED_S on, two voiced-frame blocks at once
+    sig, peaks = stage_peaks[POOLED_S]
+    assert track_pitch(frame_signal(sig)).voiced.sum() == LPC_BLOCK + 1
+    assert peaks["voiced frames"] < peaks["spectral"]
 
 
 def test_widest_voiced_frame_windows_stay_below_spectral_peak_memory(stage_peaks):
@@ -216,25 +219,63 @@ class WorkerError(Exception):
     pass
 
 
-def test_an_error_in_a_pool_worker_reaches_the_caller(monkeypatch):
+def _fail_a_block(on_pool, monkeypatch):
+    """Extract a 2 s vowel (four voiced-frame blocks) with the first block
+    the pool runs (on_pool) or the first the caller runs failing while the
+    other is still running: the error reaches the caller after the other
+    block finished, no later block starts, and the next extraction gets the
+    serial vector."""
     sig = generate_synthetic("clean", f0=130.0, duration=2.0, seed=4)
-    want = extract_llf_vector(sig)
-    threads = []
+    with monkeypatch.context() as patch:
+        patch.setattr(formants, "WORKERS", 1)
+        serial = extract_llf_vector(sig)
+    voiced = np.nonzero(track_pitch(frame_signal(sig)).voiced)[0]
+    assert len(list(formants._even_blocks(voiced))) == 4
+    started, finished = [], []
+    caller_started, pool_started = threading.Event(), threading.Event()
+    block_sums = formants._block_sums
 
-    def failing(raw):
-        threads.append(threading.current_thread().name)
-        raise WorkerError("failed in a worker")
+    def watched(raw_frames, f0_hz, rows, idx):
+        pool_side = threading.current_thread().name.startswith("voicequal-voiced")
+        started.append(pool_side)
+        # each side's first block waits for the other side's, so both run
+        (pool_started if pool_side else caller_started).set()
+        (caller_started if pool_side else pool_started).wait(timeout=10)
+        if pool_side == on_pool:
+            raise WorkerError("failed in a block")
+        time.sleep(0.05)  # still running when the failure reaches the caller
+        sums = block_sums(raw_frames, f0_hz, rows, idx)
+        finished.append(pool_side)
+        return sums
 
     with monkeypatch.context() as patch:
-        patch.setattr(formants, "_lpc_formants", failing)
-        with pytest.raises(WorkerError, match="failed in a worker"):
+        patch.setattr(formants, "_block_sums", watched)
+        with pytest.raises(WorkerError, match="failed in a block"):
             extract_llf_vector(sig)
-    # the first failing block stops the pass: no block starts after it
-    called = len(threads)
-    assert 1 <= called <= MAX_WORKERS
-    assert all(name.startswith("voicequal-voiced") for name in threads)
-    assert extract_llf_vector(sig) == want
-    assert len(threads) == called
+        awaited = list(finished)
+    assert awaited == [not on_pool]
+    assert sorted(started) == [False, True]
+    assert extract_llf_vector(sig) == serial
+    assert len(started) == 2
+
+
+def test_an_error_in_the_callers_block_reaches_the_caller(monkeypatch):
+    _fail_a_block(False, monkeypatch)
+
+
+def test_an_error_in_a_pool_worker_reaches_the_caller(monkeypatch):
+    _fail_a_block(True, monkeypatch)
+
+
+def test_pooled_results_come_in_item_order():
+    # the slow first item finishes after the other side took the rest, so
+    # results in finishing order would be out of order
+    def slow_first(n):
+        if n == 0:
+            time.sleep(0.1)
+        return n
+
+    assert formants._pooled(slow_first, iter(range(6))) == list(range(6))
 
 
 def test_threads_extracting_at_once_get_the_serial_vectors():
@@ -265,3 +306,23 @@ def test_a_forked_child_extracts_after_its_parent_used_the_pool():
         warnings.filterwarnings("ignore", ".*multi-threaded.*", DeprecationWarning)
         with multiprocessing.get_context("fork").Pool(1) as child:
             assert child.apply_async(extract_llf_vector, (sig,)).get(timeout=60) == want
+
+
+def _voiced_frame_workers():
+    return formants.WORKERS
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="no fork() on this platform")
+@pytest.mark.parametrize("cpus", [{0}, {0, 1, 2}])
+def test_a_forked_child_reads_the_cpus_it_may_run_on(cpus, monkeypatch):
+    # the parent read other CPUs at import; a child, perhaps pinned to
+    # fewer, reads them again, so on one CPU it runs the voiced-frame pass
+    # inline
+    monkeypatch.setattr(formants, "WORKERS", 1 if len(cpus) > 1 else MAX_WORKERS)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", ".*multi-threaded.*", DeprecationWarning)
+        with multiprocessing.get_context("fork").Pool(1) as child:
+            workers = child.apply_async(_voiced_frame_workers).get(timeout=60)
+    assert workers == min(MAX_WORKERS, len(cpus))

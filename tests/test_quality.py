@@ -6,6 +6,7 @@ from voicequal.llf import LLF_KEYS
 from voicequal.quality import (
     QUALITY_IDS,
     CorrelationCategory,
+    CorrelationTable,
     effective_coefficient,
     load_table,
     score_all,
@@ -86,15 +87,33 @@ def test_every_quality_has_active_features(default_table):
         assert default_table.active_features(quality)
 
 
+def test_coefficients_are_each_cells_palette_value(tmp_path, default_table):
+    # rows QUALITY_IDS and columns LLF_KEYS, whatever the order of the file's
+    # header and rows, and for a table built from its entries alone
+    want = np.array([[PALETTE[default_table.category(q, k)] for k in LLF_KEYS]
+                     for q in QUALITY_IDS])
+    assert default_table.coefficients.dtype == want.dtype
+    assert np.array_equal(default_table.coefficients, want)
+    assert np.array_equal(CorrelationTable(default_table.entries).coefficients, want)
+    path = tmp_path / "table.txt"
+    qualities = QUALITY_IDS[::-1]
+    path.write_text("qualities " + " ".join(qualities) + "\n" + "".join(
+        key + " " + " ".join(default_table.category(q, key).value for q in qualities) + "\n"
+        for key in LLF_KEYS[::-1]))
+    assert np.array_equal(load_table(str(path)).coefficients, want)
+
+
 def test_bad_cell_code_named(tmp_path, default_table):
     path = tmp_path / "table.txt"
-    path.write_text(
-        "qualities " + " ".join(QUALITY_IDS) + "\n"
-        + "Loudness " + " ".join(["XX"] + ["-"] * 23) + "\n")
-    with pytest.raises(TableError) as err:
-        load_table(str(path))
-    message = str(err.value)
-    assert "Loudness" in message and "Cov" in message and "XX" in message
+    for column in (0, 17):
+        codes = ["-"] * 24
+        codes[column] = "XX"
+        path.write_text(
+            "qualities " + " ".join(QUALITY_IDS) + "\n" + "Loudness " + " ".join(codes) + "\n")
+        with pytest.raises(TableError) as err:
+            load_table(str(path))
+        message = str(err.value)
+        assert f"row 'Loudness', column {QUALITY_IDS[column]!r}" in message and "XX" in message
 
 
 def test_missing_row_rejected(tmp_path):
