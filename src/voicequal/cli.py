@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import os
 import sys
@@ -179,11 +180,12 @@ def cmd_synth(args) -> int:
         if args.count < 1:
             raise ManifestError(f"--count must be at least 1, got {args.count}")
         manifest = os.path.join(args.output_dir, "manifest.csv")
+        pairs = synthetic_suite_pairs(args.suite, args.count, args.seed)
+        pairs = itertools.chain([next(pairs)], pairs)  # a bad argument raises here
         with _writing(args.output_dir):
             os.makedirs(args.output_dir, exist_ok=True)
             with open(manifest, "w", encoding="utf-8") as fh:
-                for i, (pos, neg) in enumerate(
-                        synthetic_suite_pairs(args.suite, args.count, args.seed)):
+                for i, (pos, neg) in enumerate(pairs):
                     for signal, name, label in (
                             (pos, f"{args.suite}_{i:02d}.wav", SUITE_QUALITY[args.suite]),
                             (neg, f"clean_{i:02d}.wav", NEUTRAL_LABEL)):

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import partial
 
@@ -39,28 +38,20 @@ SPECTRUM_BLOCK = 8
 # F3 search region used for a frame without three formants
 DEFAULT_F3_REGION = (2000.0, 4000.0)
 
-# LPC blocks in flight at once: the caller's and one on _POOL. Batched
-# eigvals and rfft release the GIL, so two blocks run on two CPUs; two
-# blocks' working sets fit where the spectral stage peaks, more would not.
+# LPC blocks in flight at once: the caller's and one on a helper thread.
+# Batched eigvals and rfft release the GIL, so two blocks run on two CPUs;
+# two blocks' working sets fit where the spectral stage peaks, more would not.
 MAX_WORKERS = 2
 
 
-def _new_pool() -> None:
-    """Set WORKERS from the CPUs this process may run on, and replace _POOL.
-    Its thread starts at the first block submitted, so one CPU starts none.
-    A child process after fork() runs this again: its parent's thread does
-    not exist in it, and it may have been pinned to fewer CPUs."""
-    global WORKERS, _POOL
+def _workers() -> int:
+    """Blocks to run at once: MAX_WORKERS, or fewer if this process may run
+    on fewer CPUs. Read at each pass, so a forked child or a process pinned
+    since import runs on the CPUs it has."""
     try:
-        WORKERS = min(MAX_WORKERS, len(os.sched_getaffinity(0)))
+        return min(MAX_WORKERS, len(os.sched_getaffinity(0)))
     except AttributeError:  # no CPU affinity on this platform
-        WORKERS = min(MAX_WORKERS, os.cpu_count() or 1)
-    _POOL = ThreadPoolExecutor(MAX_WORKERS - 1, thread_name_prefix="voicequal-voiced")
-
-
-_new_pool()
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_new_pool)
+        return min(MAX_WORKERS, os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -223,33 +214,35 @@ def _even_blocks(voiced: np.ndarray):
 
 
 def _pooled(fn, items) -> list:
-    """fn of each item, in order. The caller and one _POOL thread each take
-    the next item when they finish one, so neither waits for the other
-    before the last. An error stops both from taking more; the other's
-    running call is waited for and the error raised here."""
-    items, lock, stop, results = enumerate(items), threading.Lock(), threading.Event(), {}
+    """fn of each item, in order. The caller and a helper thread, started
+    here and joined before this returns, each take the next item when they
+    finish one, so neither waits for the other before the last. The first
+    error stops both from taking more; the other's running call finishes
+    and the error is raised here."""
+    items, lock, stop = enumerate(items), threading.Lock(), threading.Event()
+    results, errors = {}, []
 
     def take_items():
-        while True:
-            with lock:  # one generator, advanced from two threads
-                taken = None if stop.is_set() else next(items, None)
-            if taken is None:
-                return
-            try:
+        try:
+            while not stop.is_set():
+                with lock:  # one iterator, advanced from two threads
+                    taken = next(items, None)
+                if taken is None:
+                    return
                 results[taken[0]] = fn(taken[1])
-            except BaseException:
-                stop.set()
-                raise
+        except BaseException as exc:
+            stop.set()
+            errors.append(exc)
 
-    future = _POOL.submit(take_items)
-    try:
-        take_items()
-    finally:
-        stop.set()
-        future.cancel()
-        wait((future,))
-    if not future.cancelled():
-        future.result()
+    helper = threading.Thread(target=take_items, name="voicequal-voiced")
+    helper.start()
+    take_items()
+    helper.join()
+    if errors:
+        try:
+            raise errors[0]
+        finally:
+            errors.clear()  # its traceback's frames hold errors: no cycle left
     return [results[n] for n in range(len(results))]
 
 
@@ -262,17 +255,18 @@ def estimate_formants(frames: FrameSequence, pitch: PitchTrack) -> FormantTrack:
     H1-H2; H1-A3 over F3 +/- its bandwidth, or 2-4 kHz for a frame without
     formants; and FnamplitudeLogRelF0. Only running sums outlive a block.
 
-    With WORKERS > 1 and two or more blocks, the caller and the pool share
-    the blocks (_pooled), each taking its spectra SPECTRUM_BLOCK / WORKERS
-    frames at a time. The blocks depend on the voiced frames only and their
-    sums are added in block order, so the values do not depend on WORKERS.
+    With two or more blocks and two or more _workers, the caller and a
+    helper thread share the blocks (_pooled), each taking its spectra
+    SPECTRUM_BLOCK / MAX_WORKERS frames at a time. The blocks depend on the
+    voiced frames only and their sums are added in block order, so the
+    values do not depend on the number of CPUs.
     """
     voiced = np.nonzero(pitch.voiced)[0]
     blocks = _even_blocks(voiced)
-    pooled = WORKERS > 1 and len(voiced) > LPC_BLOCK
+    workers = _workers() if len(voiced) > LPC_BLOCK else 1
     block_sums = partial(_block_sums, frames.raw_frames, pitch.f0_hz,
-                         SPECTRUM_BLOCK // WORKERS if pooled else SPECTRUM_BLOCK)
-    parts = _pooled(block_sums, blocks) if pooled else map(block_sums, blocks)
+                         SPECTRUM_BLOCK // workers)
+    parts = _pooled(block_sums, blocks) if workers > 1 else map(block_sums, blocks)
 
     # rows: frequency, bandwidth and amplitude of F1-F3, summed over the
     # frames with formants; and H1-H2, H1-A3 summed over every voiced frame

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import os
 from dataclasses import dataclass, field
@@ -65,11 +66,18 @@ def fit_stats(vectors: Sequence[LlfVector], corpus: str = "") -> FeatureStats:
 
 
 def save_stats(stats: FeatureStats, path: str | os.PathLike) -> None:
-    """Write stats as a human-readable key/value file; floats keep full precision."""
+    """Write stats as a human-readable key/value file; floats keep full precision.
+
+    A corpus label of words joined by single spaces is written as it is;
+    any other, which that line would not give back, as an ASCII JSON string.
+    """
+    corpus = stats.corpus
+    plain = corpus == " ".join(corpus.split()) and not any(
+        "\ud800" <= c <= "\udfff" for c in corpus)  # lone surrogates have no UTF-8
     lines = [
         "# voicequal reference feature statistics",
         f"schema-version {SCHEMA_VERSION}",
-        f"corpus {stats.corpus}",
+        f"corpus {corpus}" if plain else f"corpus-json {json.dumps(corpus)}",
         f"utterances {stats.n_utterances}",
     ]
     for key in LLF_KEYS:
@@ -103,6 +111,13 @@ def load_stats(path: str | os.PathLike) -> FeatureStats:
                 raise StatsError(f"{where}: unsupported schema version")
         elif directive == "corpus":
             corpus = " ".join(args)
+        elif directive == "corpus-json":
+            try:
+                corpus = json.loads(line[len(directive):])
+            except ValueError:
+                corpus = None
+            if not isinstance(corpus, str):
+                raise StatsError(f"{where}: corpus-json needs one JSON string")
         elif directive == "utterances":
             if len(args) != 1 or not (args[0].isascii() and args[0].isdigit()):
                 raise StatsError(f"{where}: utterances needs one non-negative integer")

@@ -7,6 +7,8 @@ widens the first resonance.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.signal import lfilter
 
@@ -73,12 +75,18 @@ def generate_synthetic(kind: str, f0: float = 150.0, duration: float = 1.0,
     """
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}, expected one of {KINDS}")
-    if duration < MIN_DURATION_S:
-        raise ValueError(f"duration must be >= {MIN_DURATION_S} s, got {duration}")
+    if not MIN_DURATION_S <= duration < math.inf:
+        raise ValueError(f"duration must be finite and >= {MIN_DURATION_S} s, got {duration}")
     if not 55.0 <= f0 <= 500.0:
         raise ValueError(f"f0 {f0} Hz outside the sensible range [55, 500]")
-    if jitter_pct < 0 or shimmer_db < 0 or not 0 <= noise_ratio <= 10:
-        raise ValueError("perturbation parameters must be nonnegative")
+    if not 0 <= jitter_pct < 100:  # 100 % would allow periods of zero or less
+        raise ValueError(f"jitter_pct must be nonnegative and below 100, got {jitter_pct}")
+    if not 0 <= shimmer_db < math.inf:
+        raise ValueError(f"shimmer_db must be finite and nonnegative, got {shimmer_db}")
+    if not 0 <= noise_ratio <= 10:
+        raise ValueError(f"noise_ratio must be in [0, 10], got {noise_ratio}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
 
     rng = np.random.default_rng(seed)
     excitation = pulse_train(

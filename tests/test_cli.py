@@ -154,6 +154,14 @@ def test_score_matches_manual_recomputation(corpus, tmp_path):
         assert abs(got[quality] - expected[quality]) < 1e-9
 
 
+@pytest.mark.parametrize("label", ["clinic A\nsession 2", "a\rb", "x  y", " lead", "tab\tx"])
+def test_a_corpus_label_of_any_text_reaches_score(corpus, tmp_path, capsys, label):
+    stats = tmp_path / "s.txt"
+    assert main(["fit-stats", *corpus, "--corpus-label", label, "--output", str(stats)]) == 0
+    assert load_stats(stats).corpus == label
+    assert main(["score", corpus[0], "--stats", str(stats)]) == 0
+
+
 def test_synth_and_evaluate_manifest(tmp_path, capsys):
     suite_dir = tmp_path / "suite"
     assert main(["synth", "--suite", "jittered", "--output-dir", str(suite_dir),
@@ -333,6 +341,39 @@ def test_unwritable_output_exits_8_before_extraction(corpus, tmp_path, capsys, m
     assert main([*argv, "--output", str(target)]) == 8
     assert f"error: cannot write {target}" in capsys.readouterr().err
     assert calls == []
+
+
+@pytest.mark.parametrize("argv, parameter", [
+    (["--kind", "jittered", "--jitter-pct", "nan"], "jitter_pct"),
+    (["--kind", "jittered", "--jitter-pct", "100"], "jitter_pct"),
+    (["--kind", "jittered", "--jitter-pct", "1e308"], "jitter_pct"),
+    (["--kind", "shimmered", "--shimmer-db", "nan"], "shimmer_db"),
+    (["--kind", "breathy", "--noise-ratio", "nan"], "noise_ratio"),
+    (["--duration", "inf"], "duration"),
+    (["--duration", "nan"], "duration"),
+    (["--seed", "-5"], "seed"),
+], ids=["jitter-nan", "jitter-100", "jitter-1e308", "shimmer-nan", "noise-nan", "duration-inf",
+        "duration-nan", "seed-negative"])
+def test_bad_synth_parameters_exit_2_naming_the_parameter(tmp_path, capsys, argv, parameter):
+    target = tmp_path / "v.wav"
+    assert main(["synth", *argv, "--output", str(target)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {parameter} must be")
+    assert not target.exists()
+
+
+def test_a_bad_synth_suite_seed_writes_nothing(tmp_path, capsys):
+    suite_dir = tmp_path / "suite"
+    assert main(["synth", "--suite", "jittered", "--output-dir", str(suite_dir),
+                 "--seed", "-5"]) == 2
+    assert "seed must be nonnegative, got -5" in capsys.readouterr().err
+    assert not suite_dir.exists()
+    # an earlier suite's manifest is left as it was
+    assert main(["synth", "--suite", "jittered", "--output-dir", str(suite_dir),
+                 "--count", "1"]) == 0
+    manifest = (suite_dir / "manifest.csv").read_bytes()
+    assert main(["synth", "--suite", "jittered", "--output-dir", str(suite_dir),
+                 "--count", "1", "--seed", "-5"]) == 2
+    assert (suite_dir / "manifest.csv").read_bytes() == manifest
 
 
 def test_unwritable_synth_output_exits_8(tmp_path, capsys):

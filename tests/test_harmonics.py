@@ -178,11 +178,11 @@ def _partly_voiced(n_voiced):
 def test_stage_matches_per_frame_reference_at_block_edges(n_voiced, monkeypatch):
     # n_voiced frames across the edges of the spectrum sub-blocks and the
     # even LPC blocks (65: 32 + 33; 129: 3 x 43), inline and, from a second
-    # block on, two blocks at a time on the caller and the pool
+    # block on, two blocks at a time on the caller and the helper thread
     frames, part = _partly_voiced(n_voiced)
     reference = _reference_stage(frames, part)
     for workers in (1, 2):
-        monkeypatch.setattr(formants, "WORKERS", workers)
+        monkeypatch.setattr(formants, "_workers", lambda: workers)
         track = estimate_formants(frames, part)
         assert track.n_frames == max(1, n_voiced - 1)
         assert set(track.values) == set(reference)
@@ -193,8 +193,8 @@ def test_stage_matches_per_frame_reference_at_block_edges(n_voiced, monkeypatch)
 @pytest.mark.parametrize("n_voiced", [1, 63, 64, 65, 66, 95, 96, 97, 98, 127, 128, 129, 193])
 def test_same_values_on_one_worker_and_two(n_voiced, monkeypatch):
     # the blocks depend on the voiced frames only, and their sums are added
-    # in block order on the caller's thread, so the pool changes no bit; from
-    # a second block on, the caller and the pool share the blocks, each
+    # in block order on the caller's thread, so the helper thread changes no
+    # bit; from a second block on, the caller and the helper share the blocks, each
     # taking its spectra half as many frames at a time
     frames, part = _partly_voiced(n_voiced)
     calls = []
@@ -207,7 +207,7 @@ def test_same_values_on_one_worker_and_two(n_voiced, monkeypatch):
     monkeypatch.setattr(formants, "_block_sums", recorded)
     results = []
     for workers in (1, 2):
-        monkeypatch.setattr(formants, "WORKERS", workers)
+        monkeypatch.setattr(formants, "_workers", lambda: workers)
         calls.clear()
         track = estimate_formants(frames, part)
         results.append((len(track), track.values))

@@ -1,3 +1,4 @@
+import gc
 import multiprocessing
 import os
 import sys
@@ -13,7 +14,7 @@ import pytest
 from voicequal import formants
 from voicequal.audio_io import AudioSignal
 from voicequal.errors import AudioIOError, InsufficientVoicingError
-from voicequal.formants import LPC_BLOCK, MAX_WORKERS, estimate_formants
+from voicequal.formants import LPC_BLOCK, MAX_WORKERS, SPECTRUM_BLOCK, estimate_formants
 from voicequal.framing import frame_signal
 from voicequal.llf import LLF_KEYS, extract_llf_vector, validate_llf
 from voicequal.periods import compute_period_llfs
@@ -23,6 +24,9 @@ from voicequal.synth import generate_synthetic
 
 from conftest import sine_signal
 
+# the CPU read of each voiced-frame pass, before the fixture below fixes it
+UNPATCHED_WORKERS = formants._workers
+
 
 @pytest.fixture(scope="module", autouse=True)
 def most_blocks_in_flight():
@@ -30,7 +34,7 @@ def most_blocks_in_flight():
     does, whatever the number of CPUs here, so the memory bars below hold
     for the pooled pass and the results for both paths."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(formants, "WORKERS", MAX_WORKERS)
+        patch.setattr(formants, "_workers", lambda: MAX_WORKERS)
         yield
 
 
@@ -221,13 +225,13 @@ class WorkerError(Exception):
 
 def _fail_a_block(on_pool, monkeypatch):
     """Extract a 2 s vowel (four voiced-frame blocks) with the first block
-    the pool runs (on_pool) or the first the caller runs failing while the
-    other is still running: the error reaches the caller after the other
-    block finished, no later block starts, and the next extraction gets the
-    serial vector."""
+    the helper thread runs (on_pool) or the first the caller runs failing
+    while the other is still running: the error reaches the caller after
+    the other block finished, no later block starts, and the next
+    extraction gets the serial vector."""
     sig = generate_synthetic("clean", f0=130.0, duration=2.0, seed=4)
     with monkeypatch.context() as patch:
-        patch.setattr(formants, "WORKERS", 1)
+        patch.setattr(formants, "_workers", lambda: 1)
         serial = extract_llf_vector(sig)
     voiced = np.nonzero(track_pitch(frame_signal(sig)).voiced)[0]
     assert len(list(formants._even_blocks(voiced))) == 4
@@ -278,9 +282,28 @@ def test_pooled_results_come_in_item_order():
     assert formants._pooled(slow_first, iter(range(6))) == list(range(6))
 
 
+def test_an_error_leaves_no_cyclic_garbage():
+    # the error's traceback holds the frames of both sides; left in their
+    # shared state, it would make a cycle only the cyclic collector frees
+    def fail_third(n):
+        if n == 2:
+            raise WorkerError("failed in a block")
+        return n
+
+    gc.collect()
+    gc.disable()
+    try:
+        with pytest.raises(WorkerError):
+            formants._pooled(fail_third, iter(range(6)))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_threads_extracting_at_once_get_the_serial_vectors():
-    # more caller threads than CPUs share the pool, switching often; each
-    # must get its own vectors, the same as one call at a time
+    # more caller threads than CPUs, each pass with its own helper thread,
+    # switching often; each must get its own vectors, the same as one call
+    # at a time
     signals = [generate_synthetic(kind, f0=f0, duration=2.0, seed=5)
                for kind, f0 in (("clean", 120.0), ("breathy", 190.0),
                                 ("jittered", 150.0), ("shimmered", 230.0))]
@@ -300,29 +323,74 @@ def test_threads_extracting_at_once_get_the_serial_vectors():
                     reason="no fork() on this platform")
 def test_a_forked_child_extracts_after_its_parent_used_the_pool():
     sig = generate_synthetic("clean", f0=130.0, duration=2.0, seed=4)
-    want = extract_llf_vector(sig)  # the parent's pool threads are running now
+    want = extract_llf_vector(sig)  # a pooled pass, on the parent's helper thread
     with warnings.catch_warnings():
-        # newer Pythons warn on fork() in a process with threads
+        # newer Pythons warn on fork() in a process with threads, should
+        # anything have left one running
         warnings.filterwarnings("ignore", ".*multi-threaded.*", DeprecationWarning)
         with multiprocessing.get_context("fork").Pool(1) as child:
             assert child.apply_async(extract_llf_vector, (sig,)).get(timeout=60) == want
 
 
-def _voiced_frame_workers():
-    return formants.WORKERS
+def _voiced_frame_threads(monkeypatch):
+    """Extract a 2 s vowel (four voiced-frame blocks); per block, whether it
+    ran on the helper thread and how many spectrum rows it took at a time.
+    Pooled, the caller's first block waits for the helper's first, so both
+    sides run one."""
+    sig = generate_synthetic("clean", f0=130.0, duration=2.0, seed=4)
+    calls, helper_started = [], threading.Event()
+    block_sums = formants._block_sums
+
+    def recorded(raw_frames, f0_hz, rows, idx):
+        on_helper = threading.current_thread().name.startswith("voicequal-voiced")
+        calls.append((on_helper, rows))
+        if on_helper:
+            helper_started.set()
+        elif len(calls) == 1 and rows < SPECTRUM_BLOCK:
+            helper_started.wait(timeout=10)
+        return block_sums(raw_frames, f0_hz, rows, idx)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(formants, "_block_sums", recorded)
+        extract_llf_vector(sig)
+    return calls
 
 
-@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
-                    reason="no fork() on this platform")
 @pytest.mark.parametrize("cpus", [{0}, {0, 1, 2}])
-def test_a_forked_child_reads_the_cpus_it_may_run_on(cpus, monkeypatch):
-    # the parent read other CPUs at import; a child, perhaps pinned to
-    # fewer, reads them again, so on one CPU it runs the voiced-frame pass
-    # inline
-    monkeypatch.setattr(formants, "WORKERS", 1 if len(cpus) > 1 else MAX_WORKERS)
+def test_the_voiced_frame_pass_reads_the_cpus_it_may_run_on(cpus, monkeypatch):
+    # each pass reads the CPUs again, so a process pinned after import, or
+    # a forked child, runs inline on one CPU and pools on more
+    monkeypatch.setattr(formants, "_workers", UNPATCHED_WORKERS)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", ".*multi-threaded.*", DeprecationWarning)
-        with multiprocessing.get_context("fork").Pool(1) as child:
-            workers = child.apply_async(_voiced_frame_workers).get(timeout=60)
-    assert workers == min(MAX_WORKERS, len(cpus))
+    calls = _voiced_frame_threads(monkeypatch)
+    assert len(calls) == 4
+    if len(cpus) == 1:
+        assert calls == [(False, SPECTRUM_BLOCK)] * 4
+    else:
+        assert {on_helper for on_helper, _ in calls} == {False, True}
+        assert {rows for _, rows in calls} == {SPECTRUM_BLOCK // MAX_WORKERS}
+
+
+def _helper_threads():
+    return [t.name for t in threading.enumerate() if t.name.startswith("voicequal-voiced")]
+
+
+def test_no_helper_thread_outlives_a_pass(monkeypatch):
+    # the helper thread is joined before the pass returns, whether its
+    # blocks succeeded or one raised, so a later fork() forks one thread
+    assert any(on_helper for on_helper, _ in _voiced_frame_threads(monkeypatch))
+    assert _helper_threads() == []
+    block_sums, helper_failed = formants._block_sums, threading.Event()
+
+    def failing_on_the_helper(raw_frames, f0_hz, rows, idx):
+        if threading.current_thread().name.startswith("voicequal-voiced"):
+            helper_failed.set()
+            raise WorkerError("failed in a block")
+        helper_failed.wait(timeout=10)  # so the helper gets a block to fail
+        return block_sums(raw_frames, f0_hz, rows, idx)
+
+    sig = generate_synthetic("clean", f0=130.0, duration=2.0, seed=4)
+    monkeypatch.setattr(formants, "_block_sums", failing_on_the_helper)
+    with pytest.raises(WorkerError, match="failed in a block"):
+        extract_llf_vector(sig)
+    assert _helper_threads() == []

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from voicequal.errors import StatsError
 from voicequal.llf import LLF_KEYS
@@ -74,6 +76,46 @@ def test_save_load_round_trip_exact(tmp_path):
     assert loaded.sigma == stats.sigma
     assert loaded.corpus == stats.corpus
     assert loaded.n_utterances == stats.n_utterances
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(corpus=st.text(), mu=st.lists(_FINITE, min_size=len(LLF_KEYS), max_size=len(LLF_KEYS)),
+       sigma=st.lists(st.floats(MIN_SIGMA, allow_infinity=False),
+                      min_size=len(LLF_KEYS), max_size=len(LLF_KEYS)))
+@example(corpus="clinic A\nsession 2", mu=[0.0] * len(LLF_KEYS), sigma=[1.0] * len(LLF_KEYS))
+@example(corpus="a\rb \ud800", mu=[0.0] * len(LLF_KEYS), sigma=[1.0] * len(LLF_KEYS))
+def test_any_corpus_label_and_finite_stats_survive_a_round_trip(tmp_path_factory, corpus, mu,
+                                                                sigma):
+    stats = FeatureStats(dict(zip(LLF_KEYS, mu)), dict(zip(LLF_KEYS, sigma)), corpus, 7)
+    path = tmp_path_factory.mktemp("stats") / "stats.txt"
+    save_stats(stats, path)
+    loaded = load_stats(path)
+    assert (loaded.mu, loaded.sigma, loaded.corpus, loaded.n_utterances) == (
+        stats.mu, stats.sigma, corpus, 7)
+
+
+@pytest.mark.parametrize("corpus", ["", "clinic", "clinic A session 2", "Zürich #2 -- x"])
+def test_a_label_of_single_spaced_words_is_written_as_it_is(tmp_path, corpus):
+    # the line older versions wrote, which they also read back
+    stats = fit_stats(_varied_vectors(np.random.default_rng(3), 5), corpus=corpus)
+    path = tmp_path / "stats.txt"
+    save_stats(stats, path)
+    assert path.read_bytes().split(b"\n")[2] == f"corpus {corpus}".encode()
+    assert load_stats(path).corpus == corpus
+
+
+@pytest.mark.parametrize("line", ["corpus-json", "corpus-json clinic", "corpus-json 3",
+                                  'corpus-json "a" "b"'])
+def test_a_malformed_corpus_json_line_is_named(tmp_path, line):
+    stats = fit_stats(_varied_vectors(np.random.default_rng(3), 5), corpus="x")
+    path = tmp_path / "stats.txt"
+    save_stats(stats, path)
+    path.write_text(path.read_text().replace("corpus x\n", line + "\n"))
+    with pytest.raises(StatsError, match=r"stats\.txt:3: corpus-json needs one JSON string"):
+        load_stats(path)
 
 
 def test_stats_file_with_a_created_line_loads(tmp_path):

@@ -53,6 +53,11 @@ def test_parameter_validation():
         generate_synthetic("clean", f0=2000.0)
     with pytest.raises(ValueError, match="nonnegative"):
         generate_synthetic("jittered", jitter_pct=-1.0)
+    for name, value in (("duration", float("inf")), ("jitter_pct", 100.0),
+                        ("jitter_pct", float("nan")), ("shimmer_db", float("inf")),
+                        ("noise_ratio", float("nan")), ("seed", -1)):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            generate_synthetic("breathy", **{name: value})
 
 
 def test_output_in_range_and_duration():
