@@ -3,14 +3,18 @@
 All downstream analysis runs at a single canonical sample rate; multichannel
 input is averaged to mono and out-of-range samples trigger peak normalization.
 A WAV already at that rate is never decoded whole: the stages read its
-samples by range, and each range is decoded from the mapped file.
+samples by range, and each range is decoded from the mapped file. Any other
+rate is resampled chunk by chunk into an unlinked temporary file in TMPDIR,
+which is then mapped, so the resampled signal is not held in memory either.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import mmap
 import os
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +29,8 @@ CANONICAL_RATE = 16000
 @dataclass(frozen=True)
 class AudioSignal:
     """Mono PCM samples in [-1, 1] at a fixed sample rate: an array, or the
-    WavSamples of a CANONICAL_RATE WAV, which load_audio has checked."""
+    WavSamples of a CANONICAL_RATE WAV, which load_audio has checked. The
+    array of a resampled WAV lies over its mapped temporary file."""
 
     samples: np.ndarray | WavSamples
     sample_rate_hz: int
@@ -148,7 +153,11 @@ def _resampling_filter(up: int, down: int) -> np.ndarray:
 def _resample(data: np.ndarray, rate: int, path) -> np.ndarray:
     """The decoded data resampled from rate to CANONICAL_RATE, equal to
     scipy's resample_poly with _resampling_filter, DECODE_BLOCK outputs at
-    a time.
+    a time: a writable float64 array over an unlinked temporary file.
+
+    Each chunk is written to the file, which is mapped only once it is
+    full: a full disk then fails a write, raised as AudioIOError, where a
+    store into an unallocated page of a mapped file would kill the process.
 
     resample_poly filters with h, its filter scaled by up and zero-padded:
     output o is upfirdn(h, x, up, down)[o + pre]. So outputs [o0, o1) come
@@ -176,13 +185,19 @@ def _resample(data: np.ndarray, rate: int, path) -> np.ndarray:
         m_lo = -(-((o0 + pre) * down - len(h) + 1) // up)
         m_hi = n_in - 1 if o1 == n_out else (o1 + pre - 1) * down // up
         spans.append((max(0, m_lo // down * down), m_hi + 1))
-    x = np.empty(n_out)
-    # the chunks come first: after the last, zip asks them for one more,
-    # which runs their silence check
-    for chunk, o0, (m0, _) in zip(_checked_chunks(data, spans, path), starts, spans):
-        o1, skip = min(o0 + DECODE_BLOCK, n_out), o0 + pre - m0 * up // down
-        x[o0:o1] = upfirdn(h, chunk, up, down)[skip:skip + o1 - o0]
-    return x
+    try:
+        with tempfile.TemporaryFile() as f:
+            # the chunks come first: after the last, zip asks them for one
+            # more, which runs their silence check
+            for chunk, o0, (m0, _) in zip(_checked_chunks(data, spans, path), starts, spans):
+                o1, skip = min(o0 + DECODE_BLOCK, n_out), o0 + pre - m0 * up // down
+                f.write(upfirdn(h, chunk, up, down)[skip:skip + o1 - o0])
+            f.flush()
+            # the map keeps the unlinked file after f closes
+            buffer = mmap.mmap(f.fileno(), 0)
+    except OSError as exc:
+        raise AudioIOError(f"{path}: cannot buffer resampled audio: {exc.strerror or exc}") from None
+    return np.frombuffer(buffer, dtype=np.float64)
 
 
 def _read_wav(path: str) -> tuple[int, np.ndarray]:
@@ -203,7 +218,9 @@ def load_audio(path: str | os.PathLike) -> AudioSignal:
     resampler, and peak-normalized only if any sample exceeds full scale.
     A CANONICAL_RATE file is checked in one pass over its chunks and its
     samples are a WavSamples over the mapped file; any other rate is
-    resampled into one array. Every error reads "<path>: <reason>".
+    resampled into a mapped temporary file (128 kB of TMPDIR per second of
+    audio while the signal lives) and normalized there. Every error reads
+    "<path>: <reason>".
     """
     try:
         rate, data = _read_wav(os.fspath(path))

@@ -73,15 +73,20 @@ def frame_autocorrelation(raw_frames: np.ndarray, max_lag: int) -> np.ndarray:
     nfft = scipy.fft.next_fast_len(n + max_lag, real=True)
     power = np.fft.rfft(x, nfft, axis=1)
     power = power.real ** 2 + power.imag ** 2  # frees the complex spectrum
-    num = np.fft.irfft(power, nfft, axis=1)[:, :max_lag + 1]
+    # a copy of the lags read, which frees the whole inverse transform
+    num = np.fft.irfft(power, nfft, axis=1)[:, :max_lag + 1].copy()
+    del power
     cs = np.zeros((len(x), n + 1))
-    np.cumsum(x * x, axis=1, out=cs[:, 1:])
-    head = cs[:, n - max_lag:][:, ::-1]     # per lag tau: sum of e[0 .. n-tau-1]
-    tail = cs[:, n:] - cs[:, :max_lag + 1]  # per lag tau: sum of e[tau .. n-1]
-    den = np.sqrt(head * tail)
+    np.square(x, out=cs[:, 1:])
+    np.cumsum(cs[:, 1:], axis=1, out=cs[:, 1:])
+    den = cs[:, n:] - cs[:, :max_lag + 1]  # per lag tau: sum of e[tau .. n-1]
+    den *= cs[:, n - max_lag:][:, ::-1]    # per lag tau: sum of e[0 .. n-tau-1]
+    np.sqrt(den, out=den)
     for row, tau in zip(*np.nonzero((den > 0) & (den < ACF_DIRECT_BELOW * cs[:, n:]))):
         num[row, tau] = np.dot(x[row, :n - tau], x[row, tau:])
-    return np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+    np.divide(num, den, out=num, where=den > 0)
+    num[den <= 0] = 0.0
+    return num
 
 
 def parabolic_peak(y0: np.ndarray, y1: np.ndarray,

@@ -7,8 +7,6 @@ widens the first resonance.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 from scipy.signal import lfilter
 
@@ -21,6 +19,8 @@ RESONANCES = ((700.0, 80.0), (1220.0, 100.0), (2600.0, 120.0))
 BREATHY_F1_BANDWIDTH = 300.0
 GLOTTAL_DECAY_S = 0.0005
 MIN_DURATION_S = 0.5
+MAX_DURATION_S = 600.0  # synthesis holds several float64 copies of the whole signal
+MAX_SHIMMER_DB = 40.0   # pulse amplitudes from 1/100 to 100 times the clean pulse's
 
 
 def pulse_train(f0: float, duration: float, sample_rate: int, rng,
@@ -75,14 +75,15 @@ def generate_synthetic(kind: str, f0: float = 150.0, duration: float = 1.0,
     """
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}, expected one of {KINDS}")
-    if not MIN_DURATION_S <= duration < math.inf:
-        raise ValueError(f"duration must be finite and >= {MIN_DURATION_S} s, got {duration}")
+    if not MIN_DURATION_S <= duration <= MAX_DURATION_S:
+        raise ValueError(f"duration must be in [{MIN_DURATION_S:g}, {MAX_DURATION_S:g}] s,"
+                         f" got {duration}")
     if not 55.0 <= f0 <= 500.0:
         raise ValueError(f"f0 {f0} Hz outside the sensible range [55, 500]")
     if not 0 <= jitter_pct < 100:  # 100 % would allow periods of zero or less
         raise ValueError(f"jitter_pct must be nonnegative and below 100, got {jitter_pct}")
-    if not 0 <= shimmer_db < math.inf:
-        raise ValueError(f"shimmer_db must be finite and nonnegative, got {shimmer_db}")
+    if not 0 <= shimmer_db <= MAX_SHIMMER_DB:
+        raise ValueError(f"shimmer_db must be in [0, {MAX_SHIMMER_DB:g}] dB, got {shimmer_db}")
     if not 0 <= noise_ratio <= 10:
         raise ValueError(f"noise_ratio must be in [0, 10], got {noise_ratio}")
     if seed < 0:

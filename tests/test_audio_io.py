@@ -1,5 +1,8 @@
+import gc
 import math
+import mmap
 import struct
+import tempfile
 
 import numpy as np
 import pytest
@@ -237,7 +240,7 @@ def test_loaded_signal_extracts_as_its_samples_held_in_one_array(tmp_path, dtype
 def test_load_peak_memory_below_twice_the_signal(tmp_path):
     import tracemalloc
 
-    # a rate other than 16 kHz, which load_audio resamples into one array
+    # a rate other than 16 kHz, which load_audio resamples chunk by chunk
     rate = 44100
     path = tmp_path / "long.wav"
     t = np.arange(40 * rate) / rate
@@ -250,9 +253,24 @@ def test_load_peak_memory_below_twice_the_signal(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the signal and one chunk's temporaries: neither the whole file nor a
-    # float64 copy of it at 44.1 kHz (4.2 times the signal if decoded whole)
-    assert peak < 2 * sig.samples.nbytes
+    # one chunk's temporaries: the signal is written to a mapped temporary
+    # file, and neither the whole file nor a float64 copy of it at 44.1 kHz
+    # (4.2 times the signal if decoded whole) is ever held
+    assert peak < 0.25 * sig.samples.nbytes
+
+
+def test_resampled_audio_leaves_nothing_in_the_temporary_directory(tmp_path, monkeypatch):
+    buffers = tmp_path / "tmp"
+    buffers.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(buffers))
+    path = tmp_path / "a44k.wav"
+    _write_int16(path, 44100, 0.5 * np.sin(2 * np.pi * 150 * np.arange(44100) / 44100))
+    sig = load_audio(path)
+    assert isinstance(sig.samples.base.obj, mmap.mmap)  # buffered, in an unlinked file
+    assert list(buffers.iterdir()) == []
+    del sig
+    gc.collect()
+    assert list(buffers.iterdir()) == []
 
 
 def test_unsupported_sample_type_rejected(tmp_path):

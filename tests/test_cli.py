@@ -1,5 +1,8 @@
+import errno
 import gc
 import json
+import os
+import tempfile
 import warnings
 from importlib import resources
 from pathlib import Path
@@ -39,13 +42,46 @@ def test_extract_records(corpus, tmp_path, capsys):
 def test_extract_converts_a_44k_stereo_wav(tmp_path):
     # the library analyses 16 kHz only; the CLI loads through load_audio,
     # which resamples, so any WAV rate still extracts
-    x = generate_synthetic("clean", f0=130.0, duration=1.0, seed=3, sample_rate=44100).samples
     path, out = tmp_path / "stereo44k.wav", tmp_path / "llf.jsonl"
-    wavfile.write(path, 44100, np.round(np.stack([x, 0.8 * x], axis=1) * 32767).astype(np.int16))
+    _write_stereo_44k(path, 1.0)
     assert main(["extract", str(path), "--output", str(out)]) == 0
     record = json.loads(out.read_text())
     assert list(record)[1:] == list(LLF_KEYS)
     assert record == {"source": str(path), **extract_llf_vector(load_audio(path))}
+
+
+def _write_stereo_44k(path, duration, seed=3):
+    x = generate_synthetic("clean", f0=130.0, duration=duration, seed=seed, sample_rate=44100).samples
+    wavfile.write(path, 44100, np.round(np.stack([x, 0.8 * x], axis=1) * 32767).astype(np.int16))
+
+
+class _FullDisk:
+    """A temporary file on a full disk: every write fails with ENOSPC."""
+
+    def __init__(self, file):
+        self._file = file
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._file.close()
+
+    def write(self, data):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def test_a_full_buffer_disk_exits_3_and_keeps_the_earlier_lines(tmp_path, capsys, monkeypatch):
+    good, bad, out = tmp_path / "good16k.wav", tmp_path / "bad44k.wav", tmp_path / "out.jsonl"
+    save_wav(generate_synthetic("clean", f0=130.0, duration=1.0, seed=3), good)
+    _write_stereo_44k(bad, 1.0)
+    temporary_file = tempfile.TemporaryFile
+    monkeypatch.setattr(tempfile, "TemporaryFile",
+                        lambda *args, **kwargs: _FullDisk(temporary_file(*args, **kwargs)))
+    assert main(["extract", str(good), str(bad), "--output", str(out)]) == 3
+    reason = os.strerror(errno.ENOSPC)
+    assert f"error: {bad}: cannot buffer resampled audio: {reason}" in capsys.readouterr().err
+    assert [json.loads(line)["source"] for line in out.read_text().splitlines()] == [str(good)]
 
 
 def test_fit_stats_then_score(corpus, tmp_path, capsys):
@@ -352,13 +388,23 @@ def test_unwritable_output_exits_8_before_extraction(corpus, tmp_path, capsys, m
     (["--duration", "inf"], "duration"),
     (["--duration", "nan"], "duration"),
     (["--seed", "-5"], "seed"),
+    (["--kind", "shimmered", "--shimmer-db", "1e308"], "shimmer_db"),
+    (["--kind", "shimmered", "--shimmer-db", "7000"], "shimmer_db"),
+    (["--duration", "1e300"], "duration"),
 ], ids=["jitter-nan", "jitter-100", "jitter-1e308", "shimmer-nan", "noise-nan", "duration-inf",
-        "duration-nan", "seed-negative"])
+        "duration-nan", "seed-negative", "shimmer-1e308", "shimmer-7000", "duration-1e300"])
 def test_bad_synth_parameters_exit_2_naming_the_parameter(tmp_path, capsys, argv, parameter):
     target = tmp_path / "v.wav"
     assert main(["synth", *argv, "--output", str(target)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {parameter} must be")
     assert not target.exists()
+
+
+def test_synth_accepts_the_largest_shimmer_on_the_shortest_vowel(tmp_path):
+    target = tmp_path / "v.wav"
+    assert main(["synth", "--kind", "shimmered", "--shimmer-db", "40", "--duration", "0.5",
+                 "--output", str(target)]) == 0
+    assert len(load_audio(target).samples) == 8000
 
 
 def test_a_bad_synth_suite_seed_writes_nothing(tmp_path, capsys):
@@ -561,6 +607,21 @@ def test_extract_memory_does_not_grow_with_a_16k_wav(tmp_path):
     for duration in (10.0, 60.0):
         path = tmp_path / f"v{duration:.0f}.wav"
         save_wav(generate_synthetic("clean", f0=130.0, duration=duration, seed=4), path)
+        argv = ["extract", str(path), "--output", str(tmp_path / "out.jsonl")]
+        main(argv)  # warm-up
+        rc, peaks[duration] = _traced_peak(main, argv)
+        assert rc == 0
+    assert peaks[60.0] <= 1.5 * peaks[10.0], peaks
+
+
+def test_extract_memory_does_not_grow_with_a_44k_wav(tmp_path):
+    # a resampled WAV is buffered in a mapped temporary file, which is read
+    # by range as a 16 kHz WAV is: from 10 s to 60 s, the traced peak grows
+    # only by the per-frame and per-period results
+    peaks = {}
+    for duration in (10.0, 60.0):
+        path = tmp_path / f"v{duration:.0f}.wav"
+        _write_stereo_44k(path, duration, seed=4)
         argv = ["extract", str(path), "--output", str(tmp_path / "out.jsonl")]
         main(argv)  # warm-up
         rc, peaks[duration] = _traced_peak(main, argv)

@@ -183,7 +183,8 @@ def test_block_stages_stay_below_spectral_peak_memory(stage_peaks):
     # from POOLED_S on, two voiced-frame blocks at once
     sig, peaks = stage_peaks[POOLED_S]
     assert track_pitch(frame_signal(sig)).voiced.sum() == LPC_BLOCK + 1
-    assert peaks["voiced frames"] < peaks["spectral"]
+    for stage in ("pitch", "voiced frames"):
+        assert peaks[stage] < peaks["spectral"], stage
 
 
 def test_widest_voiced_frame_windows_stay_below_spectral_peak_memory(stage_peaks):

@@ -55,7 +55,8 @@ def test_parameter_validation():
         generate_synthetic("jittered", jitter_pct=-1.0)
     for name, value in (("duration", float("inf")), ("jitter_pct", 100.0),
                         ("jitter_pct", float("nan")), ("shimmer_db", float("inf")),
-                        ("noise_ratio", float("nan")), ("seed", -1)):
+                        ("noise_ratio", float("nan")), ("seed", -1),
+                        ("shimmer_db", 40.5), ("duration", 600.5)):
         with pytest.raises(ValueError, match=f"^{name} must be"):
             generate_synthetic("breathy", **{name: value})
 
