@@ -219,7 +219,11 @@ def load_audio(path: str | os.PathLike) -> AudioSignal:
     A CANONICAL_RATE file is checked in one pass over its chunks and its
     samples are a WavSamples over the mapped file; any other rate is
     resampled into a mapped temporary file (128 kB of TMPDIR per second of
-    audio while the signal lives) and normalized there. Every error reads
+    audio while the signal lives) and normalized there. Either way, the
+    signal holds one open file descriptor through its map until it is
+    freed, so a caller that keeps many signals alive at once can reach the
+    process's open-file limit; one that drops each signal after use, as
+    the command line does, holds one at a time. Every error reads
     "<path>: <reason>".
     """
     try:

@@ -10,7 +10,7 @@ import os
 import sys
 
 from .audio_io import load_audio, save_wav
-from .errors import ManifestError, OutputError, StatsError, VoiceQualityError
+from .errors import AudioIOError, ManifestError, OutputError, StatsError, VoiceQualityError
 from .evaluation import (
     NEUTRAL_LABEL,
     SUITE_QUALITY,
@@ -38,12 +38,16 @@ EXIT_CODES_HELP = (
 
 
 def _collect_audio_paths(inputs: list[str]) -> list[str]:
+    """The inputs in order, each directory replaced by its .wav files,
+    sorted; a directory without one is an AudioIOError naming it."""
     paths = []
     for item in inputs:
         if os.path.isdir(item):
-            paths.extend(sorted(
-                os.path.join(item, name) for name in os.listdir(item)
-                if name.lower().endswith(".wav")))
+            wavs = sorted(os.path.join(item, name) for name in os.listdir(item)
+                          if name.lower().endswith(".wav"))
+            if not wavs:
+                raise AudioIOError(f"{item}: no .wav file in the directory")
+            paths.extend(wavs)
         else:
             paths.append(item)
     return paths

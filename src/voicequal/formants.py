@@ -23,24 +23,26 @@ FORMANT_FMAX = 5500.0
 MAX_BANDWIDTH = 700.0
 N_FORMANTS = 3
 LPC_ORDER = 2 + CANONICAL_RATE // 1000
-# At most this many voiced frames per LPC block: the pre-emphasized frames
-# and the stacked companion matrices of one block stay near 200 kB.
+# At most this many voiced frames per LPC block: the block's gathered frames,
+# pre-emphasized in place, and its stacked companion matrices stay near
+# 200 kB each, and neither lives while the block's spectra are taken.
 LPC_BLOCK = 64
 
 SPECTRUM_NFFT = 4096
 BIN_HZ = CANONICAL_RATE / SPECTRUM_NFFT
 N_BINS = SPECTRUM_NFFT // 2 + 1
 # Voiced frames per spectrum sub-block of an LPC block: one sub-block's
-# complex spectrum and magnitudes stay near 0.4 MB, below the all-frame
-# spectral stage's peak. With two LPC blocks in flight, each takes half as
-# many, so both blocks together stay below that peak too.
+# complex spectrum and magnitudes stay near 0.4 MB, below the pitch stage's
+# traced peak (0.64 MB), which sets extraction's. With two LPC blocks in
+# flight, each takes half as many, so both blocks together stay near 0.4 MB.
 SPECTRUM_BLOCK = 8
 # F3 search region used for a frame without three formants
 DEFAULT_F3_REGION = (2000.0, 4000.0)
 
 # LPC blocks in flight at once: the caller's and one on a helper thread.
-# Batched eigvals and rfft release the GIL, so two blocks run on two CPUs;
-# two blocks' working sets fit where the spectral stage peaks, more would not.
+# Batched eigvals and rfft release the GIL, so two blocks run on two CPUs.
+# A block holds at most about 0.23 MB at once, so two stay below the pitch
+# stage's traced peak (0.64 MB); three gathering at once would not.
 MAX_WORKERS = 2
 
 
@@ -123,44 +125,45 @@ def _pole_formants(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             np.count_nonzero(valid, axis=1) >= N_FORMANTS)
 
 
-def _preemphasized(raw: np.ndarray) -> np.ndarray:
-    """Rows of raw frames pre-emphasized and Hamming-windowed, built in one
-    array over its flat, contiguous view, so no ufunc buffers a strided
-    operand."""
-    x = np.empty_like(raw)
-    flat_x, flat_raw = x.reshape(-1), raw.reshape(-1)
-    np.multiply(flat_raw[:-1], -PREEMPHASIS, out=flat_x[1:])
-    flat_x[1:] += flat_raw[1:]
-    x[:, 0] = raw[:, 0]  # a row's first sample has no predecessor
+def _preemphasize(x: np.ndarray) -> np.ndarray:
+    """Pre-emphasize and Hamming-window the rows of frames x in place and
+    return x. The shifted rows are scaled SPECTRUM_BLOCK rows at a time, so
+    that temporary stays one sub-block's size. A row's first sample has no
+    predecessor."""
+    for start in range(0, len(x), SPECTRUM_BLOCK):
+        part = x[start:start + SPECTRUM_BLOCK]
+        part[:, 1:] -= PREEMPHASIS * part[:, :-1]
     x *= WINDOW
     return x
 
 
-def _lpc_formants(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_pole_formants of each row of raw frames, from a pre-emphasized,
-    Hamming-windowed LPC fit of order LPC_ORDER.
+def _lpc_formants(raw_frames, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_pole_formants of the frames idx of raw_frames, from a
+    pre-emphasized, Hamming-windowed LPC fit of order LPC_ORDER.
 
-    A zero-energy frame keeps the polynomial [1, 0, ..., 0], whose roots at
-    0 are no valid poles. The pre-emphasized frames are freed before the
-    pole fit.
+    The frames are gathered once and pre-emphasized in that copy, which is
+    freed before the pole fit. A zero-energy frame keeps the polynomial
+    [1, 0, ..., 0], whose roots at 0 are no valid poles.
     """
-    r = _lag_products(_preemphasized(raw), LPC_ORDER)
+    r = _lag_products(_preemphasize(raw_frames[idx]), LPC_ORDER)  # indexing copies
     return _pole_formants(levinson_durbin(r))
 
 
-def _spectrum_levels(raw: np.ndarray, f0: np.ndarray, freqs: np.ndarray,
+def _spectrum_levels(raw_frames, idx: np.ndarray, f0: np.ndarray, freqs: np.ndarray,
                      f3_lo: np.ndarray, f3_hi: np.ndarray,
                      rows: int = SPECTRUM_BLOCK) -> tuple[np.ndarray, ...]:
-    """Per row of raw frames, from its 4096-point spectrum: the level at the
-    harmonic nearest each formant in freqs in dB re the level at f0; H1-H2;
-    and H1-A3, with A3 the strongest harmonic in f3_lo..f3_hi, or the one
-    nearest its centre if none is inside. Each is searched within f0 / 4;
-    f0 <= F0_MAX keeps the second harmonic below Nyquist.
+    """Per frame idx (ascending) of raw_frames, from its 4096-point spectrum:
+    the level at the harmonic nearest each formant in freqs in dB re the
+    level at f0; H1-H2; and H1-A3, with A3 the strongest harmonic in
+    f3_lo..f3_hi, or the one nearest its centre if none is inside. Each is
+    searched within f0 / 4; f0 <= F0_MAX keeps the second harmonic below
+    Nyquist.
 
     Each level is the peak of a bin window, in dB once picked. All rows have
-    the same windows, so each sub-block of ``rows`` rows picks its peaks from
-    one slice of the bounds with one reduceat; a padding column keeps ends
-    inside.
+    the same windows, so each sub-block of ``rows`` frames picks its peaks
+    from one slice of the bounds with one reduceat; a padding column keeps
+    ends inside. A sub-block's frames are read when its spectra are taken,
+    as one range if they are consecutive.
     """
     f0_col = f0[:, None]
     k_lo = np.maximum(1, np.ceil(f3_lo / f0).astype(int))
@@ -181,7 +184,9 @@ def _spectrum_levels(raw: np.ndarray, f0: np.ndarray, freqs: np.ndarray,
     bounds = np.stack((offset + np.hstack((at, lo)), offset + np.hstack((at, hi)) + 1), axis=2)
     peaks, padded = np.empty(bounds.shape[:2]), np.zeros((rows, width))
     for start in range(0, len(f0), rows):
-        x = raw[start:start + rows]
+        part = idx[start:start + rows]
+        x = (raw_frames[part[0]:part[-1] + 1] if part[-1] - part[0] < len(part)
+             else raw_frames[part])
         block = padded[:len(x)]
         np.abs(np.fft.rfft(x * WINDOW, SPECTRUM_NFFT, axis=1), out=block[:, :N_BINS])
         picked = np.maximum.reduceat(block.ravel(), bounds[start:start + len(x)].ravel())
@@ -196,12 +201,14 @@ def _block_sums(raw_frames, f0_hz: np.ndarray, rows: int, idx: np.ndarray):
     """One block's terms of the pass's running sums: F1-F3 frequency,
     bandwidth and amplitude summed over the frames with formants (3 x 3), the
     number of those frames, and H1-H2 and H1-A3 summed over every frame.
-    The spectra are taken ``rows`` frames at a time."""
-    raw = raw_frames[idx]  # fancy indexing copies
-    freqs, bws, kept = _lpc_formants(raw)
+    The frames are read twice: all at once for the LPC fit, then ``rows``
+    at a time for their spectra, so the gathered block is freed before any
+    spectrum is taken."""
+    freqs, bws, kept = _lpc_formants(raw_frames, idx)
     f3_lo = np.where(kept, freqs[:, 2] - bws[:, 2], DEFAULT_F3_REGION[0])
     f3_hi = np.where(kept, freqs[:, 2] + bws[:, 2], DEFAULT_F3_REGION[1])
-    amplitudes, h1_h2, h1_a3 = _spectrum_levels(raw, f0_hz[idx], freqs, f3_lo, f3_hi, rows)
+    amplitudes, h1_h2, h1_a3 = _spectrum_levels(raw_frames, idx, f0_hz[idx], freqs,
+                                                f3_lo, f3_hi, rows)
     return (np.stack((freqs, bws, amplitudes))[:, kept].sum(axis=1),
             np.count_nonzero(kept), np.array([h1_h2.sum(), h1_a3.sum()]))
 
@@ -249,7 +256,7 @@ def _pooled(fn, items) -> list:
 def estimate_formants(frames: FrameSequence, pitch: PitchTrack) -> FormantTrack:
     """The 11 voiced-frame LLFs from one pass over blocks of voiced frames.
 
-    The voiced frames are cut into _even_blocks, each gathered once. F1-F3
+    The voiced frames are cut into _even_blocks (_block_sums). F1-F3
     come from the roots of an LPC fit (_lpc_formants); frames with fewer than
     three valid poles have no formants. Their spectra (_spectrum_levels) give
     H1-H2; H1-A3 over F3 +/- its bandwidth, or 2-4 kHz for a frame without

@@ -17,7 +17,9 @@ WINDOW = np.hamming(FRAME_LENGTH)
 WINDOW.setflags(write=False)
 # Frames per block for the passes over every frame (RMS here, the 512-point
 # spectrum in spectral): their temporaries stay a fixed size, about 0.2 MB per
-# array, whatever the utterance length.
+# array, whatever the utterance length. One spectral block, its windowed
+# frames and their complex spectrum, peaks near 0.47 MB traced, below the
+# pitch stage's 0.64 MB.
 FRAME_BLOCK = 64
 
 
@@ -56,7 +58,7 @@ class RawFrames:
             return self[i:i + 1][0]
         idx = np.asarray(key)
         frames = np.empty((len(idx), FRAME_LENGTH))
-        edges = [0, *(np.flatnonzero(np.diff(idx) != 1) + 1).tolist(), len(idx)]
+        edges = [0, *(np.nonzero(idx[1:] - idx[:-1] != 1)[0] + 1).tolist(), len(idx)]
         for lo, hi in zip(edges[:-1], edges[1:]):
             frames[lo:hi] = self[idx[lo]:idx[lo] + hi - lo]
         return frames

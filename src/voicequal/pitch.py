@@ -18,7 +18,8 @@ VOICING_RMS_FRACTION = 0.01
 # tracker off subharmonics of pulse-like excitation.
 PEAK_PREFERENCE = 0.85
 # Frames per autocorrelation block: bounds the FFT temporaries whatever the
-# utterance length, below the spectral stage's peak.
+# utterance length. The stage peaks at 0.64-0.66 MB traced from 0.67 s to
+# 10 s, the highest of the block stages, so it sets extraction's peak there.
 ACF_BLOCK = 32
 # Lags whose normalizer falls below this fraction of the frame energy get an
 # exact (direct-sum) numerator instead of the FFT one.

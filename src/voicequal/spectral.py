@@ -51,17 +51,55 @@ ALPHA_LOW = (FREQS >= 50) & (FREQS <= 1000)
 ALPHA_HIGH = (FREQS > 1000) & (FREQS <= 5000)
 PEAK_LOW = (FREQS >= 0) & (FREQS <= 2000)
 PEAK_HIGH = (FREQS > 2000) & (FREQS <= 5000)
-SLOPE_LOW = (FREQS >= 0) & (FREQS <= 500)
-SLOPE_HIGH = (FREQS >= 500) & (FREQS <= 1500)
+# the slopes read the dB spectrum of the bins up to 1500 Hz only
+SLOPE_BINS = int(np.count_nonzero(FREQS <= 1500))
+SLOPE_LOW = FREQS[:SLOPE_BINS] <= 500
+SLOPE_HIGH = FREQS[:SLOPE_BINS] >= 500
 MEL_FILTERBANK = mel_filterbank(N_MEL_BANDS, NFFT)
 
 
 def _band_slope(db: np.ndarray, sel: np.ndarray) -> np.ndarray:
-    """Per-frame least-squares slope of the dB spectrum over the bins sel."""
-    f = FREQS[sel]
+    """Per-frame least-squares slope of the dB spectrum over the bins sel,
+    for db holding the first len(sel) bins."""
+    f = FREQS[:len(sel)][sel]
     y = db[:, sel]
     f_c = f - f.mean()
     return (y @ f_c) / np.dot(f_c, f_c)
+
+
+def _block_terms(raw: np.ndarray, prev_unit: np.ndarray | None,
+                 out: np.ndarray) -> np.ndarray:
+    """Each frame's terms of the features after Loudness, for one block of
+    raw frames, written into out (one row per feature, one column per
+    frame). A frame's flux term is its step from the frame before it:
+    prev_unit leads the block, or the first frame itself when None.
+
+    Returns the block's last unit spectrum, a one-row copy, so that nothing
+    else of the block outlives it.
+    """
+    mag = np.abs(np.fft.rfft(raw * WINDOW, NFFT, axis=1))
+    power = mag ** 2
+    out[0] = 10.0 * np.log10(
+        (power[:, ALPHA_LOW].sum(axis=1) + _EPS) / (power[:, ALPHA_HIGH].sum(axis=1) + _EPS))
+    out[1] = 10.0 * np.log10(
+        (power[:, PEAK_LOW].max(axis=1) + _EPS) / (power[:, PEAK_HIGH].max(axis=1) + _EPS))
+
+    db = 10.0 * np.log10(power[:, :SLOPE_BINS] + _EPS)
+    out[2] = _band_slope(db, SLOPE_LOW)
+    out[3] = _band_slope(db, SLOPE_HIGH)
+
+    log_mel = np.log(power @ MEL_FILTERBANK.T + _EPS)
+    out[5:] = dct(log_mel, type=2, axis=1, norm="ortho")[:, 1:5].T
+
+    # the magnitudes become unit spectra in place; the sum of power is the
+    # one np.linalg.norm takes of the magnitudes
+    norms = np.sqrt(power.sum(axis=1, keepdims=True))
+    unit = np.divide(mag, np.where(norms > 0, norms, 1.0), out=mag)
+    steps = power  # the power spectrum is read no more
+    np.subtract(unit[:1], unit[:1] if prev_unit is None else prev_unit, out=steps[:1])
+    np.subtract(unit[1:], unit[:-1], out=steps[1:])
+    out[4] = np.sqrt(np.square(steps, out=steps).sum(axis=1))
+    return unit[-1:].copy()
 
 
 def compute_spectral_llfs(frames: FrameSequence) -> dict[str, float]:
@@ -74,8 +112,9 @@ def compute_spectral_llfs(frames: FrameSequence) -> dict[str, float]:
     consecutive unit-normalized magnitude-spectrum differences; mfcc1..4 come
     from a 26-band mel log filterbank cepstrum.
 
-    The spectrum is taken FRAME_BLOCK frames at a time; each frame's terms
-    are kept and averaged at the end.
+    The spectrum is taken FRAME_BLOCK frames at a time (_block_terms), and
+    a block's arrays are freed before the next block's are made; each
+    frame's terms are kept and averaged at the end.
     """
     n = frames.n_frames
     # each frame's term of each feature, in SPECTRAL_KEYS order; the flux
@@ -85,26 +124,7 @@ def compute_spectral_llfs(frames: FrameSequence) -> dict[str, float]:
     last_unit = None
     for start in range(0, n, FRAME_BLOCK):
         block = slice(start, start + FRAME_BLOCK)
-        mag = np.abs(np.fft.rfft(frames.raw_frames[block] * WINDOW, NFFT, axis=1))
-        power = mag ** 2
-        terms[1, block] = 10.0 * np.log10(
-            (power[:, ALPHA_LOW].sum(axis=1) + _EPS) / (power[:, ALPHA_HIGH].sum(axis=1) + _EPS))
-        terms[2, block] = 10.0 * np.log10(
-            (power[:, PEAK_LOW].max(axis=1) + _EPS) / (power[:, PEAK_HIGH].max(axis=1) + _EPS))
-
-        db = 10.0 * np.log10(power + _EPS)
-        terms[3, block] = _band_slope(db, SLOPE_LOW)
-        terms[4, block] = _band_slope(db, SLOPE_HIGH)
-
-        norms = np.linalg.norm(mag, axis=1, keepdims=True)
-        unit = mag / np.where(norms > 0, norms, 1.0)
-        # the previous block's last frame leads this block's steps
-        steps = np.diff(unit, axis=0, prepend=unit[:1] if last_unit is None else last_unit)
-        terms[5, block] = np.linalg.norm(steps, axis=1)
-        last_unit = unit[-1:]
-
-        log_mel = np.log(power @ MEL_FILTERBANK.T + _EPS)
-        terms[6:, block] = dct(log_mel, type=2, axis=1, norm="ortho")[:, 1:5].T
+        last_unit = _block_terms(frames.raw_frames[block], last_unit, terms[1:, block])
 
     values = dict(zip(SPECTRAL_KEYS, terms.mean(axis=1).tolist()))
     values["spectralFlux"] = float(np.mean(terms[5, 1:])) if n > 1 else 0.0

@@ -1,7 +1,10 @@
 import gc
 import math
 import mmap
+import os
 import struct
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -278,3 +281,51 @@ def test_unsupported_sample_type_rejected(tmp_path):
     wavfile.write(path, 16000, np.ones(4000, dtype=np.int64))
     with pytest.raises(AudioIOError, match=f"^{path}: unsupported encoding int64$"):
         load_audio(path)
+
+
+_LOAD_UNDER_64_FILES = """
+import resource
+import sys
+from voicequal.audio_io import load_audio
+from voicequal.errors import AudioIOError
+soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+resource.setrlimit(resource.RLIMIT_NOFILE, (64 if hard == resource.RLIM_INFINITY
+                                            else min(64, hard), hard))
+paths = sys.argv[1:]
+for path in paths:
+    signal = load_audio(path)
+    assert len(signal.samples) and signal.samples[:100].shape == (100,)
+    del signal
+print("loaded", len(paths))
+held = []
+try:
+    for path in paths:
+        held.append(load_audio(path))
+except AudioIOError as exc:
+    print("held", len(held), "Too many open files" in str(exc))
+"""
+
+
+def test_signals_loaded_one_at_a_time_stay_within_64_open_files(tmp_path):
+    # each live signal holds one descriptor through its map; dropping each
+    # one before the next load, as the command line does, holds one at a
+    # time, so 400 loads fit under a limit of 64 while holding them fails
+    pytest.importorskip("resource")
+    vowel = generate_synthetic("clean", f0=130.0, duration=0.5, seed=1)
+    x = generate_synthetic("clean", f0=130.0, duration=0.5, seed=1, sample_rate=44100).samples
+    pcm = np.round(np.stack([x, 0.8 * x], axis=1) * 32767).astype(np.int16)
+    paths = []
+    for i in range(200):
+        paths += [str(tmp_path / f"a{i:03d}.wav"), str(tmp_path / f"b{i:03d}.wav")]
+        save_wav(vowel, paths[-2])
+        wavfile.write(paths[-1], 44100, pcm)
+    package_root = os.path.dirname(os.path.dirname(audio_io.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (package_root, os.environ.get("PYTHONPATH")))))
+    result = subprocess.run([sys.executable, "-c", _LOAD_UNDER_64_FILES, *paths], env=env,
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    loaded, held = result.stdout.splitlines()
+    assert loaded == "loaded 400"
+    count, named = held.split()[1:]
+    assert int(count) < 64 and named == "True"

@@ -74,8 +74,7 @@ def test_frequencies_strictly_ordered_bandwidths_positive():
     voiced = np.nonzero(pitch.voiced)[0]
     n_kept = 0
     for block in _even_blocks(voiced):
-        raw = frames.raw_frames[block]
-        freqs, bws, kept = _lpc_formants(raw)
+        freqs, bws, kept = _lpc_formants(frames.raw_frames, block)
         freqs, bws = freqs[kept], bws[kept]
         assert np.all(freqs[:, 0] < freqs[:, 1])
         assert np.all(freqs[:, 1] < freqs[:, 2])

@@ -35,7 +35,7 @@ def _analyze(sig, region=DEFAULT_F3_REGION):
     idx = np.nonzero(pitch.voiced)[0]
     lo, hi = (np.full(len(idx), edge) for edge in region)
     formants = np.full((len(idx), 3), 1000.0)  # amplitudes are not read here
-    _, h1_h2, h1_a3 = _spectrum_levels(frames.raw_frames[idx], pitch.f0_hz[idx], formants, lo, hi)
+    _, h1_h2, h1_a3 = _spectrum_levels(frames.raw_frames, idx, pitch.f0_hz[idx], formants, lo, hi)
     return {"logRelF0-H1-H2": h1_h2.mean(), "logRelF0-H1-A3": h1_a3.mean()}
 
 
@@ -188,6 +188,32 @@ def test_stage_matches_per_frame_reference_at_block_edges(n_voiced, monkeypatch)
         assert set(track.values) == set(reference)
         for key, want in reference.items():
             assert track.values[key] == pytest.approx(want, rel=1e-12, abs=1e-12), key
+
+
+def test_stage_matches_per_frame_reference_with_gaps_inside_sub_blocks(monkeypatch):
+    # 40 consecutive voiced frames, then voiced frames in pairs with one
+    # unvoiced frame between: past the first 40, every spectrum sub-block
+    # spans more frames than it takes, so its frames are read one run at a
+    # time; 136 voiced frames make three blocks, so two workers pool them
+    vowel = generate_synthetic("clean", f0=150.0, duration=2.5, seed=2)
+    frames = frame_signal(vowel)
+    pitch = track_pitch(frames)
+    voiced = np.nonzero(pitch.voiced)[0]
+    later = voiced[40:]
+    chosen = np.concatenate((voiced[:40], later[later % 3 != 1][:96]))
+    assert np.all(np.diff(chosen[40:])[1::2] == 2)
+    f0 = np.zeros(len(pitch))
+    f0[chosen] = pitch.f0_hz[chosen]
+    gapped = PitchTrack(f0, pitch.harmonicity.copy())
+    reference = _reference_stage(frames, gapped)
+    results = []
+    for workers in (1, 2):
+        monkeypatch.setattr(formants, "_workers", lambda: workers)
+        track = estimate_formants(frames, gapped)
+        for key, want in reference.items():
+            assert track.values[key] == pytest.approx(want, rel=1e-12, abs=1e-12), key
+        results.append((len(track), track.values))
+    assert results[0] == results[1]
 
 
 @pytest.mark.parametrize("n_voiced", [1, 63, 64, 65, 66, 95, 96, 97, 98, 127, 128, 129, 193])
