@@ -2,10 +2,10 @@
 
 All downstream analysis runs at a single canonical sample rate; multichannel
 input is averaged to mono and out-of-range samples trigger peak normalization.
-A WAV already at that rate is never decoded whole: the stages read its
-samples by range, and each range is decoded from the mapped file. Any other
-rate is resampled chunk by chunk into an unlinked temporary file in TMPDIR,
-which is then mapped, so the resampled signal is not held in memory either.
+Every WAV is decoded once, chunk by chunk (and resampled, unless it is at the
+canonical rate already), into an unlinked temporary file in TMPDIR, which is
+then mapped: the signal is not held in memory, and the source WAV is not read
+again once it is loaded.
 """
 
 from __future__ import annotations
@@ -24,23 +24,24 @@ from scipy.signal import firwin, upfirdn
 from .errors import AudioIOError, SilentInputError
 
 CANONICAL_RATE = 16000
+# The highest standard WAV rate. The resampling filter's length grows with
+# the rate (640 GiB for a 32-bit header's 4 GHz), so a higher one is rejected.
+MAX_RATE = 384000
 
 
 @dataclass(frozen=True)
 class AudioSignal:
-    """Mono PCM samples in [-1, 1] at a fixed sample rate: an array, or the
-    WavSamples of a CANONICAL_RATE WAV, which load_audio has checked. The
-    array of a resampled WAV lies over its mapped temporary file."""
+    """Mono PCM samples in [-1, 1] at a fixed sample rate, held read-only as
+    a float64 array. The array of a loaded WAV lies over its mapped
+    temporary file."""
 
-    samples: np.ndarray | WavSamples
+    samples: np.ndarray
     sample_rate_hz: int
     source_id: str = ""
 
     def __post_init__(self):
         if self.sample_rate_hz <= 0:
             raise AudioIOError(f"invalid sample rate {self.sample_rate_hz}")
-        if isinstance(self.samples, WavSamples):
-            return
         samples = np.ascontiguousarray(self.samples, dtype=np.float64)
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
@@ -63,9 +64,9 @@ _SCALES = {
     np.dtype(np.float32): (0.0, 1.0),
     np.dtype(np.float64): (0.0, 1.0),
 }
-# Sample frames per chunk when a WAV is checked at open or resampled, and
-# samples per read in the period search: no float64 copy of the file, or of
-# every channel, is made.
+# Sample frames per chunk when a WAV is decoded and resampled, and samples
+# per |x| block in the period search: no float64 copy of the file, or of
+# every channel, is held in memory.
 DECODE_BLOCK = 8192
 
 
@@ -88,40 +89,6 @@ def _decode(data: np.ndarray, offset: float, scale: float) -> np.ndarray:
         x += _convert(data[:, c], offset, scale)
     x /= data.shape[1]
     return x
-
-
-class WavSamples:
-    """The float64 samples of a CANONICAL_RATE WAV, read from the mapped file.
-
-    ``len(x)`` is the sample count; a slice ``x[a:b]`` and an integer index
-    array ``x[idx]`` decode just the samples they name and return float64 arrays
-    with the values a whole-file decode would give, peak normalization
-    included (decoding is elementwise); ``np.asarray(x)`` reads every
-    sample. The file must not change while the samples are read.
-    """
-
-    def __init__(self, data: np.ndarray, peak: float):
-        self._data = data
-        self._scales = _SCALES[data.dtype]
-        self._peak = peak
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def _decoded(self, data: np.ndarray) -> np.ndarray:
-        x = _decode(data, *self._scales)
-        if self._peak > 1.0:
-            x /= self._peak
-        return x
-
-    def __getitem__(self, key) -> np.ndarray:
-        if isinstance(key, slice):
-            return self._decoded(self._data[key])
-        idx = np.asarray(key)
-        return self._decoded(self._data[idx.reshape(-1)]).reshape(idx.shape)
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        return np.array(self[:], dtype=dtype)
 
 
 def _checked_chunks(data: np.ndarray, spans, path):
@@ -150,14 +117,10 @@ def _resampling_filter(up: int, down: int) -> np.ndarray:
     return h
 
 
-def _resample(data: np.ndarray, rate: int, path) -> np.ndarray:
+def _resampled(data: np.ndarray, rate: int, path):
     """The decoded data resampled from rate to CANONICAL_RATE, equal to
     scipy's resample_poly with _resampling_filter, DECODE_BLOCK outputs at
-    a time: a writable float64 array over an unlinked temporary file.
-
-    Each chunk is written to the file, which is mapped only once it is
-    full: a full disk then fails a write, raised as AudioIOError, where a
-    store into an unallocated page of a mapped file would kill the process.
+    a time.
 
     resample_poly filters with h, its filter scaled by up and zero-padded:
     output o is upfirdn(h, x, up, down)[o + pre]. So outputs [o0, o1) come
@@ -185,18 +148,31 @@ def _resample(data: np.ndarray, rate: int, path) -> np.ndarray:
         m_lo = -(-((o0 + pre) * down - len(h) + 1) // up)
         m_hi = n_in - 1 if o1 == n_out else (o1 + pre - 1) * down // up
         spans.append((max(0, m_lo // down * down), m_hi + 1))
+    # the chunks come first: after the last, zip asks them for one more,
+    # which runs their silence check
+    for chunk, o0, (m0, _) in zip(_checked_chunks(data, spans, path), starts, spans):
+        o1, skip = min(o0 + DECODE_BLOCK, n_out), o0 + pre - m0 * up // down
+        yield upfirdn(h, chunk, up, down)[skip:skip + o1 - o0]
+
+
+def _buffered(chunks, path) -> np.ndarray:
+    """The float64 chunks, one after another, as a writable array over an
+    unlinked temporary file.
+
+    Each chunk is written to the file, which is mapped only once it is
+    full: a full disk then fails a write, raised as AudioIOError, where a
+    store into an unallocated page of a mapped file would kill the process.
+    """
     try:
         with tempfile.TemporaryFile() as f:
-            # the chunks come first: after the last, zip asks them for one
-            # more, which runs their silence check
-            for chunk, o0, (m0, _) in zip(_checked_chunks(data, spans, path), starts, spans):
-                o1, skip = min(o0 + DECODE_BLOCK, n_out), o0 + pre - m0 * up // down
-                f.write(upfirdn(h, chunk, up, down)[skip:skip + o1 - o0])
+            for chunk in chunks:
+                f.write(chunk)
+                del chunk  # freed before the next chunk is made
             f.flush()
             # the map keeps the unlinked file after f closes
             buffer = mmap.mmap(f.fileno(), 0)
     except OSError as exc:
-        raise AudioIOError(f"{path}: cannot buffer resampled audio: {exc.strerror or exc}") from None
+        raise AudioIOError(f"{path}: cannot buffer audio: {exc.strerror or exc}") from None
     return np.frombuffer(buffer, dtype=np.float64)
 
 
@@ -213,13 +189,12 @@ def _read_wav(path: str) -> tuple[int, np.ndarray]:
 def load_audio(path: str | os.PathLike) -> AudioSignal:
     """Decode a PCM WAV file into a mono AudioSignal at CANONICAL_RATE.
 
-    Rates below 8 kHz and non-finite samples are rejected. Channels are
-    averaged, the result is resampled with a polyphase (band-limited)
-    resampler, and peak-normalized only if any sample exceeds full scale.
-    A CANONICAL_RATE file is checked in one pass over its chunks and its
-    samples are a WavSamples over the mapped file; any other rate is
-    resampled into a mapped temporary file (128 kB of TMPDIR per second of
-    audio while the signal lives) and normalized there. Either way, the
+    Rates below 8 kHz or above MAX_RATE and non-finite samples are
+    rejected. Channels are averaged, the result is resampled with a
+    polyphase (band-limited) resampler unless it is at CANONICAL_RATE,
+    and peak-normalized only if any sample exceeds full scale. The WAV is
+    decoded once, into a mapped temporary file (128 kB of TMPDIR per
+    second of audio while the signal lives), and not read again. The
     signal holds one open file descriptor through its map until it is
     freed, so a caller that keeps many signals alive at once can reach the
     process's open-file limit; one that drops each signal after use, as
@@ -234,6 +209,8 @@ def load_audio(path: str | os.PathLike) -> AudioSignal:
         raise AudioIOError(f"{path}: cannot read: {exc}")
     if rate < 8000:  # before resampling: a bogus rate of 1 Hz would upsample 16000x
         raise AudioIOError(f"{path}: unsupported sample rate {rate} Hz: need at least 8000 Hz")
+    if rate > MAX_RATE:
+        raise AudioIOError(f"{path}: unsupported sample rate {rate} Hz: need at most {MAX_RATE} Hz")
 
     if data.dtype not in _SCALES:
         raise AudioIOError(f"{path}: unsupported encoding {data.dtype}")
@@ -242,13 +219,14 @@ def load_audio(path: str | os.PathLike) -> AudioSignal:
 
     if rate == CANONICAL_RATE:
         spans = [(lo, lo + DECODE_BLOCK) for lo in range(0, len(data), DECODE_BLOCK)]
-        peak = max(max(x.max(), -x.min()) for x in _checked_chunks(data, spans, path))
-        samples = WavSamples(data, peak)
+        chunks = _checked_chunks(data, spans, path)
     else:
-        samples = _resample(data, rate, path)
-        peak = max(samples.max(), -samples.min())
-        if peak > 1.0:
-            samples /= peak
+        chunks = _resampled(data, rate, path)
+    del data  # the WAV is unmapped once its last chunk is read
+    samples = _buffered(chunks, path)
+    peak = max(samples.max(), -samples.min())
+    if peak > 1.0:
+        samples /= peak
     return AudioSignal(samples, CANONICAL_RATE, source_id=os.fspath(path))
 
 

@@ -23,60 +23,16 @@ WINDOW.setflags(write=False)
 FRAME_BLOCK = 64
 
 
-class RawFrames:
-    """The unwindowed frames of a sample sequence, read from it by range.
-
-    ``frames[a:b]`` is a read-only (b - a, FRAME_LENGTH) strided view over
-    one read of the samples those frames span. ``frames[idx]``, for an
-    index array, copies its frames, reading one range per run of
-    consecutive indices; ``frames[i]`` is one frame, and
-    ``np.asarray(frames)`` all of them.
-    """
-
-    def __init__(self, samples, n_frames: int):
-        self._samples = samples
-        self._n_frames = n_frames
-
-    def __len__(self) -> int:
-        return self._n_frames
-
-    def __getitem__(self, key) -> np.ndarray:
-        if isinstance(key, slice):
-            start, stop, step = key.indices(self._n_frames)
-            if step != 1:
-                raise IndexError("RawFrames slices take no step")
-            if stop <= start:
-                return np.empty((0, FRAME_LENGTH))
-            span = self._samples[start * HOP:(stop - 1) * HOP + FRAME_LENGTH]
-            # frame i starts HOP samples after frame i - 1, in the same memory
-            frames = np.ndarray((stop - start, FRAME_LENGTH), np.float64, span,
-                                strides=(HOP * span.itemsize, span.itemsize))
-            frames.setflags(write=False)
-            return frames
-        if np.ndim(key) == 0:
-            i = range(self._n_frames)[key]
-            return self[i:i + 1][0]
-        idx = np.asarray(key)
-        frames = np.empty((len(idx), FRAME_LENGTH))
-        edges = [0, *(np.nonzero(idx[1:] - idx[:-1] != 1)[0] + 1).tolist(), len(idx)]
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            frames[lo:hi] = self[idx[lo]:idx[lo] + hi - lo]
-        return frames
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        return np.array(self[:], dtype=dtype)
-
-
 @dataclass(frozen=True)
 class FrameSequence:
     """Unwindowed analysis frames; each spectral stage multiplies in
     ``WINDOW`` where it needs it, so no windowed copy is stored.
 
-    Stages read ``raw_frames`` in blocks or by index, which reads only the
-    samples of the frames they take.
+    ``raw_frames`` is a read-only strided view over the signal's samples:
+    a slice of it is a view too, and only indexing by an array copies.
     """
 
-    raw_frames: RawFrames     # n_frames frames of FRAME_LENGTH samples, unwindowed
+    raw_frames: np.ndarray    # (n_frames, FRAME_LENGTH) frames, unwindowed
     rms: np.ndarray           # (n_frames,) raw-frame RMS, for voicing and loudness
 
     @property
@@ -99,7 +55,7 @@ def frame_signal(signal: AudioSignal) -> FrameSequence:
         raise AudioIOError(
             f"signal too short: {n_samples} samples, need at least {FRAME_LENGTH}")
 
-    raw = RawFrames(signal.samples, (n_samples - FRAME_LENGTH) // HOP + 1)
+    raw = np.lib.stride_tricks.sliding_window_view(signal.samples, FRAME_LENGTH)[::HOP]
     rms = np.empty(len(raw))
     for start in range(0, len(raw), FRAME_BLOCK):
         block = raw[start:start + FRAME_BLOCK]

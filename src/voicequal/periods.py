@@ -63,7 +63,8 @@ def _refine_marks(x, marks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _largest_magnitude(x, start: int, end: int) -> int:
     """Index of the first sample of largest |x| in x[start:end], not all
-    zero; x is read and |x| taken DECODE_BLOCK samples at a time."""
+    zero; |x| is taken DECODE_BLOCK samples at a time, so no temporary the
+    size of a long region is made."""
     best, anchor = 0.0, start
     for lo in range(start, end, DECODE_BLOCK):
         block = np.abs(x[lo:min(lo + DECODE_BLOCK, end)])
@@ -75,12 +76,7 @@ def _largest_magnitude(x, start: int, end: int) -> int:
 
 def find_period_marks(signal: AudioSignal, pitch: PitchTrack) -> list[PeriodMarks]:
     """Locate one glottal peak per pitch period within each voiced region
-    of a CANONICAL_RATE signal.
-
-    A region's samples are read DECODE_BLOCK at a time: the search windows
-    of each march come from the block last read, and a window that leaves
-    it reads the next block in the marching direction.
-    """
+    of a CANONICAL_RATE signal."""
     x = signal.samples
     f0_hz = pitch.f0_hz.tolist()
 
@@ -100,7 +96,6 @@ def find_period_marks(signal: AudioSignal, pitch: PitchTrack) -> list[PeriodMark
         # direction stops when its window leaves the region or fails to step
         for sign in (1, -1):
             pos = float(anchor)
-            block_lo = block_hi = 0  # the block read last is x[block_lo:block_hi]
             while True:
                 t = sign * period_at(pos, lo_frame, hi_frame)
                 near = int(round(pos + t * (1 - SEARCH_FRACTION)))
@@ -108,11 +103,7 @@ def find_period_marks(signal: AudioSignal, pitch: PitchTrack) -> list[PeriodMark
                 lo, hi = min(near, far), max(near, far) + 1
                 if (hi > end or lo <= int(pos)) if sign > 0 else (lo < start or hi >= int(pos)):
                     break
-                if lo < block_lo or hi > block_hi:
-                    block_lo = lo if sign > 0 else max(start, hi - DECODE_BLOCK)
-                    block_hi = min(end, block_lo + DECODE_BLOCK)
-                    block = x[block_lo:block_hi]
-                m = lo + int(np.abs(block[lo - block_lo:hi - block_lo]).argmax())
+                m = lo + int(np.abs(x[lo:hi]).argmax())
                 marks.append(m)
                 pos = float(m)
 

@@ -13,7 +13,7 @@ from scipy.io import wavfile
 from scipy.signal import resample_poly
 
 import voicequal.audio_io as audio_io
-from voicequal.audio_io import (CANONICAL_RATE, DECODE_BLOCK, AudioSignal, WavSamples,
+from voicequal.audio_io import (CANONICAL_RATE, DECODE_BLOCK, MAX_RATE, AudioSignal,
                                 load_audio, save_wav)
 from voicequal.errors import AudioIOError, SilentInputError
 from voicequal.llf import extract_llf_vector
@@ -51,6 +51,14 @@ def test_sample_rate_below_8k_rejected(tmp_path, rate):
     _write_int16(path, rate, 0.5 * np.sin(np.arange(32)))
     with pytest.raises(AudioIOError, match="sample rate"):
         load_audio(path)
+
+
+def test_highest_standard_sample_rate_loads(tmp_path):
+    path = tmp_path / "fast.wav"
+    t = np.arange(MAX_RATE // 10) / MAX_RATE
+    _write_int16(path, MAX_RATE, 0.5 * np.sin(2 * np.pi * 150 * t))
+    sig = load_audio(path)
+    assert len(sig.samples) == CANONICAL_RATE // 10
 
 
 def test_silent_input_rejected(tmp_path):
@@ -219,9 +227,9 @@ _LONG_CASES = {(np.float32, 1, 16000), (np.uint8, 2, 16000), (np.int32, 1, 22050
 @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int16, np.int32, np.uint8])
 def test_loaded_signal_extracts_as_its_samples_held_in_one_array(tmp_path, dtype, channels,
                                                                  rate):
-    # a 16 kHz WAV is read from the file chunk by chunk as the stages ask, any
-    # other rate is resampled into one array; either way every LLF is the
-    # float extracted from the same samples held as one array
+    # every rate is decoded (and resampled) chunk by chunk into a mapped
+    # temporary file; every LLF is the float extracted from the same
+    # samples held as one array in memory
     lengths = [4960, DECODE_BLOCK - 1, DECODE_BLOCK + 1]  # at 16 kHz
     if (dtype, channels, rate) in _LONG_CASES:
         lengths.append(30 * CANONICAL_RATE)
@@ -234,8 +242,9 @@ def test_loaded_signal_extracts_as_its_samples_held_in_one_array(tmp_path, dtype
         wavfile.write(path, rate, _encode(np.stack([x, 0.8 * x], axis=1) if channels == 2
                                           else x, dtype))
         sig = load_audio(path)
-        assert isinstance(sig.samples, WavSamples) == (rate == CANONICAL_RATE)
-        held = AudioSignal(np.asarray(sig.samples), CANONICAL_RATE)
+        assert isinstance(sig.samples, np.ndarray)
+        assert isinstance(sig.samples.base.obj, mmap.mmap)
+        held = AudioSignal(np.array(sig.samples), CANONICAL_RATE)
         got, want = extract_llf_vector(sig), extract_llf_vector(held)
         assert [v.hex() for v in got.values()] == [v.hex() for v in want.values()], n
 
@@ -263,17 +272,19 @@ def test_load_peak_memory_below_twice_the_signal(tmp_path):
 
 
 def test_resampled_audio_leaves_nothing_in_the_temporary_directory(tmp_path, monkeypatch):
+    # a 16 kHz WAV, which needs no resampling, is buffered the same way
     buffers = tmp_path / "tmp"
     buffers.mkdir()
     monkeypatch.setattr(tempfile, "tempdir", str(buffers))
-    path = tmp_path / "a44k.wav"
-    _write_int16(path, 44100, 0.5 * np.sin(2 * np.pi * 150 * np.arange(44100) / 44100))
-    sig = load_audio(path)
-    assert isinstance(sig.samples.base.obj, mmap.mmap)  # buffered, in an unlinked file
-    assert list(buffers.iterdir()) == []
-    del sig
-    gc.collect()
-    assert list(buffers.iterdir()) == []
+    for rate in (16000, 44100):
+        path = tmp_path / f"a{rate}.wav"
+        _write_int16(path, rate, 0.5 * np.sin(2 * np.pi * 150 * np.arange(rate) / rate))
+        sig = load_audio(path)
+        assert isinstance(sig.samples.base.obj, mmap.mmap)  # buffered, in an unlinked file
+        assert list(buffers.iterdir()) == []
+        del sig
+        gc.collect()
+        assert list(buffers.iterdir()) == []
 
 
 def test_unsupported_sample_type_rejected(tmp_path):
@@ -281,6 +292,15 @@ def test_unsupported_sample_type_rejected(tmp_path):
     wavfile.write(path, 16000, np.ones(4000, dtype=np.int64))
     with pytest.raises(AudioIOError, match=f"^{path}: unsupported encoding int64$"):
         load_audio(path)
+
+
+def _run_python(code, *args):
+    """Run code in a new interpreter that imports this package."""
+    package_root = os.path.dirname(os.path.dirname(audio_io.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (package_root, os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=300)
 
 
 _LOAD_UNDER_64_FILES = """
@@ -319,13 +339,38 @@ def test_signals_loaded_one_at_a_time_stay_within_64_open_files(tmp_path):
         paths += [str(tmp_path / f"a{i:03d}.wav"), str(tmp_path / f"b{i:03d}.wav")]
         save_wav(vowel, paths[-2])
         wavfile.write(paths[-1], 44100, pcm)
-    package_root = os.path.dirname(os.path.dirname(audio_io.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (package_root, os.environ.get("PYTHONPATH")))))
-    result = subprocess.run([sys.executable, "-c", _LOAD_UNDER_64_FILES, *paths], env=env,
-                            capture_output=True, text=True, timeout=300)
+    result = _run_python(_LOAD_UNDER_64_FILES, *paths)
     assert result.returncode == 0, result.stderr
     loaded, held = result.stdout.splitlines()
     assert loaded == "loaded 400"
     count, named = held.split()[1:]
     assert int(count) < 64 and named == "True"
+
+
+_EXTRACT_AFTER_TRUNCATION = """
+import os
+import sys
+from voicequal.audio_io import load_audio
+from voicequal.llf import extract_llf_vector
+path, truncate = sys.argv[1], sys.argv[2] == "truncate"
+signal = load_audio(path)
+if truncate:
+    os.truncate(path, 0)
+print(" ".join(v.hex() for v in extract_llf_vector(signal).values()))
+"""
+
+
+@pytest.mark.parametrize("rate", [16000, 44100])
+def test_a_loaded_wav_is_not_read_again(tmp_path, rate):
+    # once loaded, the source WAV may shrink: a read from a map past the end
+    # of its file would kill the process with SIGBUS
+    x = generate_synthetic("clean", f0=130.0, duration=2.0, seed=1, sample_rate=rate).samples
+    lines = []
+    for action in ("keep", "truncate"):
+        path = tmp_path / f"{action}.wav"
+        _write_int16(path, rate, 0.9 * x)
+        result = _run_python(_EXTRACT_AFTER_TRUNCATION, str(path), action)
+        assert result.returncode == 0, (result.returncode, result.stderr)
+        lines.append(result.stdout)
+    assert path.stat().st_size == 0
+    assert lines[0] == lines[1] and len(lines[0].split()) == 25

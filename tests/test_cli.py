@@ -50,6 +50,17 @@ def test_extract_converts_a_44k_stereo_wav(tmp_path):
     assert record == {"source": str(path), **extract_llf_vector(load_audio(path))}
 
 
+@pytest.mark.parametrize("rate", [384_001, 4_294_967_291])
+def test_extract_rejects_a_sample_rate_above_384k_with_exit_3(tmp_path, capsys, rate):
+    # an 8-bit mono header can state any 32-bit rate; 4,294,967,291 Hz would
+    # design a 640 GiB resampling filter for 20 ms of audio
+    path = tmp_path / "fast.wav"
+    wavfile.write(path, rate, (128 + 100 * np.sin(np.arange(320) / 3)).astype(np.uint8))
+    assert main(["extract", str(path), "--output", str(tmp_path / "llf.jsonl")]) == 3
+    reason = f"unsupported sample rate {rate} Hz: need at most 384000 Hz"
+    assert f"error: {path}: {reason}" in capsys.readouterr().err
+
+
 def _write_stereo_44k(path, duration, seed=3):
     x = generate_synthetic("clean", f0=130.0, duration=duration, seed=seed, sample_rate=44100).samples
     wavfile.write(path, 44100, np.round(np.stack([x, 0.8 * x], axis=1) * 32767).astype(np.int16))
@@ -75,12 +86,18 @@ def test_a_full_buffer_disk_exits_3_and_keeps_the_earlier_lines(tmp_path, capsys
     good, bad, out = tmp_path / "good16k.wav", tmp_path / "bad44k.wav", tmp_path / "out.jsonl"
     save_wav(generate_synthetic("clean", f0=130.0, duration=1.0, seed=3), good)
     _write_stereo_44k(bad, 1.0)
-    temporary_file = tempfile.TemporaryFile
-    monkeypatch.setattr(tempfile, "TemporaryFile",
-                        lambda *args, **kwargs: _FullDisk(temporary_file(*args, **kwargs)))
+    temporary_file, opened = tempfile.TemporaryFile, []
+
+    def second_buffer_full(*args, **kwargs):
+        # the disk fills once the first file's buffer is written
+        opened.append(temporary_file(*args, **kwargs))
+        return opened[-1] if len(opened) == 1 else _FullDisk(opened[-1])
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", second_buffer_full)
     assert main(["extract", str(good), str(bad), "--output", str(out)]) == 3
     reason = os.strerror(errno.ENOSPC)
-    assert f"error: {bad}: cannot buffer resampled audio: {reason}" in capsys.readouterr().err
+    assert f"error: {bad}: cannot buffer audio: {reason}" in capsys.readouterr().err
+    assert len(opened) == 2
     assert [json.loads(line)["source"] for line in out.read_text().splitlines()] == [str(good)]
 
 

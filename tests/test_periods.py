@@ -3,7 +3,6 @@ import warnings
 import numpy as np
 import pytest
 
-import voicequal.audio_io as audio_io
 from voicequal.audio_io import DECODE_BLOCK, AudioSignal, load_audio, save_wav
 from voicequal.errors import InsufficientVoicingError
 from voicequal.framing import FRAME_LENGTH, HOP, frame_signal
@@ -215,22 +214,13 @@ def test_period_marks_match_two_loop_reference():
             assert np.array_equal(marks.amplitudes, amplitudes)
 
 
-def test_period_marks_of_a_16k_wav_are_found_through_coarse_reads(tmp_path, monkeypatch):
+def test_period_marks_of_a_16k_wav_are_those_of_its_samples_in_memory(tmp_path):
     path = tmp_path / "v.wav"
     save_wav(generate_synthetic("jittered", f0=130.0, duration=6.0, seed=1), path)
     sig = load_audio(path)
     pitch = track_pitch(frame_signal(sig))
-    decoded = []
-    decode = audio_io._decode
-    monkeypatch.setattr(audio_io, "_decode", lambda data, *a: decoded.append(len(data))
-                        or decode(data, *a))
     got = find_period_marks(sig, pitch)
-    n_marks = sum(len(marks.positions) for marks in got)
-    # DECODE_BLOCK-sample reads for the anchor search and each march, and
-    # index reads per block of marks for the refinement: not a read per mark
-    assert len(decoded) < n_marks / 10
-    assert sum(decoded) < 3 * len(sig.samples)
-    want = find_period_marks(AudioSignal(np.asarray(sig.samples), 16000), pitch)
+    want = find_period_marks(AudioSignal(np.array(sig.samples), 16000), pitch)
     assert len(got) == len(want) > 0
     for marks, held in zip(got, want):
         assert np.array_equal(marks.positions, held.positions)
