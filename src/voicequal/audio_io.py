@@ -155,25 +155,27 @@ def _resampled(data: np.ndarray, rate: int, path):
         yield upfirdn(h, chunk, up, down)[skip:skip + o1 - o0]
 
 
-def _buffered(chunks, path) -> np.ndarray:
+def _buffered(chunks, path) -> tuple[np.ndarray, float]:
     """The float64 chunks, one after another, as a writable array over an
-    unlinked temporary file.
+    unlinked temporary file, and the largest magnitude among them.
 
     Each chunk is written to the file, which is mapped only once it is
     full: a full disk then fails a write, raised as AudioIOError, where a
     store into an unallocated page of a mapped file would kill the process.
     """
+    peak = 0.0
     try:
         with tempfile.TemporaryFile() as f:
             for chunk in chunks:
                 f.write(chunk)
+                peak = max(peak, chunk.max(), -chunk.min())
                 del chunk  # freed before the next chunk is made
             f.flush()
             # the map keeps the unlinked file after f closes
             buffer = mmap.mmap(f.fileno(), 0)
     except OSError as exc:
         raise AudioIOError(f"{path}: cannot buffer audio: {exc.strerror or exc}") from None
-    return np.frombuffer(buffer, dtype=np.float64)
+    return np.frombuffer(buffer, dtype=np.float64), peak
 
 
 def _read_wav(path: str) -> tuple[int, np.ndarray]:
@@ -223,8 +225,7 @@ def load_audio(path: str | os.PathLike) -> AudioSignal:
     else:
         chunks = _resampled(data, rate, path)
     del data  # the WAV is unmapped once its last chunk is read
-    samples = _buffered(chunks, path)
-    peak = max(samples.max(), -samples.min())
+    samples, peak = _buffered(chunks, path)
     if peak > 1.0:
         samples /= peak
     return AudioSignal(samples, CANONICAL_RATE, source_id=os.fspath(path))

@@ -6,7 +6,7 @@ formant re the f0 level."""
 from __future__ import annotations
 
 import os
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -39,7 +39,7 @@ SPECTRUM_BLOCK = 8
 # F3 search region used for a frame without three formants
 DEFAULT_F3_REGION = (2000.0, 4000.0)
 
-# LPC blocks in flight at once: the caller's and one on a helper thread.
+# Most threads in a voiced-frame pass's pool, and so LPC blocks in flight.
 # Batched eigvals and rfft release the GIL, so two blocks run on two CPUs.
 # A block holds at most about 0.23 MB at once, so two stay below the pitch
 # stage's traced peak (0.64 MB); three gathering at once would not.
@@ -220,39 +220,6 @@ def _even_blocks(voiced: np.ndarray):
     return (voiced[i * n // n_blocks:(i + 1) * n // n_blocks] for i in range(n_blocks))
 
 
-def _pooled(fn, items) -> list:
-    """fn of each item, in order. The caller and a helper thread, started
-    here and joined before this returns, each take the next item when they
-    finish one, so neither waits for the other before the last. The first
-    error stops both from taking more; the other's running call finishes
-    and the error is raised here."""
-    items, lock, stop = enumerate(items), threading.Lock(), threading.Event()
-    results, errors = {}, []
-
-    def take_items():
-        try:
-            while not stop.is_set():
-                with lock:  # one iterator, advanced from two threads
-                    taken = next(items, None)
-                if taken is None:
-                    return
-                results[taken[0]] = fn(taken[1])
-        except BaseException as exc:
-            stop.set()
-            errors.append(exc)
-
-    helper = threading.Thread(target=take_items, name="voicequal-voiced")
-    helper.start()
-    take_items()
-    helper.join()
-    if errors:
-        try:
-            raise errors[0]
-        finally:
-            errors.clear()  # its traceback's frames hold errors: no cycle left
-    return [results[n] for n in range(len(results))]
-
-
 def estimate_formants(frames: FrameSequence, pitch: PitchTrack) -> FormantTrack:
     """The 11 voiced-frame LLFs from one pass over blocks of voiced frames.
 
@@ -262,18 +229,22 @@ def estimate_formants(frames: FrameSequence, pitch: PitchTrack) -> FormantTrack:
     H1-H2; H1-A3 over F3 +/- its bandwidth, or 2-4 kHz for a frame without
     formants; and FnamplitudeLogRelF0. Only running sums outlive a block.
 
-    With two or more blocks and two or more _workers, the caller and a
-    helper thread share the blocks (_pooled), each taking its spectra
-    SPECTRUM_BLOCK / MAX_WORKERS frames at a time. The blocks depend on the
-    voiced frames only and their sums are added in block order, so the
-    values do not depend on the number of CPUs.
+    The blocks run on a pool of min(_workers(), blocks) threads, started
+    for the pass and joined before it returns; each thread takes the next
+    block when it finishes one and its spectra SPECTRUM_BLOCK / threads
+    frames at a time. Every block is submitted at once, about 1.5 kB per
+    block until the pass ends. A block's error is raised here once every
+    block before it has finished; blocks not yet taken by then never start.
+    The blocks depend on the voiced frames only and their sums are added
+    in block order, so the values do not depend on the number of CPUs.
     """
     voiced = np.nonzero(pitch.voiced)[0]
-    blocks = _even_blocks(voiced)
-    workers = _workers() if len(voiced) > LPC_BLOCK else 1
+    blocks = list(_even_blocks(voiced))
+    workers = max(1, min(_workers(), len(blocks)))  # no voiced frame: no block
     block_sums = partial(_block_sums, frames.raw_frames, pitch.f0_hz,
                          SPECTRUM_BLOCK // workers)
-    parts = _pooled(block_sums, blocks) if workers > 1 else map(block_sums, blocks)
+    with ThreadPoolExecutor(workers, "voicequal-voiced") as pool:
+        parts = list(pool.map(block_sums, blocks))
 
     # rows: frequency, bandwidth and amplitude of F1-F3, summed over the
     # frames with formants; and H1-H2, H1-A3 summed over every voiced frame

@@ -177,8 +177,8 @@ def _partly_voiced(n_voiced):
                                      129, 193])
 def test_stage_matches_per_frame_reference_at_block_edges(n_voiced, monkeypatch):
     # n_voiced frames across the edges of the spectrum sub-blocks and the
-    # even LPC blocks (65: 32 + 33; 129: 3 x 43), inline and, from a second
-    # block on, two blocks at a time on the caller and the helper thread
+    # even LPC blocks (65: 32 + 33; 129: 3 x 43), on one pool thread and,
+    # from a second block on, two blocks at a time on two
     frames, part = _partly_voiced(n_voiced)
     reference = _reference_stage(frames, part)
     for workers in (1, 2):
@@ -219,9 +219,10 @@ def test_stage_matches_per_frame_reference_with_gaps_inside_sub_blocks(monkeypat
 @pytest.mark.parametrize("n_voiced", [1, 63, 64, 65, 66, 95, 96, 97, 98, 127, 128, 129, 193])
 def test_same_values_on_one_worker_and_two(n_voiced, monkeypatch):
     # the blocks depend on the voiced frames only, and their sums are added
-    # in block order on the caller's thread, so the helper thread changes no
-    # bit; from a second block on, the caller and the helper share the blocks, each
-    # taking its spectra half as many frames at a time
+    # in block order on the caller's thread, so the second pool thread
+    # changes no bit; every block runs on a pool thread, never the caller's,
+    # and from a second block on two threads share the blocks, each taking
+    # its spectra half as many frames at a time
     frames, part = _partly_voiced(n_voiced)
     calls = []
     block_sums = formants._block_sums
@@ -232,18 +233,17 @@ def test_same_values_on_one_worker_and_two(n_voiced, monkeypatch):
 
     monkeypatch.setattr(formants, "_block_sums", recorded)
     results = []
+    n_blocks = -(-n_voiced // LPC_BLOCK)
     for workers in (1, 2):
         monkeypatch.setattr(formants, "_workers", lambda: workers)
         calls.clear()
         track = estimate_formants(frames, part)
         results.append((len(track), track.values))
-        pooled = workers > 1 and n_voiced > LPC_BLOCK
-        assert len({first for first, _, _ in calls}) == len(calls) == -(-n_voiced // LPC_BLOCK)
+        threads = min(workers, n_blocks)
+        assert len({first for first, _, _ in calls}) == len(calls) == n_blocks
+        assert len({thread for _, thread, _ in calls}) <= threads
         for _, thread, rows in calls:
-            if pooled:
-                assert thread is threading.current_thread() or thread.name.startswith(
-                    "voicequal-voiced")
-            else:
-                assert thread is threading.current_thread()
-            assert rows == (SPECTRUM_BLOCK // 2 if pooled else SPECTRUM_BLOCK)
+            assert thread is not threading.current_thread()
+            assert thread.name.startswith("voicequal-voiced")
+            assert rows == SPECTRUM_BLOCK // threads
     assert results[0] == results[1]

@@ -32,7 +32,7 @@ UNPATCHED_WORKERS = formants._workers
 def most_blocks_in_flight():
     """The voiced-frame pass runs with as many blocks at once as it ever
     does, whatever the number of CPUs here, so the memory bars below hold
-    for the pooled pass and the results for both paths."""
+    for two pool threads and the results for one and two."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(formants, "_workers", lambda: MAX_WORKERS)
         yield
@@ -141,9 +141,9 @@ def _peak_bytes(fn, *args):
 
 def _stage_peaks(sig):
     """Peak bytes of each stage function on one signal, the voiced-frame
-    pass inline as well. Each stage runs once before the measured call, so
-    one-off allocations (lazy imports, caches) do not count toward a peak,
-    whatever ran earlier in the session."""
+    pass on one pool thread as well. Each stage runs once before the
+    measured call, so one-off allocations (lazy imports, caches) do not
+    count toward a peak, whatever ran earlier in the session."""
     frames = frame_signal(sig)
     pitch = track_pitch(frames)
     calls = {
@@ -159,7 +159,7 @@ def _stage_peaks(sig):
         peaks[stage] = _peak_bytes(fn, *args)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(formants, "_workers", lambda: 1)
-        peaks["voiced frames inline"] = _peak_bytes(estimate_formants, frames, pitch)
+        peaks["voiced frames, one thread"] = _peak_bytes(estimate_formants, frames, pitch)
     return peaks
 
 
@@ -177,10 +177,11 @@ def stage_peaks():
 
 
 # One traced-memory budget per duration, in bytes, for every stage, the
-# voiced-frame pass pooled and inline. Each is below the spectral stage's
-# peak while it and the pass kept arrays they no longer read (0.80, 0.93 and
-# 1.22 MB), so no bound is looser than that one was. The highest stage is
-# pitch, whose 32-frame autocorrelation block peaks at 0.64-0.66 MB.
+# voiced-frame pass on two pool threads and on one. Each is below the
+# spectral stage's peak while it and the pass kept arrays they no longer
+# read (0.80, 0.93 and 1.22 MB), so no bound is looser than that one was.
+# The highest stage is pitch, whose 32-frame autocorrelation block peaks
+# at 0.64-0.66 MB.
 MEMORY_BUDGET = {POOLED_S: 0.72e6, 1.0: 0.72e6, 10.0: 0.76e6}
 
 
@@ -252,85 +253,120 @@ class WorkerError(Exception):
     pass
 
 
-def _fail_a_block(on_pool, monkeypatch):
-    """Extract a 2 s vowel (four voiced-frame blocks) with the first block
-    the helper thread runs (on_pool) or the first the caller runs failing
-    while the other is still running: the error reaches the caller after
-    the other block finished, no later block starts, and the next
-    extraction gets the serial vector."""
+def _pool_threads():
+    return [t.name for t in threading.enumerate() if t.name.startswith("voicequal-voiced")]
+
+
+def _fail_a_block(failing, monkeypatch):
+    """Extract a 2 s vowel (four voiced-frame blocks) on two pool threads,
+    with block ``failing`` (0 or 1) raising while the other thread's first
+    block is still running. Returns the blocks started and those finished
+    when the error reached the caller, after checking that it did, that
+    every block started then had run to its end, that no pool thread is
+    left and that the next extraction gets the serial vector."""
     sig = generate_synthetic("clean", f0=130.0, duration=2.0, seed=4)
     with monkeypatch.context() as patch:
         patch.setattr(formants, "_workers", lambda: 1)
         serial = extract_llf_vector(sig)
     voiced = np.nonzero(track_pitch(frame_signal(sig)).voiced)[0]
-    assert len(list(formants._even_blocks(voiced))) == 4
-    started, finished = [], []
-    caller_started, pool_started = threading.Event(), threading.Event()
+    firsts = [int(block[0]) for block in formants._even_blocks(voiced)]
+    assert len(firsts) == 4
+    started, finished, both_running = [], [], threading.Barrier(2)
     block_sums = formants._block_sums
 
     def watched(raw_frames, f0_hz, rows, idx):
-        pool_side = threading.current_thread().name.startswith("voicequal-voiced")
-        started.append(pool_side)
-        # each side's first block waits for the other side's, so both run
-        (pool_started if pool_side else caller_started).set()
-        (caller_started if pool_side else pool_started).wait(timeout=10)
-        if pool_side == on_pool:
+        block = firsts.index(int(idx[0]))
+        started.append(block)
+        if block < 2:  # the two threads' first blocks wait for each other
+            both_running.wait(timeout=10)
+        if block == failing:
             raise WorkerError("failed in a block")
-        time.sleep(0.05)  # still running when the failure reaches the caller
+        time.sleep(0.05)  # still running when the failure is raised
         sums = block_sums(raw_frames, f0_hz, rows, idx)
-        finished.append(pool_side)
+        finished.append(block)
         return sums
 
     with monkeypatch.context() as patch:
         patch.setattr(formants, "_block_sums", watched)
         with pytest.raises(WorkerError, match="failed in a block"):
             extract_llf_vector(sig)
-        awaited = list(finished)
-    assert awaited == [not on_pool]
-    assert sorted(started) == [False, True]
+        at_error = sorted(started), sorted(finished)
+    assert at_error[1] == [b for b in at_error[0] if b != failing]
+    assert _pool_threads() == []
     assert extract_llf_vector(sig) == serial
-    assert len(started) == 2
+    assert sorted(started) == at_error[0]
+    return at_error
 
 
-def test_an_error_in_the_callers_block_reaches_the_caller(monkeypatch):
-    _fail_a_block(False, monkeypatch)
+def test_an_error_in_the_first_block_reaches_the_caller(monkeypatch):
+    # the caller waits on block 0 first, so it sees the error while block 1
+    # still runs, and cancels what is not yet taken: the failing thread may
+    # take block 2 before that, but block 3 never starts
+    started, finished = _fail_a_block(0, monkeypatch)
+    assert started in ([0, 1], [0, 1, 2])
+    assert 1 in finished
 
 
-def test_an_error_in_a_pool_worker_reaches_the_caller(monkeypatch):
-    _fail_a_block(True, monkeypatch)
+def test_an_error_in_a_later_block_reaches_the_caller(monkeypatch):
+    # block 1 fails while block 0 runs: the error is raised after block 0,
+    # whose sums come first, and blocks taken by then run to their end
+    started, finished = _fail_a_block(1, monkeypatch)
+    assert started[:2] == [0, 1]
+    assert 0 in finished
 
 
-def test_pooled_results_come_in_item_order():
-    # the slow first item finishes after the other side took the rest, so
-    # results in finishing order would be out of order
-    def slow_first(n):
-        if n == 0:
+def test_pooled_results_come_in_item_order(monkeypatch):
+    # block k's H1-H2 term is the k-th of 1, 2**53, -2**53, 0: summed in
+    # block order they give 0, while 1 added last gives 1; the slow first
+    # block finishes after the other thread took the rest
+    sig = generate_synthetic("clean", f0=130.0, duration=2.0, seed=4)
+    frames = frame_signal(sig)
+    pitch = track_pitch(frames)
+    firsts = [int(b[0]) for b in formants._even_blocks(np.nonzero(pitch.voiced)[0])]
+    terms, finished = [1.0, 2.0**53, -2.0**53, 0.0], []
+    assert len(firsts) == len(terms)
+
+    def term_of(raw_frames, f0_hz, rows, idx):
+        block = firsts.index(int(idx[0]))
+        if block == 0:
             time.sleep(0.1)
-        return n
+        finished.append(block)
+        return np.zeros((3, 3)), 1, np.full(2, terms[block])
 
-    assert formants._pooled(slow_first, iter(range(6))) == list(range(6))
+    monkeypatch.setattr(formants, "_block_sums", term_of)
+    track = estimate_formants(frames, pitch)
+    assert finished == [1, 2, 3, 0]
+    assert track.values["logRelF0-H1-H2"] == 0.0
 
 
-def test_an_error_leaves_no_cyclic_garbage():
-    # the error's traceback holds the frames of both sides; left in their
-    # shared state, it would make a cycle only the cyclic collector frees
-    def fail_third(n):
-        if n == 2:
+def test_an_error_leaves_no_cyclic_garbage(monkeypatch):
+    # the error's traceback holds the frames of the pool thread and of the
+    # caller; anything of the pass that kept it would make a cycle only the
+    # cyclic collector frees
+    sig = generate_synthetic("clean", f0=130.0, duration=2.0, seed=4)
+    frames = frame_signal(sig)
+    pitch = track_pitch(frames)
+    third = int(list(formants._even_blocks(np.nonzero(pitch.voiced)[0]))[2][0])
+    block_sums = formants._block_sums
+
+    def fail_third(raw_frames, f0_hz, rows, idx):
+        if idx[0] == third:
             raise WorkerError("failed in a block")
-        return n
+        return block_sums(raw_frames, f0_hz, rows, idx)
 
+    monkeypatch.setattr(formants, "_block_sums", fail_third)
     gc.collect()
     gc.disable()
     try:
         with pytest.raises(WorkerError):
-            formants._pooled(fail_third, iter(range(6)))
+            estimate_formants(frames, pitch)
         assert gc.collect() == 0
     finally:
         gc.enable()
 
 
 def test_threads_extracting_at_once_get_the_serial_vectors():
-    # more caller threads than CPUs, each pass with its own helper thread,
+    # more caller threads than CPUs, each pass with its own pool,
     # switching often; each must get its own vectors, the same as one call
     # at a time
     signals = [generate_synthetic(kind, f0=f0, duration=2.0, seed=5)
@@ -352,7 +388,7 @@ def test_threads_extracting_at_once_get_the_serial_vectors():
                     reason="no fork() on this platform")
 def test_a_forked_child_extracts_after_its_parent_used_the_pool():
     sig = generate_synthetic("clean", f0=130.0, duration=2.0, seed=4)
-    want = extract_llf_vector(sig)  # a pooled pass, on the parent's helper thread
+    want = extract_llf_vector(sig)  # a pass on the parent's two pool threads
     with warnings.catch_warnings():
         # newer Pythons warn on fork() in a process with threads, should
         # anything have left one running
@@ -362,21 +398,20 @@ def test_a_forked_child_extracts_after_its_parent_used_the_pool():
 
 
 def _voiced_frame_threads(monkeypatch):
-    """Extract a 2 s vowel (four voiced-frame blocks); per block, whether it
-    ran on the helper thread and how many spectrum rows it took at a time.
-    Pooled, the caller's first block waits for the helper's first, so both
-    sides run one."""
+    """Extract a 2 s vowel (four voiced-frame blocks); per block, the name
+    of the thread it ran on and how many spectrum rows it took at a time.
+    With two pool threads, the first block waits until the second starts,
+    so both threads run one."""
     sig = generate_synthetic("clean", f0=130.0, duration=2.0, seed=4)
-    calls, helper_started = [], threading.Event()
+    calls, second_started = [], threading.Event()
     block_sums = formants._block_sums
 
     def recorded(raw_frames, f0_hz, rows, idx):
-        on_helper = threading.current_thread().name.startswith("voicequal-voiced")
-        calls.append((on_helper, rows))
-        if on_helper:
-            helper_started.set()
+        calls.append((threading.current_thread().name, rows))
+        if len(calls) == 2:
+            second_started.set()
         elif len(calls) == 1 and rows < SPECTRUM_BLOCK:
-            helper_started.wait(timeout=10)
+            second_started.wait(timeout=10)
         return block_sums(raw_frames, f0_hz, rows, idx)
 
     with monkeypatch.context() as patch:
@@ -388,38 +423,37 @@ def _voiced_frame_threads(monkeypatch):
 @pytest.mark.parametrize("cpus", [{0}, {0, 1, 2}])
 def test_the_voiced_frame_pass_reads_the_cpus_it_may_run_on(cpus, monkeypatch):
     # each pass reads the CPUs again, so a process pinned after import, or
-    # a forked child, runs inline on one CPU and pools on more
+    # a forked child, runs one pool thread on one CPU and two on more
     monkeypatch.setattr(formants, "_workers", UNPATCHED_WORKERS)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
     calls = _voiced_frame_threads(monkeypatch)
     assert len(calls) == 4
+    threads = {name for name, _ in calls}
+    assert all(name.startswith("voicequal-voiced") for name in threads)
     if len(cpus) == 1:
-        assert calls == [(False, SPECTRUM_BLOCK)] * 4
+        assert len(threads) == 1
+        assert {rows for _, rows in calls} == {SPECTRUM_BLOCK}
     else:
-        assert {on_helper for on_helper, _ in calls} == {False, True}
+        assert len(threads) == MAX_WORKERS
         assert {rows for _, rows in calls} == {SPECTRUM_BLOCK // MAX_WORKERS}
 
 
-def _helper_threads():
-    return [t.name for t in threading.enumerate() if t.name.startswith("voicequal-voiced")]
-
-
 def test_no_helper_thread_outlives_a_pass(monkeypatch):
-    # the helper thread is joined before the pass returns, whether its
+    # the pool's threads are joined before the pass returns, whether its
     # blocks succeeded or one raised, so a later fork() forks one thread
-    assert any(on_helper for on_helper, _ in _voiced_frame_threads(monkeypatch))
-    assert _helper_threads() == []
-    block_sums, helper_failed = formants._block_sums, threading.Event()
+    assert len({name for name, _ in _voiced_frame_threads(monkeypatch)}) == MAX_WORKERS
+    assert _pool_threads() == []
+    block_sums, second_failed = formants._block_sums, threading.Event()
 
-    def failing_on_the_helper(raw_frames, f0_hz, rows, idx):
-        if threading.current_thread().name.startswith("voicequal-voiced"):
-            helper_failed.set()
+    def failing_on_the_second_thread(raw_frames, f0_hz, rows, idx):
+        if threading.current_thread().name.endswith("_1"):
+            second_failed.set()
             raise WorkerError("failed in a block")
-        helper_failed.wait(timeout=10)  # so the helper gets a block to fail
+        second_failed.wait(timeout=10)  # so the second thread gets a block to fail
         return block_sums(raw_frames, f0_hz, rows, idx)
 
     sig = generate_synthetic("clean", f0=130.0, duration=2.0, seed=4)
-    monkeypatch.setattr(formants, "_block_sums", failing_on_the_helper)
+    monkeypatch.setattr(formants, "_block_sums", failing_on_the_second_thread)
     with pytest.raises(WorkerError, match="failed in a block"):
         extract_llf_vector(sig)
-    assert _helper_threads() == []
+    assert _pool_threads() == []

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.signal import lfilter
 
 import voicequal.pitch
 from voicequal.audio_io import CANONICAL_RATE, AudioSignal
-from voicequal.framing import FRAME_LENGTH, frame_signal
+from voicequal.framing import FRAME_LENGTH, HOP, frame_signal
 from voicequal.pitch import F0_MAX, F0_MIN, _harmonicity, frame_autocorrelation, track_pitch
-from voicequal.synth import KINDS, generate_synthetic
+from voicequal.synth import GLOTTAL_DECAY_S, KINDS, generate_synthetic, vowel_filter
 
 from conftest import raw_pulse_train, sine_signal
 
@@ -166,3 +167,54 @@ def test_second_pass_repicks_frames_far_from_the_median(monkeypatch):
     assert frames.n_frames == 998
     assert sum(rows) - frames.n_frames == 438
     assert pitch.n_voiced == 871
+
+
+def _glide(f_start, f_end, duration=2.0, fs=CANONICAL_RATE):
+    """A clean vowel whose f0 moves exponentially from f_start to f_end Hz,
+    and the true f0 at the centre of each of its frames.
+
+    f0(t) = f_start e^(rate t), so the phase f_start (e^(rate t) - 1) / rate
+    reaches k cycles at t_k = ln(1 + k rate / f_start) / rate: a pulse is
+    placed there, split across two samples as synth.pulse_train places
+    one, then smoothed and filtered as a clean synthetic vowel is."""
+    n = int(round(duration * fs))
+    rate = np.log(f_end / f_start) / duration
+    cycles = np.arange(1, int(f_start * np.expm1(rate * duration) / rate) + 1)
+    at = np.log1p(cycles * rate / f_start) / rate * fs
+    at = at[at < n - 1]
+    i, frac = at.astype(int), at - at.astype(int)
+    x = np.zeros(n + 1)
+    np.add.at(x, i, 1.0 - frac)
+    np.add.at(x, i + 1, frac)
+    decay = np.exp(-1.0 / (GLOTTAL_DECAY_S * fs))
+    x = vowel_filter(lfilter([1.0], [1.0, -decay], x[:n]), fs)
+    frames = frame_signal(AudioSignal(0.9 * x / np.abs(x).max(), fs, "glide"))
+    centres = (np.arange(frames.n_frames) * HOP + FRAME_LENGTH / 2) / fs
+    return frames, f_start * np.exp(rate * centres)
+
+
+# Intonation spans more than +/-20 % around an utterance's median f0; the
+# second pass re-picks frames beyond that only within 0.8-1.25x the median
+# lag, so wider glides lose frames or take wrong peaks there.
+WIDE_GLIDE = pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="the second pitch pass re-picks frames more than 20 % from the median f0"
+           " inside 0.8-1.25x its lag")
+
+
+@pytest.mark.parametrize("f_start, f_end", [
+    (100.0, 120.0),
+    (100.0, 150.0),
+    pytest.param(100.0, 200.0, marks=WIDE_GLIDE),
+    pytest.param(200.0, 100.0, marks=WIDE_GLIDE),
+    pytest.param(90.0, 270.0, marks=WIDE_GLIDE),
+])
+def test_a_pitch_glide_is_tracked_in_every_frame(f_start, f_end):
+    # ground truth: every frame of a clean glide is voiced at its own f0;
+    # at least 98 % of frames must be voiced, and at most 2 % of those more
+    # than 5 % off it
+    frames, truth = _glide(f_start, f_end)
+    pitch = track_pitch(frames)
+    off = np.abs(pitch.f0_hz[pitch.voiced] / truth[pitch.voiced] - 1.0) > 0.05
+    assert pitch.voiced.mean() >= 0.98
+    assert off.mean() <= 0.02
