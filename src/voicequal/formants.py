@@ -6,7 +6,7 @@ formant re the f0 level."""
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass
 from functools import partial
 
@@ -39,8 +39,9 @@ SPECTRUM_BLOCK = 8
 # F3 search region used for a frame without three formants
 DEFAULT_F3_REGION = (2000.0, 4000.0)
 
-# Most threads in a voiced-frame pass's pool, and so LPC blocks in flight.
-# Batched eigvals and rfft release the GIL, so two blocks run on two CPUs.
+# Most threads in a voiced-frame pass, the caller's included, and so LPC
+# blocks in flight. Batched eigvals and rfft release the GIL, so two blocks
+# run on two CPUs.
 # A block holds at most about 0.23 MB at once, so two stay below the pitch
 # stage's traced peak (0.64 MB); three gathering at once would not.
 MAX_WORKERS = 2
@@ -220,6 +221,41 @@ def _even_blocks(voiced: np.ndarray):
     return (voiced[i * n // n_blocks:(i + 1) * n // n_blocks] for i in range(n_blocks))
 
 
+def _map_shared(fn, items: list, threads: int) -> list:
+    """fn of each item, in order. The caller and threads - 1 helper threads,
+    started here and joined before this returns, each take the next item
+    when they finish one; with one thread, none is started. The first error
+    stops every thread from taking more; calls already running finish, and
+    the error is raised here."""
+    taken, lock, errors = enumerate(items), threading.Lock(), []
+    results = [None] * len(items)
+
+    def take_items():
+        try:
+            while not errors:
+                with lock:  # one iterator, advanced from every thread
+                    n, item = next(taken, (None, None))
+                if n is None:
+                    return
+                results[n] = fn(item)
+        except BaseException as exc:
+            errors.append(exc)
+
+    helpers = [threading.Thread(target=take_items, name="voicequal-voiced")
+               for _ in range(threads - 1)]
+    for helper in helpers:
+        helper.start()
+    take_items()
+    for helper in helpers:
+        helper.join()
+    if errors:
+        try:
+            raise errors[0]
+        finally:
+            errors.clear()  # its traceback's frames hold errors: no cycle left
+    return results
+
+
 def estimate_formants(frames: FrameSequence, pitch: PitchTrack) -> FormantTrack:
     """The 11 voiced-frame LLFs from one pass over blocks of voiced frames.
 
@@ -229,22 +265,22 @@ def estimate_formants(frames: FrameSequence, pitch: PitchTrack) -> FormantTrack:
     H1-H2; H1-A3 over F3 +/- its bandwidth, or 2-4 kHz for a frame without
     formants; and FnamplitudeLogRelF0. Only running sums outlive a block.
 
-    The blocks run on a pool of min(_workers(), blocks) threads, started
-    for the pass and joined before it returns; each thread takes the next
-    block when it finishes one and its spectra SPECTRUM_BLOCK / threads
-    frames at a time. Every block is submitted at once, about 1.5 kB per
-    block until the pass ends. A block's error is raised here once every
-    block before it has finished; blocks not yet taken by then never start.
-    The blocks depend on the voiced frames only and their sums are added
-    in block order, so the values do not depend on the number of CPUs.
+    The blocks run on min(_workers(), blocks) threads (_map_shared): the
+    caller and one fewer helper threads, started for the pass and joined
+    before it returns, so a pass of one block or on one CPU starts none.
+    Each thread takes the next block when it finishes one and its spectra
+    SPECTRUM_BLOCK / threads frames at a time. A block's error is raised
+    here once the blocks running beside it have finished; blocks not yet
+    taken by then never start. The blocks depend on the voiced frames only
+    and their sums are added in block order, so the values do not depend on
+    the number of CPUs.
     """
     voiced = np.nonzero(pitch.voiced)[0]
     blocks = list(_even_blocks(voiced))
     workers = max(1, min(_workers(), len(blocks)))  # no voiced frame: no block
     block_sums = partial(_block_sums, frames.raw_frames, pitch.f0_hz,
                          SPECTRUM_BLOCK // workers)
-    with ThreadPoolExecutor(workers, "voicequal-voiced") as pool:
-        parts = list(pool.map(block_sums, blocks))
+    parts = _map_shared(block_sums, blocks, workers)
 
     # rows: frequency, bandwidth and amplitude of F1-F3, summed over the
     # frames with formants; and H1-H2, H1-A3 summed over every voiced frame

@@ -177,8 +177,8 @@ def _partly_voiced(n_voiced):
                                      129, 193])
 def test_stage_matches_per_frame_reference_at_block_edges(n_voiced, monkeypatch):
     # n_voiced frames across the edges of the spectrum sub-blocks and the
-    # even LPC blocks (65: 32 + 33; 129: 3 x 43), on one pool thread and,
-    # from a second block on, two blocks at a time on two
+    # even LPC blocks (65: 32 + 33; 129: 3 x 43), on the caller alone and,
+    # from a second block on, two blocks at a time on the caller and a helper
     frames, part = _partly_voiced(n_voiced)
     reference = _reference_stage(frames, part)
     for workers in (1, 2):
@@ -194,7 +194,7 @@ def test_stage_matches_per_frame_reference_with_gaps_inside_sub_blocks(monkeypat
     # 40 consecutive voiced frames, then voiced frames in pairs with one
     # unvoiced frame between: past the first 40, every spectrum sub-block
     # spans more frames than it takes, so its frames are read one run at a
-    # time; 136 voiced frames make three blocks, so two workers pool them
+    # time; 136 voiced frames make three blocks, so two workers share them
     vowel = generate_synthetic("clean", f0=150.0, duration=2.5, seed=2)
     frames = frame_signal(vowel)
     pitch = track_pitch(frames)
@@ -219,31 +219,40 @@ def test_stage_matches_per_frame_reference_with_gaps_inside_sub_blocks(monkeypat
 @pytest.mark.parametrize("n_voiced", [1, 63, 64, 65, 66, 95, 96, 97, 98, 127, 128, 129, 193])
 def test_same_values_on_one_worker_and_two(n_voiced, monkeypatch):
     # the blocks depend on the voiced frames only, and their sums are added
-    # in block order on the caller's thread, so the second pool thread
-    # changes no bit; every block runs on a pool thread, never the caller's,
-    # and from a second block on two threads share the blocks, each taking
-    # its spectra half as many frames at a time
+    # in block order on the caller's thread, so the helper thread changes no
+    # bit; a pass of one block, or on one worker, runs on the caller alone
+    # and starts no thread, and from a second block on the caller and one
+    # helper share the blocks, each taking its spectra half as many frames
+    # at a time
     frames, part = _partly_voiced(n_voiced)
-    calls = []
-    block_sums = formants._block_sums
+    calls, started = [], []
+    block_sums, start = formants._block_sums, threading.Thread.start
 
     def recorded(raw_frames, f0_hz, rows, idx):
         calls.append((int(idx[0]), threading.current_thread(), rows))
         return block_sums(raw_frames, f0_hz, rows, idx)
 
+    def counted_start(thread):
+        started.append(thread.name)
+        start(thread)
+
     monkeypatch.setattr(formants, "_block_sums", recorded)
+    monkeypatch.setattr(threading.Thread, "start", counted_start)
     results = []
     n_blocks = -(-n_voiced // LPC_BLOCK)
     for workers in (1, 2):
         monkeypatch.setattr(formants, "_workers", lambda: workers)
         calls.clear()
+        started.clear()
         track = estimate_formants(frames, part)
         results.append((len(track), track.values))
         threads = min(workers, n_blocks)
+        assert started == ["voicequal-voiced"] * (threads - 1)
         assert len({first for first, _, _ in calls}) == len(calls) == n_blocks
-        assert len({thread for _, thread, _ in calls}) <= threads
         for _, thread, rows in calls:
-            assert thread is not threading.current_thread()
-            assert thread.name.startswith("voicequal-voiced")
+            if threads == 1:
+                assert thread is threading.current_thread()
+            else:
+                assert thread is threading.current_thread() or thread.name == "voicequal-voiced"
             assert rows == SPECTRUM_BLOCK // threads
     assert results[0] == results[1]

@@ -32,7 +32,7 @@ UNPATCHED_WORKERS = formants._workers
 def most_blocks_in_flight():
     """The voiced-frame pass runs with as many blocks at once as it ever
     does, whatever the number of CPUs here, so the memory bars below hold
-    for two pool threads and the results for one and two."""
+    for two threads and the results for one and two."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(formants, "_workers", lambda: MAX_WORKERS)
         yield
@@ -141,7 +141,7 @@ def _peak_bytes(fn, *args):
 
 def _stage_peaks(sig):
     """Peak bytes of each stage function on one signal, the voiced-frame
-    pass on one pool thread as well. Each stage runs once before the
+    pass on the caller alone as well. Each stage runs once before the
     measured call, so one-off allocations (lazy imports, caches) do not
     count toward a peak, whatever ran earlier in the session."""
     frames = frame_signal(sig)
@@ -177,7 +177,7 @@ def stage_peaks():
 
 
 # One traced-memory budget per duration, in bytes, for every stage, the
-# voiced-frame pass on two pool threads and on one. Each is below the
+# voiced-frame pass on two threads and on one. Each is below the
 # spectral stage's peak while it and the pass kept arrays they no longer
 # read (0.80, 0.93 and 1.22 MB), so no bound is looser than that one was.
 # The highest stage is pitch, whose 32-frame autocorrelation block peaks
@@ -253,17 +253,18 @@ class WorkerError(Exception):
     pass
 
 
-def _pool_threads():
+def _helper_threads():
     return [t.name for t in threading.enumerate() if t.name.startswith("voicequal-voiced")]
 
 
 def _fail_a_block(failing, monkeypatch):
-    """Extract a 2 s vowel (four voiced-frame blocks) on two pool threads,
-    with block ``failing`` (0 or 1) raising while the other thread's first
-    block is still running. Returns the blocks started and those finished
-    when the error reached the caller, after checking that it did, that
-    every block started then had run to its end, that no pool thread is
-    left and that the next extraction gets the serial vector."""
+    """Extract a 2 s vowel (four voiced-frame blocks) on the caller and a
+    helper thread, with block ``failing`` (0 or 1) raising while the other
+    thread's first block is still running. Returns the blocks started and
+    those finished when the error reached the caller, after checking that
+    it did, that every block started then had run to its end, that no
+    helper thread is left and that the next extraction gets the serial
+    vector."""
     sig = generate_synthetic("clean", f0=130.0, duration=2.0, seed=4)
     with monkeypatch.context() as patch:
         patch.setattr(formants, "_workers", lambda: 1)
@@ -292,27 +293,27 @@ def _fail_a_block(failing, monkeypatch):
             extract_llf_vector(sig)
         at_error = sorted(started), sorted(finished)
     assert at_error[1] == [b for b in at_error[0] if b != failing]
-    assert _pool_threads() == []
+    assert _helper_threads() == []
     assert extract_llf_vector(sig) == serial
     assert sorted(started) == at_error[0]
     return at_error
 
 
 def test_an_error_in_the_first_block_reaches_the_caller(monkeypatch):
-    # the caller waits on block 0 first, so it sees the error while block 1
-    # still runs, and cancels what is not yet taken: the failing thread may
-    # take block 2 before that, but block 3 never starts
+    # block 0 fails while block 1 runs: the failing thread takes no more
+    # blocks, the other finishes block 1 and takes none, and the error is
+    # raised once it has; blocks 2 and 3 never start
     started, finished = _fail_a_block(0, monkeypatch)
-    assert started in ([0, 1], [0, 1, 2])
-    assert 1 in finished
+    assert started == [0, 1]
+    assert finished == [1]
 
 
 def test_an_error_in_a_later_block_reaches_the_caller(monkeypatch):
-    # block 1 fails while block 0 runs: the error is raised after block 0,
-    # whose sums come first, and blocks taken by then run to their end
+    # block 1 fails while block 0 runs: the error is raised after block 0
+    # has run to its end, and blocks 2 and 3 never start
     started, finished = _fail_a_block(1, monkeypatch)
-    assert started[:2] == [0, 1]
-    assert 0 in finished
+    assert started == [0, 1]
+    assert finished == [0]
 
 
 def test_pooled_results_come_in_item_order(monkeypatch):
@@ -340,9 +341,9 @@ def test_pooled_results_come_in_item_order(monkeypatch):
 
 
 def test_an_error_leaves_no_cyclic_garbage(monkeypatch):
-    # the error's traceback holds the frames of the pool thread and of the
-    # caller; anything of the pass that kept it would make a cycle only the
-    # cyclic collector frees
+    # the error's traceback holds the frames of the thread it was raised on
+    # and of the caller; anything of the pass that kept it would make a
+    # cycle only the cyclic collector frees
     sig = generate_synthetic("clean", f0=130.0, duration=2.0, seed=4)
     frames = frame_signal(sig)
     pitch = track_pitch(frames)
@@ -366,7 +367,7 @@ def test_an_error_leaves_no_cyclic_garbage(monkeypatch):
 
 
 def test_threads_extracting_at_once_get_the_serial_vectors():
-    # more caller threads than CPUs, each pass with its own pool,
+    # more caller threads than CPUs, each pass with its own helper thread,
     # switching often; each must get its own vectors, the same as one call
     # at a time
     signals = [generate_synthetic(kind, f0=f0, duration=2.0, seed=5)
@@ -388,7 +389,7 @@ def test_threads_extracting_at_once_get_the_serial_vectors():
                     reason="no fork() on this platform")
 def test_a_forked_child_extracts_after_its_parent_used_the_pool():
     sig = generate_synthetic("clean", f0=130.0, duration=2.0, seed=4)
-    want = extract_llf_vector(sig)  # a pass on the parent's two pool threads
+    want = extract_llf_vector(sig)  # a pass on the parent's caller and helper
     with warnings.catch_warnings():
         # newer Pythons warn on fork() in a process with threads, should
         # anything have left one running
@@ -397,63 +398,92 @@ def test_a_forked_child_extracts_after_its_parent_used_the_pool():
             assert child.apply_async(extract_llf_vector, (sig,)).get(timeout=60) == want
 
 
-def _voiced_frame_threads(monkeypatch):
-    """Extract a 2 s vowel (four voiced-frame blocks); per block, the name
-    of the thread it ran on and how many spectrum rows it took at a time.
-    With two pool threads, the first block waits until the second starts,
-    so both threads run one."""
-    sig = generate_synthetic("clean", f0=130.0, duration=2.0, seed=4)
-    calls, second_started = [], threading.Event()
-    block_sums = formants._block_sums
+def _voiced_frame_threads(duration, monkeypatch):
+    """Extract a clean vowel of ``duration`` seconds. Returns, per block,
+    whether it ran on the caller's thread and how many spectrum rows it
+    took at a time; and the name of each thread started. With two threads,
+    the first block waits until the second starts, so both threads run one."""
+    sig = generate_synthetic("clean", f0=130.0, duration=duration, seed=4)
+    calls, started, second_started = [], [], threading.Event()
+    caller, block_sums = threading.current_thread(), formants._block_sums
+    start = threading.Thread.start
 
     def recorded(raw_frames, f0_hz, rows, idx):
-        calls.append((threading.current_thread().name, rows))
+        calls.append((threading.current_thread() is caller, rows))
         if len(calls) == 2:
             second_started.set()
         elif len(calls) == 1 and rows < SPECTRUM_BLOCK:
             second_started.wait(timeout=10)
         return block_sums(raw_frames, f0_hz, rows, idx)
 
+    def counted_start(thread):
+        started.append(thread.name)
+        start(thread)
+
     with monkeypatch.context() as patch:
         patch.setattr(formants, "_block_sums", recorded)
+        patch.setattr(threading.Thread, "start", counted_start)
         extract_llf_vector(sig)
-    return calls
+    return calls, started
 
 
-@pytest.mark.parametrize("cpus", [{0}, {0, 1, 2}])
-def test_the_voiced_frame_pass_reads_the_cpus_it_may_run_on(cpus, monkeypatch):
+@pytest.mark.parametrize("cpus, duration, n_blocks", [
+    pytest.param({0}, 2.0, 4, id="cpus0"),
+    pytest.param({0, 1, 2}, 2.0, 4, id="cpus1"),
+    pytest.param({0, 1}, 1.0, 2, id="two-blocks"),
+    pytest.param({0, 1, 2}, 0.5, 1, id="one-block"),
+])
+def test_the_voiced_frame_pass_reads_the_cpus_it_may_run_on(cpus, duration, n_blocks,
+                                                            monkeypatch):
     # each pass reads the CPUs again, so a process pinned after import, or
-    # a forked child, runs one pool thread on one CPU and two on more
+    # a forked child, runs every block on the caller and starts no thread on
+    # one CPU, and on more runs blocks on the caller and one helper; a pass
+    # of one block (64 voiced frames or fewer) starts none on any
     monkeypatch.setattr(formants, "_workers", UNPATCHED_WORKERS)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
-    calls = _voiced_frame_threads(monkeypatch)
-    assert len(calls) == 4
-    threads = {name for name, _ in calls}
-    assert all(name.startswith("voicequal-voiced") for name in threads)
-    if len(cpus) == 1:
-        assert len(threads) == 1
-        assert {rows for _, rows in calls} == {SPECTRUM_BLOCK}
+    calls, started = _voiced_frame_threads(duration, monkeypatch)
+    assert len(calls) == n_blocks
+    threads = min(len(cpus), MAX_WORKERS, n_blocks)
+    assert started == ["voicequal-voiced"] * (threads - 1)
+    assert {rows for _, rows in calls} == {SPECTRUM_BLOCK // threads}
+    on_caller = [on_caller for on_caller, _ in calls]
+    if threads == 1:
+        assert all(on_caller)
     else:
-        assert len(threads) == MAX_WORKERS
-        assert {rows for _, rows in calls} == {SPECTRUM_BLOCK // MAX_WORKERS}
+        assert set(on_caller) == {True, False}
 
 
 def test_no_helper_thread_outlives_a_pass(monkeypatch):
-    # the pool's threads are joined before the pass returns, whether its
-    # blocks succeeded or one raised, so a later fork() forks one thread
-    assert len({name for name, _ in _voiced_frame_threads(monkeypatch)}) == MAX_WORKERS
-    assert _pool_threads() == []
-    block_sums, second_failed = formants._block_sums, threading.Event()
+    # the helper thread is joined before the pass returns, whether its
+    # blocks succeeded or one raised on either thread, so a later fork()
+    # forks one thread
+    calls, started = _voiced_frame_threads(2.0, monkeypatch)
+    assert {on_caller for on_caller, _ in calls} == {True, False}
+    assert started == ["voicequal-voiced"]
+    assert _helper_threads() == []
+    block_sums, caller = formants._block_sums, threading.current_thread()
+    helper_failed, helper_running = threading.Event(), threading.Event()
 
-    def failing_on_the_second_thread(raw_frames, f0_hz, rows, idx):
-        if threading.current_thread().name.endswith("_1"):
-            second_failed.set()
+    def failing_on_the_helper(raw_frames, f0_hz, rows, idx):
+        if threading.current_thread() is not caller:
+            helper_failed.set()
             raise WorkerError("failed in a block")
-        second_failed.wait(timeout=10)  # so the second thread gets a block to fail
+        helper_failed.wait(timeout=10)  # so the helper gets a block to fail
+        return block_sums(raw_frames, f0_hz, rows, idx)
+
+    def failing_on_the_caller(raw_frames, f0_hz, rows, idx):
+        if threading.current_thread() is caller:
+            helper_running.wait(timeout=10)  # so the helper is inside a block
+            raise WorkerError("failed in a block")
+        helper_running.set()
+        time.sleep(0.05)  # still running when the caller's block fails
         return block_sums(raw_frames, f0_hz, rows, idx)
 
     sig = generate_synthetic("clean", f0=130.0, duration=2.0, seed=4)
-    monkeypatch.setattr(formants, "_block_sums", failing_on_the_second_thread)
-    with pytest.raises(WorkerError, match="failed in a block"):
-        extract_llf_vector(sig)
-    assert _pool_threads() == []
+    for failing, ran in ((failing_on_the_helper, helper_failed),
+                         (failing_on_the_caller, helper_running)):
+        monkeypatch.setattr(formants, "_block_sums", failing)
+        with pytest.raises(WorkerError, match="failed in a block"):
+            extract_llf_vector(sig)
+        assert ran.is_set()
+        assert _helper_threads() == []
