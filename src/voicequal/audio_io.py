@@ -91,22 +91,20 @@ def _decode(data: np.ndarray, offset: float, scale: float) -> np.ndarray:
     return x
 
 
-def _checked_chunks(data: np.ndarray, spans, path):
-    """Decoded data[lo:hi] for each (lo, hi) of spans, which together cover
-    data. Raises AudioIOError at a chunk with a non-finite sample, and
-    SilentInputError after the last if every sample decoded to zero."""
-    sound = False
-    for lo, hi in spans:
-        raw = data[lo:hi]
-        # NaN propagates through both extremes; checked before the channel
-        # mean and the resampler, which would warn on inf
-        if not (np.isfinite(raw.min()) and np.isfinite(raw.max())):
-            raise AudioIOError(f"{path}: non-finite samples")
-        x = _decode(raw, *_SCALES[data.dtype])
-        sound = sound or bool(np.any(x))
-        yield x
-    if not sound:
-        raise SilentInputError(f"{path}: silent input")
+def _checked_range(data: np.ndarray, path, lo: int, hi: int) -> np.ndarray:
+    """Decoded data[lo:hi], or AudioIOError if a sample in it is not finite."""
+    raw = data[lo:hi]
+    # NaN propagates through both extremes; checked before the channel mean
+    # and the resampler, which would warn on inf
+    if not (np.isfinite(raw.min()) and np.isfinite(raw.max())):
+        raise AudioIOError(f"{path}: non-finite samples")
+    return _decode(raw, *_SCALES[data.dtype])
+
+
+def _decoded(data: np.ndarray, path):
+    """The decoded data, DECODE_BLOCK sample frames at a time."""
+    for lo in range(0, len(data), DECODE_BLOCK):
+        yield _checked_range(data, path, lo, lo + DECODE_BLOCK)
 
 
 @functools.lru_cache(maxsize=16)
@@ -126,8 +124,9 @@ def _resampled(data: np.ndarray, rate: int, path):
     output o is upfirdn(h, x, up, down)[o + pre]. So outputs [o0, o1) come
     from upfirdn over the inputs from m0 through the last one output o1 - 1
     reads, m0 being a multiple of down, which keeps the output grid, at or
-    before the first input output o0 reads. The first chunk starts at input
-    0 and the last one ends at the last input, so every input is checked.
+    before the first input output o0 reads. Each chunk's inputs are read
+    through _checked_range; the first chunk starts at input 0 and the last
+    one ends at the last input, so every input is checked.
     """
     g = math.gcd(rate, CANONICAL_RATE)
     up, down = CANONICAL_RATE // g, rate // g
@@ -141,18 +140,13 @@ def _resampled(data: np.ndarray, rate: int, path):
     post_pad = max(0, (n_out + pre - 1) * down + 1 - (n_in - 1) * up - len(window) - pre_pad)
     h = np.concatenate((np.zeros(pre_pad), window * up, np.zeros(post_pad)))
 
-    starts = range(0, n_out, DECODE_BLOCK)
-    spans = []
-    for o0 in starts:
+    for o0 in range(0, n_out, DECODE_BLOCK):
         o1 = min(o0 + DECODE_BLOCK, n_out)
         m_lo = -(-((o0 + pre) * down - len(h) + 1) // up)
+        m0 = max(0, m_lo // down * down)
         m_hi = n_in - 1 if o1 == n_out else (o1 + pre - 1) * down // up
-        spans.append((max(0, m_lo // down * down), m_hi + 1))
-    # the chunks come first: after the last, zip asks them for one more,
-    # which runs their silence check
-    for chunk, o0, (m0, _) in zip(_checked_chunks(data, spans, path), starts, spans):
-        o1, skip = min(o0 + DECODE_BLOCK, n_out), o0 + pre - m0 * up // down
-        yield upfirdn(h, chunk, up, down)[skip:skip + o1 - o0]
+        skip = o0 + pre - m0 * up // down
+        yield upfirdn(h, _checked_range(data, path, m0, m_hi + 1), up, down)[skip:skip + o1 - o0]
 
 
 def _buffered(chunks, path) -> tuple[np.ndarray, float]:
@@ -191,12 +185,14 @@ def _read_wav(path: str) -> tuple[int, np.ndarray]:
 def load_audio(path: str | os.PathLike) -> AudioSignal:
     """Decode a PCM WAV file into a mono AudioSignal at CANONICAL_RATE.
 
-    Rates below 8 kHz or above MAX_RATE and non-finite samples are
-    rejected. Channels are averaged, the result is resampled with a
-    polyphase (band-limited) resampler unless it is at CANONICAL_RATE,
-    and peak-normalized only if any sample exceeds full scale. The WAV is
-    decoded once, into a mapped temporary file (128 kB of TMPDIR per
-    second of audio while the signal lives), and not read again. The
+    Rates below 8 kHz or above MAX_RATE, non-finite samples and a decoded
+    signal that is all zero (SilentInputError) are rejected. Channels are
+    averaged, the result is resampled with a polyphase (band-limited)
+    resampler unless it is at CANONICAL_RATE, and peak-normalized only if
+    any sample exceeds full scale. The WAV is decoded once, range by range,
+    into a mapped temporary file (128 kB of TMPDIR per second of audio
+    while the signal lives), and not read again; the peak taken as it is
+    written is the one scan for silence and for full scale. The
     signal holds one open file descriptor through its map until it is
     freed, so a caller that keeps many signals alive at once can reach the
     process's open-file limit; one that drops each signal after use, as
@@ -219,13 +215,11 @@ def load_audio(path: str | os.PathLike) -> AudioSignal:
     if data.size == 0:
         raise AudioIOError(f"{path}: zero-length audio")
 
-    if rate == CANONICAL_RATE:
-        spans = [(lo, lo + DECODE_BLOCK) for lo in range(0, len(data), DECODE_BLOCK)]
-        chunks = _checked_chunks(data, spans, path)
-    else:
-        chunks = _resampled(data, rate, path)
+    chunks = _decoded(data, path) if rate == CANONICAL_RATE else _resampled(data, rate, path)
     del data  # the WAV is unmapped once its last chunk is read
     samples, peak = _buffered(chunks, path)
+    if peak == 0.0:
+        raise SilentInputError(f"{path}: silent input")
     if peak > 1.0:
         samples /= peak
     return AudioSignal(samples, CANONICAL_RATE, source_id=os.fspath(path))

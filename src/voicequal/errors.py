@@ -11,7 +11,7 @@ class AudioIOError(VoiceQualityError):
 
 
 class SilentInputError(AudioIOError):
-    """Audio decoded to all zeros."""
+    """The decoded signal is all zero."""
     exit_code = 3
 
 

@@ -163,8 +163,8 @@ def _spectrum_levels(raw_frames, idx: np.ndarray, f0: np.ndarray, freqs: np.ndar
     Each level is the peak of a bin window, in dB once picked. All rows have
     the same windows, so each sub-block of ``rows`` frames picks its peaks
     from one slice of the bounds with one reduceat; a padding column keeps
-    ends inside. A sub-block's frames are read when its spectra are taken,
-    as one range if they are consecutive.
+    ends inside. A sub-block's frames are gathered when its spectra are
+    taken and windowed in that copy.
     """
     f0_col = f0[:, None]
     k_lo = np.maximum(1, np.ceil(f3_lo / f0).astype(int))
@@ -185,11 +185,10 @@ def _spectrum_levels(raw_frames, idx: np.ndarray, f0: np.ndarray, freqs: np.ndar
     bounds = np.stack((offset + np.hstack((at, lo)), offset + np.hstack((at, hi)) + 1), axis=2)
     peaks, padded = np.empty(bounds.shape[:2]), np.zeros((rows, width))
     for start in range(0, len(f0), rows):
-        part = idx[start:start + rows]
-        x = (raw_frames[part[0]:part[-1] + 1] if part[-1] - part[0] < len(part)
-             else raw_frames[part])
+        x = raw_frames[idx[start:start + rows]]  # indexing copies
+        x *= WINDOW
         block = padded[:len(x)]
-        np.abs(np.fft.rfft(x * WINDOW, SPECTRUM_NFFT, axis=1), out=block[:, :N_BINS])
+        np.abs(np.fft.rfft(x, SPECTRUM_NFFT, axis=1), out=block[:, :N_BINS])
         picked = np.maximum.reduceat(block.ravel(), bounds[start:start + len(x)].ravel())
         peaks[start:start + len(x)] = picked[::2].reshape(len(x), -1)
     levels = 20.0 * np.log10(peaks + 1e-12)

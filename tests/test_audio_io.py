@@ -15,6 +15,7 @@ from scipy.signal import resample_poly
 import voicequal.audio_io as audio_io
 from voicequal.audio_io import (CANONICAL_RATE, DECODE_BLOCK, MAX_RATE, AudioSignal,
                                 load_audio, save_wav)
+from voicequal.cli import main
 from voicequal.errors import AudioIOError, SilentInputError
 from voicequal.llf import extract_llf_vector
 from voicequal.synth import KINDS, generate_synthetic
@@ -72,6 +73,14 @@ def test_silent_input_rejected(tmp_path):
             _write_int16(path, rate, np.zeros((n, 2)))
             with pytest.raises(SilentInputError, match=f"^{path}: silent input$"):
                 load_audio(path)
+    # silence is the decoded 16 kHz signal's: a lone subnormal sample
+    # resamples to exactly zero
+    x = np.zeros(44100)
+    x[22050] = 5e-324
+    wavfile.write(path, 44100, x)
+    with pytest.raises(SilentInputError, match=f"^{path}: silent input$"):
+        load_audio(path)
+    assert main(["extract", str(path), "--output", os.devnull]) == 3
 
 
 def test_zero_length_rejected(tmp_path):

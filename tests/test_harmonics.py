@@ -193,8 +193,8 @@ def test_stage_matches_per_frame_reference_at_block_edges(n_voiced, monkeypatch)
 def test_stage_matches_per_frame_reference_with_gaps_inside_sub_blocks(monkeypatch):
     # 40 consecutive voiced frames, then voiced frames in pairs with one
     # unvoiced frame between: past the first 40, every spectrum sub-block
-    # spans more frames than it takes, so its frames are read one run at a
-    # time; 136 voiced frames make three blocks, so two workers share them
+    # spans more frames than it takes, and it gathers only those; 136 voiced
+    # frames make three blocks, so two workers share them
     vowel = generate_synthetic("clean", f0=150.0, duration=2.5, seed=2)
     frames = frame_signal(vowel)
     pitch = track_pitch(frames)

@@ -55,6 +55,24 @@ def test_jitter_matches_generated_periods():
     assert measured == pytest.approx(expected, rel=0.25)
 
 
+# |mean jitterLocal - 2p/300| over 2 s jittered vowels at 120 Hz, seeds 1-3,
+# as measured before any change to the pitch tracker: 0.0023032 at 3 % (0.885
+# of 2p/300) and 0.0086536 at 5 % (0.740), rounded up in the third digit.
+# A new pitch path must not read further from the ground truth than these.
+JITTER_GAP = {3.0: 0.00231, 5.0: 0.00866}
+
+
+@pytest.mark.parametrize("jitter_pct", sorted(JITTER_GAP))
+def test_jitter_of_jittered_vowels_no_further_from_ground_truth(jitter_pct):
+    # mean |dT| of uniform +/-p % periods is 2p/300 of the period
+    measured = []
+    for seed in (1, 2, 3):
+        sig = generate_synthetic("jittered", f0=120.0, duration=2.0, seed=seed,
+                                 jitter_pct=jitter_pct)
+        measured.append(_analyze(sig)["jitterLocal"])
+    assert abs(np.mean(measured) - 2 * jitter_pct / 300) <= JITTER_GAP[jitter_pct]
+
+
 def test_shimmered_pulse_train_positive_shimmer():
     clean = _analyze(raw_pulse_train(200))
     shim = _analyze(raw_pulse_train(200, shimmer_db=1.0, seed=2))
