@@ -11,7 +11,7 @@ import numpy as np
 
 from .audio_io import AudioSignal
 from .errors import ManifestError
-from .llf import LLF_KEYS, LlfVector, extract_llf_vector
+from .llf import LLF_KEYS, LlfVector, extract_llf_vector, llf_matrix
 from .quality import QUALITY_IDS, CorrelationTable, scores_from_z
 from .stats import FeatureStats
 from .synth import generate_synthetic
@@ -92,14 +92,14 @@ def evaluate_pairs(grid: PairGrid, stats: FeatureStats,
         raise ManifestError(f"unknown quality id {grid.quality!r} in pair grid")
     if not len(grid):
         raise ManifestError("no pairs to evaluate")
-    values = []
-    for sample in grid.positives + grid.negatives:
-        try:
-            values.append([sample.llf[k] for k in LLF_KEYS])
-        except KeyError as exc:
-            raise ManifestError(f"scoring failed for {sample.source_id}: "
-                                f"feature vector missing key {exc.args[0]!r}") from None
-    z = (np.array(values, dtype=float) - stats.mu_vector) / stats.sigma_vector
+    samples = grid.positives + grid.negatives
+    try:
+        values = llf_matrix([s.llf for s in samples])
+    except KeyError:
+        sample, key = next((s, k) for s in samples for k in LLF_KEYS if k not in s.llf)
+        raise ManifestError(f"scoring failed for {sample.source_id}: "
+                            f"feature vector missing key {key!r}") from None
+    z = (values - stats.mu_vector) / stats.sigma_vector
     scores = scores_from_z(z, table)[:, QUALITY_IDS.index(grid.quality)]
     positive, negative = np.split(scores, [len(grid.positives)])
     positive = positive[~np.isnan(positive)]  # a NaN wins no pair, as under `>`

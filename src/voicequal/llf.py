@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import operator
+from itertools import chain
+from typing import Sequence
+
 import numpy as np
 
 from .audio_io import AudioSignal
@@ -45,17 +49,30 @@ LLF_KEYS = (
 
 LlfVector = dict[str, float]
 
+# one vector's values in LLF_KEYS order, looked up in C; a missing key
+# raises KeyError naming the first one missing
+llf_values = operator.itemgetter(*LLF_KEYS)
+
+
+def llf_matrix(vectors: Sequence[LlfVector]) -> np.ndarray:
+    """The vectors as the rows of an (n, 25) float64 array in LLF_KEYS order,
+    gathered in C; a missing key raises KeyError as ``llf_values`` does."""
+    values = chain.from_iterable(map(llf_values, vectors))
+    return np.fromiter(values, float, len(vectors) * len(LLF_KEYS)).reshape(-1, len(LLF_KEYS))
+
 
 def validate_llf(vector: LlfVector) -> None:
     """Check key completeness and finiteness; raises ValueError on failure."""
-    missing = [k for k in LLF_KEYS if k not in vector]
-    if missing:
-        raise ValueError(f"missing feature keys: {missing}")
-    extra = [k for k in vector if k not in LLF_KEYS]
-    if extra:
+    try:
+        values = llf_values(vector)
+    except KeyError:
+        missing = [k for k in LLF_KEYS if k not in vector]
+        raise ValueError(f"missing feature keys: {missing}") from None
+    if len(vector) > len(LLF_KEYS):
+        extra = [k for k in vector if k not in LLF_KEYS]
         raise ValueError(f"unknown feature keys: {extra}")
-    bad = [k for k, v in vector.items() if not np.isfinite(v)]
-    if bad:
+    if not np.isfinite(values).all():
+        bad = [k for k, v in vector.items() if not np.isfinite(v)]
         raise ValueError(f"non-finite feature values: {bad}")
 
 
@@ -84,6 +101,6 @@ def extract_llf_vector(signal: AudioSignal) -> LlfVector:
     values.update(compute_period_llfs(signal, pitch))
     values.update(estimate_formants(frames, pitch).values)
 
-    ordered = {k: values[k] for k in LLF_KEYS}
+    ordered = dict(zip(LLF_KEYS, llf_values(values)))
     validate_llf(ordered)
     return ordered

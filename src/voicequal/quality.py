@@ -12,7 +12,7 @@ from operator import attrgetter
 import numpy as np
 
 from .errors import TableError
-from .llf import LLF_KEYS, LlfVector
+from .llf import LLF_KEYS, LlfVector, llf_values
 from .stats import FeatureStats
 
 QUALITY_IDS = (
@@ -56,7 +56,8 @@ class CorrelationTable:
     """Complete 24 x 25 map of correlation categories, plus a version string.
 
     ``coefficients`` is the map as signed coefficients (rows QUALITY_IDS,
-    columns LLF_KEYS); ``active_counts`` holds each row's nonzero count |A_i|.
+    columns LLF_KEYS); ``active_counts`` holds each row's nonzero count |A_i|,
+    as float64, so that dividing by it casts nothing.
     """
 
     entries: dict[tuple[str, str], CorrelationCategory]
@@ -69,7 +70,7 @@ class CorrelationTable:
         codes = map(attrgetter("_value_"), map(self.entries.__getitem__, _CELLS))
         coefficients = np.fromiter(map(_COEFFICIENTS.__getitem__, codes), float, len(_CELLS))
         coefficients = coefficients.reshape(len(QUALITY_IDS), len(LLF_KEYS))
-        counts = np.count_nonzero(coefficients, axis=1)
+        counts = np.count_nonzero(coefficients, axis=1).astype(float)
         empty = [q for q, n in zip(QUALITY_IDS, counts) if n == 0]
         if empty:
             raise TableError(f"qualities with no active features: {empty}")
@@ -181,7 +182,7 @@ class QualityScores:
 def z_scores(vector: LlfVector, stats: FeatureStats) -> np.ndarray:
     """z_j = (v_j - mu_j) / sigma_j in LLF_KEYS order; a missing key raises ValueError."""
     try:
-        values = np.array([vector[k] for k in LLF_KEYS], dtype=float)
+        values = np.fromiter(llf_values(vector), float, len(LLF_KEYS))
     except KeyError as exc:
         raise ValueError(f"feature vector missing key {exc.args[0]!r}") from None
     return (values - stats.mu_vector) / stats.sigma_vector

@@ -11,7 +11,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import StatsError
-from .llf import LLF_KEYS, LlfVector
+from .llf import LLF_KEYS, LlfVector, llf_matrix, llf_values
 
 SCHEMA_VERSION = 1
 MIN_SIGMA = 1e-9
@@ -31,31 +31,37 @@ class FeatureStats:
 
     def __post_init__(self):
         for name, d in (("mu", self.mu), ("sigma", self.sigma)):
-            missing = [k for k in LLF_KEYS if k not in d]
-            if missing:
-                raise StatsError(f"stats {name} missing keys: {missing}")
-            vector = np.array([d[k] for k in LLF_KEYS], dtype=float)
+            try:
+                vector = np.fromiter(llf_values(d), float, len(LLF_KEYS))
+            except KeyError:
+                missing = [k for k in LLF_KEYS if k not in d]
+                raise StatsError(f"stats {name} missing keys: {missing}") from None
             vector.flags.writeable = False
             object.__setattr__(self, f"{name}_vector", vector)
-        bad = [k for k, s in self.sigma.items() if not s >= MIN_SIGMA]
-        if bad:
+        if not (np.fromiter(self.sigma.values(), float, len(self.sigma)) >= MIN_SIGMA).all():
+            bad = [k for k, s in self.sigma.items() if not s >= MIN_SIGMA]
             raise StatsError(f"sigma below {MIN_SIGMA:g} for: {bad}")
 
 
 def fit_stats(vectors: Sequence[LlfVector], corpus: str = "") -> FeatureStats:
     """Sample mean and (n-1)-denominator standard deviation per feature.
 
-    A feature whose spread collapses below 1e-9 makes the reference corpus
-    unusable for z-scoring and is rejected.
+    A vector missing a key is named by its index. A feature whose spread
+    collapses below 1e-9 makes the reference corpus unusable for z-scoring
+    and is rejected.
     """
     vectors = list(vectors)
     if len(vectors) < 2:
         raise StatsError(f"fewer than 2 vectors: got {len(vectors)}")
-    data = np.array([[v[k] for k in LLF_KEYS] for v in vectors])
+    try:
+        data = llf_matrix(vectors)
+    except KeyError:
+        i, key = next((i, k) for i, v in enumerate(vectors) for k in LLF_KEYS if k not in v)
+        raise StatsError(f"vector {i} missing key {key!r}") from None
     mu = data.mean(axis=0)
     sigma = data.std(axis=0, ddof=1)
-    degenerate = [k for k, s in zip(LLF_KEYS, sigma) if s < MIN_SIGMA]
-    if degenerate:
+    if (sigma < MIN_SIGMA).any():
+        degenerate = [k for k, s in zip(LLF_KEYS, sigma) if s < MIN_SIGMA]
         raise StatsError(f"degenerate feature (zero variance): {degenerate}")
     return FeatureStats(
         mu=dict(zip(LLF_KEYS, mu.tolist())),

@@ -41,6 +41,14 @@ def test_fewer_than_two_rejected():
         fit_stats([_constant_vector(1.0)])
 
 
+def test_vector_missing_a_key_is_named_with_the_stats_code():
+    vectors = _varied_vectors(np.random.default_rng(3), 3)
+    del vectors[2]["jitterLocal"], vectors[1]["mfcc3"]
+    with pytest.raises(StatsError, match=r"^vector 1 missing key 'mfcc3'$") as caught:
+        fit_stats(vectors)
+    assert caught.value.exit_code == 5
+
+
 def test_degenerate_feature_rejected():
     with pytest.raises(StatsError, match="degenerate"):
         fit_stats([_constant_vector(1.0)] * 5)
