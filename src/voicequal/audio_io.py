@@ -33,7 +33,9 @@ MAX_RATE = 384000
 class AudioSignal:
     """Mono PCM samples in [-1, 1] at a fixed sample rate, held read-only as
     a float64 array. The array of a loaded WAV lies over its mapped
-    temporary file."""
+    temporary file. A C-contiguous float64 array is kept as given, not
+    copied, so the caller's array becomes read-only too; any other array is
+    copied, and the caller's stays writable."""
 
     samples: np.ndarray
     sample_rate_hz: int

@@ -39,6 +39,13 @@ SPECTRUM_BLOCK = 8
 # F3 search region used for a frame without three formants
 DEFAULT_F3_REGION = (2000.0, 4000.0)
 
+FORMANT_KEYS = (
+    "logRelF0-H1-H2", "logRelF0-H1-A3",
+    "F1frequency", "F1bandwidth", "F1amplitudeLogRelF0",
+    "F2frequency", "F2bandwidth", "F2amplitudeLogRelF0",
+    "F3frequency", "F3bandwidth", "F3amplitudeLogRelF0",
+)
+
 # Most threads in a voiced-frame pass, the caller's included, and so LPC
 # blocks in flight. Batched eigvals and rfft release the GIL, so two blocks
 # run on two CPUs.
@@ -59,7 +66,8 @@ def _workers() -> int:
 
 @dataclass(frozen=True)
 class FormantTrack:
-    """The 11 voiced-frame LLFs and the number of frames with three formants.
+    """The 11 voiced-frame LLFs, in FORMANT_KEYS order, and the number of
+    frames with three formants.
 
     F1-F3 frequency, bandwidth and amplitude are means over those
     ``n_frames`` frames; H1-H2 and H1-A3 are means over every voiced frame.
@@ -292,10 +300,6 @@ def estimate_formants(frames: FrameSequence, pitch: PitchTrack) -> FormantTrack:
 
     if n_formant == 0:
         raise InsufficientVoicingError("no frames yielded three valid formants")
-    h1_h2, h1_a3 = harmonic_sums / len(voiced)
-    values = {"logRelF0-H1-H2": float(h1_h2), "logRelF0-H1-A3": float(h1_a3)}
-    for n, (freq, bw, amplitude) in enumerate((formant_sums / n_formant).T):
-        values[f"F{n + 1}frequency"] = float(freq)
-        values[f"F{n + 1}bandwidth"] = float(bw)
-        values[f"F{n + 1}amplitudeLogRelF0"] = float(amplitude)
-    return FormantTrack(n_formant, values)
+    # H1-H2 and H1-A3, then frequency, bandwidth and amplitude of F1, F2, F3
+    means = (harmonic_sums / len(voiced)).tolist() + (formant_sums / n_formant).T.ravel().tolist()
+    return FormantTrack(n_formant, dict(zip(FORMANT_KEYS, means)))

@@ -10,42 +10,17 @@ import numpy as np
 
 from .audio_io import AudioSignal
 from .errors import AudioIOError, InsufficientVoicingError
-from .formants import estimate_formants
+from .formants import FORMANT_KEYS, estimate_formants
 from .framing import frame_signal
-from .periods import compute_period_llfs, voiced_runs
+from .periods import PERIOD_KEYS, compute_period_llfs, voiced_runs
 from .pitch import track_pitch
-from .spectral import compute_spectral_llfs
+from .spectral import SPECTRAL_KEYS, compute_spectral_llfs
 
 MIN_DURATION_S = 0.3
 
-# canonical key order; every LlfVector carries exactly these keys
-LLF_KEYS = (
-    "Loudness",
-    "alphaRatio",
-    "hammarbergIndex",
-    "slope0-500",
-    "slope500-1500",
-    "spectralFlux",
-    "mfcc1",
-    "mfcc2",
-    "mfcc3",
-    "mfcc4",
-    "F0semitoneFrom27.5Hz",
-    "jitterLocal",
-    "shimmerLocaldB",
-    "HNRdBACF",
-    "logRelF0-H1-H2",
-    "logRelF0-H1-A3",
-    "F1frequency",
-    "F1bandwidth",
-    "F1amplitudeLogRelF0",
-    "F2frequency",
-    "F2bandwidth",
-    "F2amplitudeLogRelF0",
-    "F3frequency",
-    "F3bandwidth",
-    "F3amplitudeLogRelF0",
-)
+# canonical key order; every LlfVector carries exactly these keys, each named
+# once, in the key tuple of the stage that computes it
+LLF_KEYS = SPECTRAL_KEYS + PERIOD_KEYS + FORMANT_KEYS
 
 LlfVector = dict[str, float]
 
@@ -96,11 +71,10 @@ def extract_llf_vector(signal: AudioSignal) -> LlfVector:
         raise InsufficientVoicingError(
             "insufficient voicing: need 3 consecutive voiced frames")
 
-    values: LlfVector = {}
-    values.update(compute_spectral_llfs(frames))
-    values.update(compute_period_llfs(signal, pitch))
-    values.update(estimate_formants(frames, pitch).values)
-
-    ordered = dict(zip(LLF_KEYS, llf_values(values)))
-    validate_llf(ordered)
-    return ordered
+    # each stage returns its keys in its tuple's order, so the merge is in
+    # LLF_KEYS order
+    values: LlfVector = {**compute_spectral_llfs(frames),
+                         **compute_period_llfs(signal, pitch),
+                         **estimate_formants(frames, pitch).values}
+    validate_llf(values)
+    return values

@@ -142,9 +142,4 @@ def compute_period_llfs(signal: AudioSignal, pitch: PitchTrack) -> dict[str, flo
     jitter = float(np.mean(period_diffs) / np.mean(periods)) if len(period_diffs) else 0.0
     shimmer = float(np.mean(amp_ratios_db))
 
-    return {
-        "F0semitoneFrom27.5Hz": f0_semitone,
-        "jitterLocal": jitter,
-        "shimmerLocaldB": shimmer,
-        "HNRdBACF": _hnr_db(pitch),
-    }
+    return dict(zip(PERIOD_KEYS, (f0_semitone, jitter, shimmer, _hnr_db(pitch))))

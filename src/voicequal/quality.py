@@ -189,8 +189,11 @@ def z_scores(vector: LlfVector, stats: FeatureStats) -> np.ndarray:
 
 
 def scores_from_z(z: np.ndarray, table: CorrelationTable) -> np.ndarray:
-    """S = Z C^T / |A|: the 24 scores (QUALITY_IDS order) of each z row."""
-    return z @ table.coefficients.T / table.active_counts
+    """S = Z C^T / |A|: the 24 scores (QUALITY_IDS order) of each z row, each
+    row multiplied alone, so a row of a matrix scores the bits of score_all."""
+    if z.ndim == 1:  # the same one-row product, without the stacked form's views
+        return z @ table.coefficients.T / table.active_counts
+    return (z[:, None, :] @ table.coefficients.T)[:, 0, :] / table.active_counts
 
 
 def score_all(vector: LlfVector, stats: FeatureStats,

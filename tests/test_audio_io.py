@@ -112,6 +112,26 @@ def test_round_trip_canonical_rate(tmp_path):
     assert np.max(np.abs(loaded.samples - x)) < 1e-6
 
 
+def test_a_float64_contiguous_array_is_kept_and_made_read_only():
+    x = np.linspace(-0.5, 0.5, 4000)
+    sig = AudioSignal(x, CANONICAL_RATE)
+    assert sig.samples is x
+    assert not x.flags.writeable
+    with pytest.raises(ValueError):
+        x[0] = 0.0
+
+
+@pytest.mark.parametrize("make", [lambda x: x.astype(np.float32), lambda x: x[::2]],
+                         ids=["float32", "strided"])
+def test_other_arrays_are_copied_and_stay_writable(make):
+    x = make(np.linspace(-0.5, 0.5, 8000))
+    sig = AudioSignal(x, CANONICAL_RATE)
+    assert not np.shares_memory(sig.samples, x)
+    assert sig.samples.dtype == np.float64 and not sig.samples.flags.writeable
+    x[0] = 0.25
+    assert x.flags.writeable and sig.samples[0] == -0.5
+
+
 def test_channel_averaging_is_linear(tmp_path):
     x = 0.5 * np.sin(2 * np.pi * 100 * np.arange(4000) / 16000)
     mono_path, stereo_path = tmp_path / "m.wav", tmp_path / "s.wav"

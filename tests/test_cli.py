@@ -36,7 +36,7 @@ def test_extract_records(corpus, tmp_path, capsys):
     assert len(lines) == 3
     record = json.loads(lines[0])
     assert record["source"] == corpus[0]
-    assert list(record)[1:] == list(LLF_KEYS)
+    assert list(record) == ["source", *LLF_KEYS]
 
 
 def test_extract_converts_a_44k_stereo_wav(tmp_path):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from voicequal.audio_io import AudioSignal
 from voicequal.errors import InsufficientVoicingError
 from voicequal.formants import (
+    FORMANT_KEYS,
     LPC_BLOCK,
     _even_blocks,
     _lag_products,
@@ -42,6 +43,13 @@ def test_synthetic_vowel_frequencies():
     values = estimate_formants(frame_signal(sig), track_pitch(frame_signal(sig))).values
     for n, (want, _) in enumerate(TARGET):
         assert abs(values[f"F{n + 1}frequency"] - want) < 60
+
+
+def test_values_in_formant_keys_order():
+    sig = _synthetic_vowel()
+    track = estimate_formants(frame_signal(sig), track_pitch(frame_signal(sig)))
+    assert list(track.values) == list(FORMANT_KEYS)
+    assert all(type(v) is float for v in track.values.values())
 
 
 def test_synthetic_vowel_bandwidths():

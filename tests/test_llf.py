@@ -43,6 +43,24 @@ def vowel():
     return generate_synthetic("clean", f0=150.0, duration=1.0, seed=0)
 
 
+# the schema every output shares (JSONL, stats files, table rows, the
+# benchmark's reference), spelled out here apart from the stages' key tuples
+EXPECTED_KEYS = [
+    "Loudness", "alphaRatio", "hammarbergIndex", "slope0-500", "slope500-1500",
+    "spectralFlux", "mfcc1", "mfcc2", "mfcc3", "mfcc4",
+    "F0semitoneFrom27.5Hz", "jitterLocal", "shimmerLocaldB", "HNRdBACF",
+    "logRelF0-H1-H2", "logRelF0-H1-A3",
+    "F1frequency", "F1bandwidth", "F1amplitudeLogRelF0",
+    "F2frequency", "F2bandwidth", "F2amplitudeLogRelF0",
+    "F3frequency", "F3bandwidth", "F3amplitudeLogRelF0",
+]
+
+
+def test_llf_keys_are_the_25_names_in_order():
+    assert isinstance(LLF_KEYS, tuple)
+    assert list(LLF_KEYS) == EXPECTED_KEYS
+
+
 def test_vector_complete_and_finite(vowel):
     vector = extract_llf_vector(vowel)
     assert list(vector) == list(LLF_KEYS)

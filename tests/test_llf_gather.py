@@ -42,8 +42,8 @@ def _loop_rows(vectors):
 
 
 def _loop_scores(z, table):
-    """Scores as the per-key loops computed them, with z from dict lookups
-    (one row or a matrix of rows) and the integer active counts as the divisor."""
+    """One vector's scores as the per-key loops computed them, with z from
+    dict lookups and the integer active counts as the divisor."""
     return z @ table.coefficients.T / np.count_nonzero(table.coefficients, axis=1)
 
 
@@ -100,9 +100,9 @@ def test_evaluate_pairs_equals_the_per_key_count(default_table, vectors, stats, 
     labels[:2] = [quality, NEUTRAL_LABEL]
     grid = form_pairs([LabeledSample(f"s{i:02d}", label, v)
                        for i, (label, v) in enumerate(zip(labels, vectors))], quality)
-    z = _loop_z([s.llf for s in grid.positives + grid.negatives], stats)
-    scores = _loop_scores(z, default_table)[:, QUALITY_IDS.index(quality)]
-    positive, negative = scores[:len(grid.positives)], scores[len(grid.positives):]
+    # wins counted from the scores `voicequal score` prints for each sample
+    positive, negative = ([score_all(s.llf, stats, default_table).scores[quality] for s in side]
+                          for side in (grid.positives, grid.negatives))
     expected = sum(int(p > n) for p in positive for n in negative)
     result = evaluate_pairs(grid, stats, default_table).per_quality[quality]
     assert (result.total_pairs, result.correct) == (len(grid), expected)

@@ -21,7 +21,7 @@ def _analyze(sig):
 
 def test_keys():
     values = _analyze(sine_signal(220, 0.5))
-    assert set(values) == set(PERIOD_KEYS)
+    assert list(values) == list(PERIOD_KEYS)
 
 
 def test_clean_pulse_train_near_zero_jitter_shimmer():

@@ -11,6 +11,7 @@ from voicequal.quality import (
     load_table,
     score_all,
     score_quality,
+    scores_from_z,
 )
 from voicequal.stats import FeatureStats
 
@@ -173,6 +174,16 @@ def test_score_all_matches_dict_loop_reference(default_table):
             assert abs(result.scores[quality] - score) < 1e-12, quality
             assert list(result.z_contributions[quality].items()) == list(
                 contributions.items()), quality
+
+
+def test_scores_of_a_matrix_are_the_bits_of_each_row_alone(default_table):
+    # evaluate_pairs ranks rows of a matrix by the scores that score_all,
+    # and so `voicequal score`, computes for each vector alone
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 3, 7, 8, 160):
+        z = rng.normal(size=(n, len(LLF_KEYS)))
+        rows = np.array([scores_from_z(row, default_table) for row in z])
+        assert scores_from_z(z, default_table).tobytes() == rows.tobytes(), n
 
 
 def test_contributions_built_on_first_access(default_table):
