@@ -116,7 +116,7 @@ def read_manifest(path: str | os.PathLike) -> list[tuple[str, str]]:
     """
     base = os.path.dirname(os.fspath(path))
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             rows = [(reader.line_num, row) for row in reader
                     if row and not row[0].lstrip().startswith("#")]

@@ -154,7 +154,7 @@ def load_table(path: str | None = None) -> CorrelationTable:
         with ref.open("r", encoding="utf-8") as fh:
             return _parse_table(fh, DEFAULT_TABLE_RESOURCE)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return _parse_table(fh, str(path))
     except (OSError, UnicodeDecodeError) as exc:
         raise TableError(f"cannot read table {path}: {exc}")

@@ -101,7 +101,7 @@ def load_stats(path: str | os.PathLike) -> FeatureStats:
     sigma: dict[str, float] = {}
     corpus, n_utt = "", 0
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise StatsError(f"cannot read stats {path}: {exc}")

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.signal import lfilter
 
-from .audio_io import CANONICAL_RATE, AudioSignal
+from .audio_io import CANONICAL_RATE, MAX_RATE, AudioSignal
 
 KINDS = ("clean", "jittered", "shimmered", "breathy")
 
@@ -23,34 +23,48 @@ MAX_DURATION_S = 600.0  # synthesis holds several float64 copies of the whole si
 MAX_SHIMMER_DB = 40.0   # pulse amplitudes from 1/100 to 100 times the clean pulse's
 
 
-def pulse_train(f0: float, duration: float, sample_rate: int, rng,
-                jitter_pct: float = 0.0, shimmer_db: float = 0.0) -> np.ndarray:
-    """Excitation: fractionally placed impulses smoothed by a short decay.
+def pulse_times(f0: float, duration: float, sample_rate: int, rng,
+                jitter_pct: float = 0.0, shimmer_db: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Ground truth of a train at nominal f0: pulse times in samples and amplitudes.
 
-    Period perturbation is uniform +/- jitter_pct percent; amplitude
-    perturbation is uniform +/- shimmer_db dB. Fractional impulse placement
-    splits each pulse linearly across two samples so clean trains stay
-    exactly periodic at non-integer periods.
+    Each step is the period perturbed uniformly by +/- jitter_pct percent;
+    each amplitude is 1 perturbed uniformly by +/- shimmer_db dB.
     """
     n = int(round(duration * sample_rate))
-    x = np.zeros(n + 2)
     period = sample_rate / f0
     t = period
+    times, amplitudes = [], []
     while t < n - 1:
         amp = 1.0
         if shimmer_db > 0:
             amp *= 10.0 ** (rng.uniform(-shimmer_db, shimmer_db) / 20.0)
-        i = int(t)
-        frac = t - i
-        x[i] += (1.0 - frac) * amp
-        x[i + 1] += frac * amp
+        times.append(t)
+        amplitudes.append(amp)
         step = period
         if jitter_pct > 0:
             step *= 1.0 + rng.uniform(-jitter_pct, jitter_pct) / 100.0
         t += step
+    return np.array(times), np.array(amplitudes)
+
+
+def pulse_train(times, amplitudes, n_samples: int, sample_rate: int) -> np.ndarray:
+    """Excitation: impulses at the given times smoothed by a short decay.
+
+    A pulse at time t in [0, n_samples - 1) samples with amplitude a is split
+    as (1 - frac) a at floor(t) and frac a at floor(t) + 1, so clean trains
+    stay exactly periodic at non-integer periods.
+    """
+    times = np.asarray(times, dtype=float)
+    if times.size and not (times.min() >= 0 and times.max() < n_samples - 1):
+        raise ValueError(f"pulse times must lie in [0, {n_samples - 1}) samples")
+    i = times.astype(int)
+    frac = times - i
+    x = np.zeros(n_samples)
+    # both shares of each pulse in pulse order: the sums of a scalar loop
+    np.add.at(x, np.column_stack((i, i + 1)).ravel(),
+              np.column_stack(((1.0 - frac) * amplitudes, frac * amplitudes)).ravel())
     decay = np.exp(-1.0 / (GLOTTAL_DECAY_S * sample_rate))
-    x = lfilter([1.0], [1.0, -decay], x)
-    return x[:n]
+    return lfilter([1.0], [1.0, -decay], x)
 
 
 def vowel_filter(x: np.ndarray, sample_rate: int,
@@ -88,12 +102,15 @@ def generate_synthetic(kind: str, f0: float = 150.0, duration: float = 1.0,
         raise ValueError(f"noise_ratio must be in [0, 10], got {noise_ratio}")
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
+    if not (isinstance(sample_rate, (int, np.integer)) and 8000 <= sample_rate <= MAX_RATE):
+        raise ValueError(f"sample_rate must be an integer in [8000, {MAX_RATE}] Hz, got {sample_rate!r}")
 
     rng = np.random.default_rng(seed)
-    excitation = pulse_train(
+    times, amplitudes = pulse_times(
         f0, duration, sample_rate, rng,
         jitter_pct=jitter_pct if kind == "jittered" else 0.0,
         shimmer_db=shimmer_db if kind == "shimmered" else 0.0)
+    excitation = pulse_train(times, amplitudes, int(round(duration * sample_rate)), sample_rate)
 
     resonances = RESONANCES
     if kind == "breathy":

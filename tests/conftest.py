@@ -5,7 +5,7 @@ from voicequal.audio_io import CANONICAL_RATE, AudioSignal
 from voicequal.llf import LLF_KEYS
 from voicequal.quality import effective_coefficient
 from voicequal.stats import FeatureStats
-from voicequal.synth import pulse_train
+from voicequal.synth import pulse_times, pulse_train
 
 
 def sine_signal(freq, duration=0.5, amp=0.5, fs=CANONICAL_RATE, label="sine"):
@@ -17,8 +17,8 @@ def raw_pulse_train(f0, duration=1.0, jitter_pct=0.0, shimmer_db=0.0, seed=0,
                     fs=CANONICAL_RATE, label="pulses"):
     """Unfiltered smoothed pulse train; peaks sit exactly at the pulse times."""
     rng = np.random.default_rng(seed)
-    x = pulse_train(f0, duration, fs, rng,
-                    jitter_pct=jitter_pct, shimmer_db=shimmer_db)
+    x = pulse_train(*pulse_times(f0, duration, fs, rng, jitter_pct=jitter_pct,
+                                 shimmer_db=shimmer_db), int(round(duration * fs)), fs)
     return AudioSignal(0.9 * x / np.abs(x).max(), fs, label)
 
 

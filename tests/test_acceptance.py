@@ -33,7 +33,7 @@ from voicequal.quality import (
     score_quality,
 )
 from voicequal.stats import fit_stats, load_stats, save_stats
-from voicequal.synth import generate_synthetic, pulse_train, vowel_filter
+from voicequal.synth import generate_synthetic
 
 from conftest import random_llf, random_stats, raw_pulse_train, sine_signal
 from test_quality import BREATHINESS_COEFFICIENTS, PALETTE
@@ -124,15 +124,12 @@ def test_criterion_4_dsp_units():
     values = compute_period_llfs(jittered, track_pitch(frame_signal(jittered)))
     assert 0.01 <= values["jitterLocal"] <= 0.03
 
-    rng = np.random.default_rng(0)
-    x = vowel_filter(pulse_train(120.0, 1.0, 16000, rng), 16000)
-    from voicequal.audio_io import AudioSignal
-    vowel = AudioSignal(0.9 * x / np.abs(x).max(), 16000, "vowel")
-    frames = frame_signal(vowel)
+    frames = frame_signal(generate_synthetic("clean", f0=120.0, seed=0))
     values = estimate_formants(frames, track_pitch(frames)).values
     for n, want in enumerate((700, 1220, 2600)):
         assert abs(values[f"F{n + 1}frequency"] - want) < 60
 
+    from voicequal.audio_io import AudioSignal
     t = np.arange(8000) / 16000
     h = 0.5 * np.sin(2 * np.pi * 200 * t) + 0.25 * np.sin(2 * np.pi * 400 * t)
     pair = AudioSignal(h, 16000, "pair")

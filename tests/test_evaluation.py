@@ -271,6 +271,14 @@ def test_manifest_error_reports_the_file_line(tmp_path):
         read_manifest(manifest)
 
 
+def test_manifest_with_a_utf8_bom_reads_as_without(tmp_path):
+    # spreadsheet "CSV UTF-8" exports start with a byte order mark
+    (tmp_path / "a.wav").write_bytes(b"not audio")  # never loaded: rows are only parsed
+    manifest = tmp_path / "m.csv"
+    manifest.write_bytes("\ufeffa.wav,Jit\n".encode("utf-8"))
+    assert read_manifest(manifest) == [(str(tmp_path / "a.wav"), "Jit")]
+
+
 def test_manifest_missing_file(tmp_path):
     manifest = tmp_path / "m.csv"
     manifest.write_text("ghost.wav,Jit\n")

@@ -16,14 +16,14 @@ from voicequal.formants import (
 )
 from voicequal.framing import frame_signal
 from voicequal.pitch import track_pitch
-from voicequal.synth import KINDS, generate_synthetic, pulse_train, vowel_filter
+from voicequal.synth import KINDS, generate_synthetic, pulse_times, pulse_train, vowel_filter
 
 TARGET = ((700.0, 80.0), (1220.0, 100.0), (2600.0, 120.0))
 
 
 def _synthetic_vowel(f0=120.0, resonances=TARGET, seed=0, fs=16000):
     rng = np.random.default_rng(seed)
-    x = vowel_filter(pulse_train(f0, 1.0, fs, rng), fs, resonances)
+    x = vowel_filter(pulse_train(*pulse_times(f0, 1.0, fs, rng), fs, fs), fs, resonances)
     return AudioSignal(0.9 * x / np.abs(x).max(), fs, "vowel")
 
 

@@ -9,7 +9,7 @@ from voicequal.framing import FRAME_LENGTH, HOP, frame_signal
 from voicequal.periods import (MARK_BLOCK, PERIOD_KEYS, SEARCH_FRACTION,
                                compute_period_llfs, find_period_marks, voiced_runs)
 from voicequal.pitch import PitchTrack, parabolic_peak, track_pitch
-from voicequal.synth import generate_synthetic, pulse_train
+from voicequal.synth import generate_synthetic, pulse_times, pulse_train
 
 from conftest import raw_pulse_train, sine_signal
 
@@ -37,21 +37,11 @@ def test_jittered_pulse_train_in_expected_range():
 
 
 def test_jitter_matches_generated_periods():
-    rng = np.random.default_rng(5)
-    fs = 16000
-    x = pulse_train(180, 1.0, fs, rng, jitter_pct=3.0)
-    # reconstruct the generator's own pulse times with the same seed
-    rng2 = np.random.default_rng(5)
-    period = fs / 180
-    t, times = period, []
-    n = int(fs * 1.0)
-    while t < n - 1:
-        times.append(t)
-        t += period * (1.0 + rng2.uniform(-3.0, 3.0) / 100.0)
+    times, amplitudes = pulse_times(180, 1.0, 16000, np.random.default_rng(5), jitter_pct=3.0)
     periods = np.diff(times)
     expected = np.mean(np.abs(np.diff(periods))) / np.mean(periods)
-    sig = AudioSignal(0.9 * x / np.abs(x).max(), fs, "jit3")
-    measured = _analyze(sig)["jitterLocal"]
+    x = pulse_train(times, amplitudes, 16000, 16000)
+    measured = _analyze(AudioSignal(0.9 * x / np.abs(x).max(), 16000, "jit3"))["jitterLocal"]
     assert measured == pytest.approx(expected, rel=0.25)
 
 

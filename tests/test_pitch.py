@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.signal import lfilter
 
 import voicequal.pitch
 from voicequal.audio_io import CANONICAL_RATE, AudioSignal
 from voicequal.framing import FRAME_LENGTH, HOP, frame_signal
 from voicequal.pitch import F0_MAX, F0_MIN, _harmonicity, frame_autocorrelation, track_pitch
-from voicequal.synth import GLOTTAL_DECAY_S, KINDS, generate_synthetic, vowel_filter
+from voicequal.synth import KINDS, generate_synthetic, pulse_train, vowel_filter
 
 from conftest import raw_pulse_train, sine_signal
 
@@ -174,20 +173,15 @@ def _glide(f_start, f_end, duration=2.0, fs=CANONICAL_RATE):
     and the true f0 at the centre of each of its frames.
 
     f0(t) = f_start e^(rate t), so the phase f_start (e^(rate t) - 1) / rate
-    reaches k cycles at t_k = ln(1 + k rate / f_start) / rate: a pulse is
-    placed there, split across two samples as synth.pulse_train places
-    one, then smoothed and filtered as a clean synthetic vowel is."""
+    reaches k cycles at t_k = ln(1 + k rate / f_start) / rate: synth.pulse_train
+    places a unit pulse there, and the train is filtered as a clean
+    synthetic vowel is."""
     n = int(round(duration * fs))
     rate = np.log(f_end / f_start) / duration
     cycles = np.arange(1, int(f_start * np.expm1(rate * duration) / rate) + 1)
     at = np.log1p(cycles * rate / f_start) / rate * fs
     at = at[at < n - 1]
-    i, frac = at.astype(int), at - at.astype(int)
-    x = np.zeros(n + 1)
-    np.add.at(x, i, 1.0 - frac)
-    np.add.at(x, i + 1, frac)
-    decay = np.exp(-1.0 / (GLOTTAL_DECAY_S * fs))
-    x = vowel_filter(lfilter([1.0], [1.0, -decay], x[:n]), fs)
+    x = vowel_filter(pulse_train(at, np.ones(len(at)), n, fs), fs)
     frames = frame_signal(AudioSignal(0.9 * x / np.abs(x).max(), fs, "glide"))
     centres = (np.arange(frames.n_frames) * HOP + FRAME_LENGTH / 2) / fs
     return frames, f_start * np.exp(rate * centres)

@@ -117,6 +117,14 @@ def test_bad_cell_code_named(tmp_path, default_table):
         assert f"row 'Loudness', column {QUALITY_IDS[column]!r}" in message and "XX" in message
 
 
+def test_table_with_a_utf8_bom_reads_as_without(tmp_path, default_table):
+    path = tmp_path / "table.txt"
+    path.write_text("\ufeffqualities " + " ".join(QUALITY_IDS) + "\n" + "".join(
+        key + " " + " ".join(default_table.category(q, key).value for q in QUALITY_IDS) + "\n"
+        for key in LLF_KEYS), encoding="utf-8")
+    assert np.array_equal(load_table(str(path)).coefficients, default_table.coefficients)
+
+
 def test_missing_row_rejected(tmp_path):
     path = tmp_path / "table.txt"
     path.write_text("qualities " + " ".join(QUALITY_IDS) + "\n")

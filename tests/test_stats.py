@@ -86,6 +86,15 @@ def test_save_load_round_trip_exact(tmp_path):
     assert loaded.n_utterances == stats.n_utterances
 
 
+def test_stats_file_with_a_utf8_bom_reads_as_without(tmp_path):
+    stats = fit_stats(_varied_vectors(np.random.default_rng(4), 5), corpus="bom")
+    path = tmp_path / "stats.txt"
+    save_stats(stats, path)
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    loaded = load_stats(path)
+    assert (loaded.mu, loaded.sigma, loaded.corpus) == (stats.mu, stats.sigma, stats.corpus)
+
+
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
