@@ -45,6 +45,8 @@ class AudioSignal:
         if self.sample_rate_hz <= 0:
             raise AudioIOError(f"invalid sample rate {self.sample_rate_hz}")
         samples = np.ascontiguousarray(self.samples, dtype=np.float64)
+        if samples.ndim != 1:
+            raise AudioIOError(f"samples must be 1-D, got shape {samples.shape}")
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
         if samples.size == 0:

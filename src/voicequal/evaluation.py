@@ -120,7 +120,7 @@ def read_manifest(path: str | os.PathLike) -> list[tuple[str, str]]:
             reader = csv.reader(fh)
             rows = [(reader.line_num, row) for row in reader
                     if row and not row[0].lstrip().startswith("#")]
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise ManifestError(f"cannot read manifest {path}: {exc}")
 
     checked = []

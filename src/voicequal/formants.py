@@ -32,10 +32,10 @@ SPECTRUM_NFFT = 4096
 BIN_HZ = CANONICAL_RATE / SPECTRUM_NFFT
 N_BINS = SPECTRUM_NFFT // 2 + 1
 # Voiced frames per spectrum sub-block of an LPC block: one sub-block's
-# complex spectrum and magnitudes stay near 0.4 MB, below the pitch stage's
-# traced peak (0.64 MB), which sets extraction's. With two LPC blocks in
-# flight, each takes half as many, so both blocks together stay near 0.4 MB.
-SPECTRUM_BLOCK = 8
+# complex spectrum and magnitudes stay near 0.2 MB, so with two LPC blocks in
+# flight both stay near 0.4 MB, below the pitch stage's traced peak
+# (0.64 MB), which sets extraction's.
+SPECTRUM_BLOCK = 4
 # F3 search region used for a frame without three formants
 DEFAULT_F3_REGION = (2000.0, 4000.0)
 
@@ -159,8 +159,7 @@ def _lpc_formants(raw_frames, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
 
 
 def _spectrum_levels(raw_frames, idx: np.ndarray, f0: np.ndarray, freqs: np.ndarray,
-                     f3_lo: np.ndarray, f3_hi: np.ndarray,
-                     rows: int = SPECTRUM_BLOCK) -> tuple[np.ndarray, ...]:
+                     f3_lo: np.ndarray, f3_hi: np.ndarray) -> tuple[np.ndarray, ...]:
     """Per frame idx (ascending) of raw_frames, from its 4096-point spectrum:
     the level at the harmonic nearest each formant in freqs in dB re the
     level at f0; H1-H2; and H1-A3, with A3 the strongest harmonic in
@@ -169,9 +168,9 @@ def _spectrum_levels(raw_frames, idx: np.ndarray, f0: np.ndarray, freqs: np.ndar
     Nyquist.
 
     Each level is the peak of a bin window, in dB once picked. All rows have
-    the same windows, so each sub-block of ``rows`` frames picks its peaks
-    from one slice of the bounds with one reduceat; a padding column keeps
-    ends inside. A sub-block's frames are gathered when its spectra are
+    the same windows, so each sub-block of SPECTRUM_BLOCK frames picks its
+    peaks from one slice of the bounds with one reduceat; a padding column
+    keeps ends inside. A sub-block's frames are gathered when its spectra are
     taken and windowed in that copy.
     """
     f0_col = f0[:, None]
@@ -189,11 +188,11 @@ def _spectrum_levels(raw_frames, idx: np.ndarray, f0: np.ndarray, freqs: np.ndar
     lo = np.maximum(0, np.floor((mid - f0_col / 4.0) / BIN_HZ).astype(int))
     hi = np.minimum(N_BINS - 1, np.ceil((mid + f0_col / 4.0) / BIN_HZ).astype(int))
     width = N_BINS + 1
-    offset = np.arange(len(f0))[:, None] % rows * width
+    offset = np.arange(len(f0))[:, None] % SPECTRUM_BLOCK * width
     bounds = np.stack((offset + np.hstack((at, lo)), offset + np.hstack((at, hi)) + 1), axis=2)
-    peaks, padded = np.empty(bounds.shape[:2]), np.zeros((rows, width))
-    for start in range(0, len(f0), rows):
-        x = raw_frames[idx[start:start + rows]]  # indexing copies
+    peaks, padded = np.empty(bounds.shape[:2]), np.zeros((SPECTRUM_BLOCK, width))
+    for start in range(0, len(f0), SPECTRUM_BLOCK):
+        x = raw_frames[idx[start:start + SPECTRUM_BLOCK]]  # indexing copies
         x *= WINDOW
         block = padded[:len(x)]
         np.abs(np.fft.rfft(x, SPECTRUM_NFFT, axis=1), out=block[:, :N_BINS])
@@ -205,20 +204,21 @@ def _spectrum_levels(raw_frames, idx: np.ndarray, f0: np.ndarray, freqs: np.ndar
             h1 - levels[:, N_FORMANTS + 3:].max(axis=1))
 
 
-def _block_sums(raw_frames, f0_hz: np.ndarray, rows: int, idx: np.ndarray):
-    """One block's terms of the pass's running sums: F1-F3 frequency,
-    bandwidth and amplitude summed over the frames with formants (3 x 3), the
-    number of those frames, and H1-H2 and H1-A3 summed over every frame.
-    The frames are read twice: all at once for the LPC fit, then ``rows``
-    at a time for their spectra, so the gathered block is freed before any
-    spectrum is taken."""
+def _block_sums(raw_frames, f0_hz: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """One block's terms of the pass's sums, as one float64 vector: H1-H2
+    and H1-A3 summed over every frame; F1-F3 frequency, bandwidth and
+    amplitude, in FORMANT_KEYS order, summed over the frames with formants;
+    and the number of those frames. The frames are read twice: all at once
+    for the LPC fit, then SPECTRUM_BLOCK at a time for their spectra, so the
+    gathered block is freed before any spectrum is taken."""
     freqs, bws, kept = _lpc_formants(raw_frames, idx)
     f3_lo = np.where(kept, freqs[:, 2] - bws[:, 2], DEFAULT_F3_REGION[0])
     f3_hi = np.where(kept, freqs[:, 2] + bws[:, 2], DEFAULT_F3_REGION[1])
     amplitudes, h1_h2, h1_a3 = _spectrum_levels(raw_frames, idx, f0_hz[idx], freqs,
-                                                f3_lo, f3_hi, rows)
-    return (np.stack((freqs, bws, amplitudes))[:, kept].sum(axis=1),
-            np.count_nonzero(kept), np.array([h1_h2.sum(), h1_a3.sum()]))
+                                                f3_lo, f3_hi)
+    formant_sums = np.stack((freqs, bws, amplitudes))[:, kept].sum(axis=1)
+    return np.hstack(([h1_h2.sum(), h1_a3.sum()], formant_sums.T.ravel(),
+                      [np.count_nonzero(kept)]))
 
 
 def _even_blocks(voiced: np.ndarray):
@@ -228,12 +228,13 @@ def _even_blocks(voiced: np.ndarray):
     return (voiced[i * n // n_blocks:(i + 1) * n // n_blocks] for i in range(n_blocks))
 
 
-def _map_shared(fn, items: list, threads: int) -> list:
-    """fn of each item, in order. The caller and threads - 1 helper threads,
-    started here and joined before this returns, each take the next item
-    when they finish one; with one thread, none is started. The first error
-    stops every thread from taking more; calls already running finish, and
-    the error is raised here."""
+def _map_shared(fn, items: list) -> list:
+    """fn of each item, in order, on min(_workers(), len(items)) threads:
+    the caller and one fewer helper threads, started here and joined before
+    this returns, each take the next item when they finish one; with one
+    item or one worker, none is started. The first error stops every thread
+    from taking more; calls already running finish, and the error is raised
+    here."""
     taken, lock, errors = enumerate(items), threading.Lock(), []
     results = [None] * len(items)
 
@@ -249,7 +250,7 @@ def _map_shared(fn, items: list, threads: int) -> list:
             errors.append(exc)
 
     helpers = [threading.Thread(target=take_items, name="voicequal-voiced")
-               for _ in range(threads - 1)]
+               for _ in range(min(_workers(), len(items)) - 1)]
     for helper in helpers:
         helper.start()
     take_items()
@@ -270,36 +271,23 @@ def estimate_formants(frames: FrameSequence, pitch: PitchTrack) -> FormantTrack:
     come from the roots of an LPC fit (_lpc_formants); frames with fewer than
     three valid poles have no formants. Their spectra (_spectrum_levels) give
     H1-H2; H1-A3 over F3 +/- its bandwidth, or 2-4 kHz for a frame without
-    formants; and FnamplitudeLogRelF0. Only running sums outlive a block.
+    formants; and FnamplitudeLogRelF0. Only one sum vector outlives a block.
 
-    The blocks run on min(_workers(), blocks) threads (_map_shared): the
-    caller and one fewer helper threads, started for the pass and joined
-    before it returns, so a pass of one block or on one CPU starts none.
-    Each thread takes the next block when it finishes one and its spectra
-    SPECTRUM_BLOCK / threads frames at a time. A block's error is raised
-    here once the blocks running beside it have finished; blocks not yet
-    taken by then never start. The blocks depend on the voiced frames only
-    and their sums are added in block order, so the values do not depend on
-    the number of CPUs.
+    The blocks run on the caller and the helper threads of _map_shared, so a
+    pass of one block or on one CPU starts none. Each thread takes the next
+    block when it finishes one. A block's error is raised here once the
+    blocks running beside it have finished; blocks not yet taken by then
+    never start. The blocks depend on the voiced frames only and their sum
+    vectors are added in block order, so the values do not depend on the
+    number of CPUs.
     """
     voiced = np.nonzero(pitch.voiced)[0]
-    blocks = list(_even_blocks(voiced))
-    workers = max(1, min(_workers(), len(blocks)))  # no voiced frame: no block
-    block_sums = partial(_block_sums, frames.raw_frames, pitch.f0_hz,
-                         SPECTRUM_BLOCK // workers)
-    parts = _map_shared(block_sums, blocks, workers)
-
-    # rows: frequency, bandwidth and amplitude of F1-F3, summed over the
-    # frames with formants; and H1-H2, H1-A3 summed over every voiced frame
-    formant_sums, n_formant = np.zeros((3, N_FORMANTS)), 0
-    harmonic_sums = np.zeros(2)
-    for block_formants, block_kept, block_harmonics in parts:
-        formant_sums += block_formants
-        n_formant += block_kept
-        harmonic_sums += block_harmonics
-
+    block_sums = partial(_block_sums, frames.raw_frames, pitch.f0_hz)
+    # no voiced frame: no block, and every sum stays 0
+    sums = sum(_map_shared(block_sums, list(_even_blocks(voiced))),
+               np.zeros(len(FORMANT_KEYS) + 1))
+    n_formant = int(sums[-1])
     if n_formant == 0:
         raise InsufficientVoicingError("no frames yielded three valid formants")
-    # H1-H2 and H1-A3, then frequency, bandwidth and amplitude of F1, F2, F3
-    means = (harmonic_sums / len(voiced)).tolist() + (formant_sums / n_formant).T.ravel().tolist()
+    means = np.hstack((sums[:2] / len(voiced), sums[2:-1] / n_formant)).tolist()
     return FormantTrack(n_formant, dict(zip(FORMANT_KEYS, means)))

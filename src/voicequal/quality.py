@@ -105,6 +105,8 @@ def _parse_table(lines, origin: str) -> CorrelationTable:
             version = " ".join(parts[1:]) or version
             continue
         if parts[0] == "qualities":
+            if qualities is not None:
+                raise TableError(f"{origin}:{lineno}: duplicate qualities header")
             qualities = parts[1:]
             unknown = [q for q in qualities if q not in QUALITY_IDS]
             if unknown:

@@ -120,14 +120,17 @@ def load_stats(path: str | os.PathLike) -> FeatureStats:
         elif directive == "corpus-json":
             try:
                 corpus = json.loads(line[len(directive):])
-            except ValueError:
+            except (ValueError, RecursionError):  # RecursionError: arrays nested too deep
                 corpus = None
             if not isinstance(corpus, str):
                 raise StatsError(f"{where}: corpus-json needs one JSON string")
         elif directive == "utterances":
             if len(args) != 1 or not (args[0].isascii() and args[0].isdigit()):
                 raise StatsError(f"{where}: utterances needs one non-negative integer")
-            n_utt = int(args[0])
+            try:
+                n_utt = int(args[0])
+            except ValueError:  # more digits than int() converts
+                raise StatsError(f"{where}: utterances out of range") from None
         elif directive == "created":  # a timestamp older versions wrote; not kept
             if len(args) > 1:
                 raise StatsError(f"{where}: created takes one timestamp")

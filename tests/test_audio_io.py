@@ -2,6 +2,7 @@ import gc
 import math
 import mmap
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -119,6 +120,14 @@ def test_a_float64_contiguous_array_is_kept_and_made_read_only():
     assert not x.flags.writeable
     with pytest.raises(ValueError):
         x[0] = 0.0
+
+
+@pytest.mark.parametrize("shape", [(16000, 2), (1, 16000)], ids=["two-channels", "one-row"])
+def test_samples_that_are_not_one_dimensional_are_rejected(shape):
+    x = np.full(shape, 0.25)
+    with pytest.raises(AudioIOError, match=re.escape(f"1-D, got shape {shape}")):
+        AudioSignal(x, CANONICAL_RATE)
+    assert x.flags.writeable
 
 
 @pytest.mark.parametrize("make", [lambda x: x.astype(np.float32), lambda x: x[::2]],
@@ -378,6 +387,7 @@ def test_signals_loaded_one_at_a_time_stay_within_64_open_files(tmp_path):
 
 _EXTRACT_AFTER_TRUNCATION = """
 import os
+import re
 import sys
 from voicequal.audio_io import load_audio
 from voicequal.llf import extract_llf_vector

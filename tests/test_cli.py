@@ -579,8 +579,10 @@ def _table(header=QUALITY_IDS, rows=LLF_KEYS):
     (_table(rows=()) + "Loudness" + " SP" * 23 + "\n", 2, "row 'Loudness' has 23 cells, expected 24"),
     ("version v9\n", None, "missing qualities header"),
     (_table(QUALITY_IDS[:-1]), None, f"missing quality columns ['{QUALITY_IDS[-1]}']"),
+    (_table(QUALITY_IDS[:-1], LLF_KEYS[:1]) + _table(rows=LLF_KEYS[1:]), 3,
+     "duplicate qualities header"),
 ], ids=["unknown-quality", "duplicate-quality", "row-before-header", "unknown-feature",
-        "cell-count", "missing-header", "missing-quality"])
+        "cell-count", "missing-header", "missing-quality", "second-header"])
 def test_malformed_table_exits_6_naming_file_and_line(tmp_path, capsys, text, line, reason):
     table = tmp_path / "table.txt"
     table.write_text(text)
@@ -608,6 +610,15 @@ def test_malformed_manifest_row_exits_7_naming_file_and_line(corpus, tmp_path, c
     manifest.write_text(f"v0.wav,Jit\n{row}\n")
     assert main(["evaluate", "--manifest", str(manifest)]) == 7
     assert f"error: {manifest}:2: expected 'path,label'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "fit-stats"])
+def test_manifest_field_over_the_csv_limit_exits_7(corpus, tmp_path, capsys, command):
+    manifest = tmp_path / "m.csv"
+    manifest.write_text(f"v0.wav,Jit\n{'v' * 200_000}.wav,NEUTRAL-VOICE\n")
+    output = ["--output", str(tmp_path / "s.txt")] if command == "fit-stats" else []
+    assert main([command, "--manifest", str(manifest), *output]) == 7
+    assert f"error: cannot read manifest {manifest}: field larger" in capsys.readouterr().err
 
 
 def _traced_peak(fn, *args):

@@ -173,8 +173,8 @@ def _partly_voiced(n_voiced):
     return frames, PitchTrack(np.where(mask, pitch.f0_hz, 0.0), pitch.harmonicity.copy())
 
 
-@pytest.mark.parametrize("n_voiced", [1, 7, 8, 9, 63, 64, 65, 66, 95, 96, 97, 98, 127, 128,
-                                     129, 193])
+@pytest.mark.parametrize("n_voiced", [1, SPECTRUM_BLOCK - 1, SPECTRUM_BLOCK, SPECTRUM_BLOCK + 1,
+                                     63, 64, 65, 66, 95, 96, 97, 98, 127, 128, 129, 193])
 def test_stage_matches_per_frame_reference_at_block_edges(n_voiced, monkeypatch):
     # n_voiced frames across the edges of the spectrum sub-blocks and the
     # even LPC blocks (65: 32 + 33; 129: 3 x 43), on the caller alone and,
@@ -222,15 +222,14 @@ def test_same_values_on_one_worker_and_two(n_voiced, monkeypatch):
     # in block order on the caller's thread, so the helper thread changes no
     # bit; a pass of one block, or on one worker, runs on the caller alone
     # and starts no thread, and from a second block on the caller and one
-    # helper share the blocks, each taking its spectra half as many frames
-    # at a time
+    # helper share the blocks
     frames, part = _partly_voiced(n_voiced)
     calls, started = [], []
     block_sums, start = formants._block_sums, threading.Thread.start
 
-    def recorded(raw_frames, f0_hz, rows, idx):
-        calls.append((int(idx[0]), threading.current_thread(), rows))
-        return block_sums(raw_frames, f0_hz, rows, idx)
+    def recorded(raw_frames, f0_hz, idx):
+        calls.append((int(idx[0]), threading.current_thread()))
+        return block_sums(raw_frames, f0_hz, idx)
 
     def counted_start(thread):
         started.append(thread.name)
@@ -248,11 +247,10 @@ def test_same_values_on_one_worker_and_two(n_voiced, monkeypatch):
         results.append((len(track), track.values))
         threads = min(workers, n_blocks)
         assert started == ["voicequal-voiced"] * (threads - 1)
-        assert len({first for first, _, _ in calls}) == len(calls) == n_blocks
-        for _, thread, rows in calls:
+        assert len({first for first, _ in calls}) == len(calls) == n_blocks
+        for _, thread in calls:
             if threads == 1:
                 assert thread is threading.current_thread()
             else:
                 assert thread is threading.current_thread() or thread.name == "voicequal-voiced"
-            assert rows == SPECTRUM_BLOCK // threads
     assert results[0] == results[1]

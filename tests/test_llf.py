@@ -14,7 +14,7 @@ import pytest
 from voicequal import formants
 from voicequal.audio_io import AudioSignal
 from voicequal.errors import AudioIOError, InsufficientVoicingError
-from voicequal.formants import LPC_BLOCK, MAX_WORKERS, SPECTRUM_BLOCK, estimate_formants
+from voicequal.formants import LPC_BLOCK, MAX_WORKERS, estimate_formants
 from voicequal.framing import frame_signal
 from voicequal.llf import LLF_KEYS, extract_llf_vector, validate_llf
 from voicequal.periods import compute_period_llfs
@@ -293,7 +293,7 @@ def _fail_a_block(failing, monkeypatch):
     started, finished, both_running = [], [], threading.Barrier(2)
     block_sums = formants._block_sums
 
-    def watched(raw_frames, f0_hz, rows, idx):
+    def watched(raw_frames, f0_hz, idx):
         block = firsts.index(int(idx[0]))
         started.append(block)
         if block < 2:  # the two threads' first blocks wait for each other
@@ -301,7 +301,7 @@ def _fail_a_block(failing, monkeypatch):
         if block == failing:
             raise WorkerError("failed in a block")
         time.sleep(0.05)  # still running when the failure is raised
-        sums = block_sums(raw_frames, f0_hz, rows, idx)
+        sums = block_sums(raw_frames, f0_hz, idx)
         finished.append(block)
         return sums
 
@@ -345,12 +345,12 @@ def test_pooled_results_come_in_item_order(monkeypatch):
     terms, finished = [1.0, 2.0**53, -2.0**53, 0.0], []
     assert len(firsts) == len(terms)
 
-    def term_of(raw_frames, f0_hz, rows, idx):
+    def term_of(raw_frames, f0_hz, idx):
         block = firsts.index(int(idx[0]))
         if block == 0:
             time.sleep(0.1)
         finished.append(block)
-        return np.zeros((3, 3)), 1, np.full(2, terms[block])
+        return np.r_[terms[block], np.zeros(len(formants.FORMANT_KEYS) - 1), 1.0]
 
     monkeypatch.setattr(formants, "_block_sums", term_of)
     track = estimate_formants(frames, pitch)
@@ -368,10 +368,10 @@ def test_an_error_leaves_no_cyclic_garbage(monkeypatch):
     third = int(list(formants._even_blocks(np.nonzero(pitch.voiced)[0]))[2][0])
     block_sums = formants._block_sums
 
-    def fail_third(raw_frames, f0_hz, rows, idx):
+    def fail_third(raw_frames, f0_hz, idx):
         if idx[0] == third:
             raise WorkerError("failed in a block")
-        return block_sums(raw_frames, f0_hz, rows, idx)
+        return block_sums(raw_frames, f0_hz, idx)
 
     monkeypatch.setattr(formants, "_block_sums", fail_third)
     gc.collect()
@@ -418,21 +418,21 @@ def test_a_forked_child_extracts_after_its_parent_used_the_pool():
 
 def _voiced_frame_threads(duration, monkeypatch):
     """Extract a clean vowel of ``duration`` seconds. Returns, per block,
-    whether it ran on the caller's thread and how many spectrum rows it
-    took at a time; and the name of each thread started. With two threads,
-    the first block waits until the second starts, so both threads run one."""
+    whether it ran on the caller's thread; and the name of each thread
+    started. With two threads, the first block waits until the second
+    starts, so both threads run one."""
     sig = generate_synthetic("clean", f0=130.0, duration=duration, seed=4)
     calls, started, second_started = [], [], threading.Event()
     caller, block_sums = threading.current_thread(), formants._block_sums
     start = threading.Thread.start
 
-    def recorded(raw_frames, f0_hz, rows, idx):
-        calls.append((threading.current_thread() is caller, rows))
+    def recorded(raw_frames, f0_hz, idx):
+        calls.append(threading.current_thread() is caller)
         if len(calls) == 2:
             second_started.set()
-        elif len(calls) == 1 and rows < SPECTRUM_BLOCK:
+        elif len(calls) == 1 and started:
             second_started.wait(timeout=10)
-        return block_sums(raw_frames, f0_hz, rows, idx)
+        return block_sums(raw_frames, f0_hz, idx)
 
     def counted_start(thread):
         started.append(thread.name)
@@ -463,12 +463,10 @@ def test_the_voiced_frame_pass_reads_the_cpus_it_may_run_on(cpus, duration, n_bl
     assert len(calls) == n_blocks
     threads = min(len(cpus), MAX_WORKERS, n_blocks)
     assert started == ["voicequal-voiced"] * (threads - 1)
-    assert {rows for _, rows in calls} == {SPECTRUM_BLOCK // threads}
-    on_caller = [on_caller for on_caller, _ in calls]
     if threads == 1:
-        assert all(on_caller)
+        assert all(calls)
     else:
-        assert set(on_caller) == {True, False}
+        assert set(calls) == {True, False}
 
 
 def test_no_helper_thread_outlives_a_pass(monkeypatch):
@@ -476,26 +474,26 @@ def test_no_helper_thread_outlives_a_pass(monkeypatch):
     # blocks succeeded or one raised on either thread, so a later fork()
     # forks one thread
     calls, started = _voiced_frame_threads(2.0, monkeypatch)
-    assert {on_caller for on_caller, _ in calls} == {True, False}
+    assert set(calls) == {True, False}
     assert started == ["voicequal-voiced"]
     assert _helper_threads() == []
     block_sums, caller = formants._block_sums, threading.current_thread()
     helper_failed, helper_running = threading.Event(), threading.Event()
 
-    def failing_on_the_helper(raw_frames, f0_hz, rows, idx):
+    def failing_on_the_helper(raw_frames, f0_hz, idx):
         if threading.current_thread() is not caller:
             helper_failed.set()
             raise WorkerError("failed in a block")
         helper_failed.wait(timeout=10)  # so the helper gets a block to fail
-        return block_sums(raw_frames, f0_hz, rows, idx)
+        return block_sums(raw_frames, f0_hz, idx)
 
-    def failing_on_the_caller(raw_frames, f0_hz, rows, idx):
+    def failing_on_the_caller(raw_frames, f0_hz, idx):
         if threading.current_thread() is caller:
             helper_running.wait(timeout=10)  # so the helper is inside a block
             raise WorkerError("failed in a block")
         helper_running.set()
         time.sleep(0.05)  # still running when the caller's block fails
-        return block_sums(raw_frames, f0_hz, rows, idx)
+        return block_sums(raw_frames, f0_hz, idx)
 
     sig = generate_synthetic("clean", f0=130.0, duration=2.0, seed=4)
     for failing, ran in ((failing_on_the_helper, helper_failed),

@@ -125,13 +125,24 @@ def test_a_label_of_single_spaced_words_is_written_as_it_is(tmp_path, corpus):
 
 
 @pytest.mark.parametrize("line", ["corpus-json", "corpus-json clinic", "corpus-json 3",
-                                  'corpus-json "a" "b"'])
+                                  'corpus-json "a" "b"',
+                                  pytest.param("corpus-json " + "[" * 100_000, id="deep-array")])
 def test_a_malformed_corpus_json_line_is_named(tmp_path, line):
     stats = fit_stats(_varied_vectors(np.random.default_rng(3), 5), corpus="x")
     path = tmp_path / "stats.txt"
     save_stats(stats, path)
     path.write_text(path.read_text().replace("corpus x\n", line + "\n"))
     with pytest.raises(StatsError, match=r"stats\.txt:3: corpus-json needs one JSON string"):
+        load_stats(path)
+
+
+def test_an_utterance_count_past_int_conversion_is_named(tmp_path):
+    # int() takes at most 4,300 digits
+    stats = fit_stats(_varied_vectors(np.random.default_rng(3), 5), corpus="x")
+    path = tmp_path / "stats.txt"
+    save_stats(stats, path)
+    path.write_text(path.read_text().replace("utterances 5\n", "utterances " + "9" * 5000 + "\n"))
+    with pytest.raises(StatsError, match=r"stats\.txt:4: utterances out of range"):
         load_stats(path)
 
 
