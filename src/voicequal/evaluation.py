@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import csv
+# the codec of the utf-8-sig reads below, imported here, not by the first read
+import encodings.utf_8_sig  # noqa: F401
 import os
 from dataclasses import dataclass
 from typing import Iterator

@@ -82,7 +82,7 @@ class FormantTrack:
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per row, the dot product of a and b, summed exactly as np.dot sums one row."""
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+    return np.vecdot(a, b)
 
 
 def _lag_products(x: np.ndarray, order: int) -> np.ndarray:
@@ -150,12 +150,42 @@ def _lpc_formants(raw_frames, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     """_pole_formants of the frames idx of raw_frames, from a
     pre-emphasized, Hamming-windowed LPC fit of order LPC_ORDER.
 
-    The frames are gathered once and pre-emphasized in that copy, which is
-    freed before the pole fit. A zero-energy frame keeps the polynomial
-    [1, 0, ..., 0], whose roots at 0 are no valid poles.
+    The frames are taken in two halves: each is gathered once,
+    pre-emphasized in that copy and reduced to its lag products before the
+    next is gathered. The polynomials are fitted all at once, and their
+    companion matrices are built and solved a half at a time. A zero-energy
+    frame keeps the polynomial [1, 0, ..., 0], whose roots at 0 are no
+    valid poles.
     """
-    r = _lag_products(_preemphasize(raw_frames[idx]), LPC_ORDER)  # indexing copies
-    return _pole_formants(levinson_durbin(r))
+    r = np.concatenate([_lag_products(_preemphasize(raw_frames[half]), LPC_ORDER)
+                        for half in np.array_split(idx, 2)])  # indexing copies
+    poles = map(_pole_formants, np.array_split(levinson_durbin(r), 2))
+    return tuple(np.concatenate(parts) for parts in zip(*poles))
+
+
+def _level_windows(f0: np.ndarray, freqs: np.ndarray, f3_lo: np.ndarray,
+                   f3_hi: np.ndarray) -> np.ndarray:
+    """Per frame, the bin windows whose peaks _spectrum_levels reads, as
+    (start, end) pairs: width-0 windows at f0 and at the harmonic nearest
+    each formant in freqs; then H1, H2 and the A3 harmonics, padded to the
+    longest row by repeating the row's last. Each start and end is offset
+    by the frame's row in its sub-block's SPECTRUM_BLOCK x N_BINS
+    magnitudes. Only the bounds outlive this call, not the arrays they are
+    worked out from."""
+    f0_col = f0[:, None]
+    k_lo = np.maximum(1, np.ceil(f3_lo / f0).astype(int))
+    k_hi = (f3_hi / f0).astype(int)
+    narrow = k_hi < k_lo
+    k_lo = np.where(narrow, np.maximum(1, np.rint((f3_lo + f3_hi) / 2 / f0).astype(int)), k_lo)
+    k_hi = np.where(narrow, k_lo, k_hi)
+    harmonic = np.maximum(1, np.rint(freqs / f0_col).astype(int)) * f0_col
+    at = np.minimum(np.rint(np.hstack((f0_col, harmonic)) / BIN_HZ).astype(int), N_BINS - 1)
+    a3 = np.minimum(k_lo[:, None] + np.arange((k_hi - k_lo).max() + 1), k_hi[:, None])
+    mid = np.hstack((np.ones_like(f0_col), np.full_like(f0_col, 2.0), a3)) * f0_col
+    lo = np.maximum(0, np.floor((mid - f0_col / 4.0) / BIN_HZ).astype(int))
+    hi = np.minimum(N_BINS - 1, np.ceil((mid + f0_col / 4.0) / BIN_HZ).astype(int))
+    offset = np.arange(len(f0))[:, None] % SPECTRUM_BLOCK * N_BINS
+    return np.stack((offset + np.hstack((at, lo)), offset + np.hstack((at, hi)) + 1), axis=2)
 
 
 def _spectrum_levels(raw_frames, idx: np.ndarray, f0: np.ndarray, freqs: np.ndarray,
@@ -167,37 +197,34 @@ def _spectrum_levels(raw_frames, idx: np.ndarray, f0: np.ndarray, freqs: np.ndar
     searched within f0 / 4; f0 <= F0_MAX keeps the second harmonic below
     Nyquist.
 
-    Each level is the peak of a bin window, in dB once picked. All rows have
-    the same windows, so each sub-block of SPECTRUM_BLOCK frames picks its
-    peaks from one slice of the bounds with one reduceat; a padding column
-    keeps ends inside. A sub-block's frames are gathered when its spectra are
-    taken and windowed in that copy.
+    Each level is the peak of a bin window (_level_windows), in dB once
+    picked. All rows have the same windows, so each sub-block of
+    SPECTRUM_BLOCK frames picks its peaks from one slice of the bounds with
+    one reduceat over the sub-block's magnitudes, laid out row after row; a
+    padding element after the last row keeps its last end inside. A
+    sub-block's frames are gathered when its spectra are taken and windowed
+    in that copy. Its spectra are taken half a sub-block at a time into one
+    buffer, made once per block like the magnitudes', so a block holds one
+    sub-block's magnitudes and half its complex spectra.
     """
-    f0_col = f0[:, None]
-    k_lo = np.maximum(1, np.ceil(f3_lo / f0).astype(int))
-    k_hi = (f3_hi / f0).astype(int)
-    narrow = k_hi < k_lo
-    k_lo = np.where(narrow, np.maximum(1, np.rint((f3_lo + f3_hi) / 2 / f0).astype(int)), k_lo)
-    k_hi = np.where(narrow, k_lo, k_hi)
-    # width-0 windows at f0 and at each formant's harmonic; then H1, H2 and
-    # the A3 harmonics, padded to the longest row by repeating the row's last
-    harmonic = np.maximum(1, np.rint(freqs / f0_col).astype(int)) * f0_col
-    at = np.minimum(np.rint(np.hstack((f0_col, harmonic)) / BIN_HZ).astype(int), N_BINS - 1)
-    a3 = np.minimum(k_lo[:, None] + np.arange((k_hi - k_lo).max() + 1), k_hi[:, None])
-    mid = np.hstack((np.ones_like(f0_col), np.full_like(f0_col, 2.0), a3)) * f0_col
-    lo = np.maximum(0, np.floor((mid - f0_col / 4.0) / BIN_HZ).astype(int))
-    hi = np.minimum(N_BINS - 1, np.ceil((mid + f0_col / 4.0) / BIN_HZ).astype(int))
-    width = N_BINS + 1
-    offset = np.arange(len(f0))[:, None] % SPECTRUM_BLOCK * width
-    bounds = np.stack((offset + np.hstack((at, lo)), offset + np.hstack((at, hi)) + 1), axis=2)
-    peaks, padded = np.empty(bounds.shape[:2]), np.zeros((SPECTRUM_BLOCK, width))
+    bounds = _level_windows(f0, freqs, f3_lo, f3_hi)
+    peaks = np.empty(bounds.shape[:2])
+    half = SPECTRUM_BLOCK // 2
+    spectra = np.empty((half, N_BINS), complex)
+    flat = np.zeros(SPECTRUM_BLOCK * N_BINS + 1)
+    magnitudes = flat[:-1].reshape(SPECTRUM_BLOCK, N_BINS)
     for start in range(0, len(f0), SPECTRUM_BLOCK):
         x = raw_frames[idx[start:start + SPECTRUM_BLOCK]]  # indexing copies
         x *= WINDOW
-        block = padded[:len(x)]
-        np.abs(np.fft.rfft(x, SPECTRUM_NFFT, axis=1), out=block[:, :N_BINS])
-        picked = np.maximum.reduceat(block.ravel(), bounds[start:start + len(x)].ravel())
-        peaks[start:start + len(x)] = picked[::2].reshape(len(x), -1)
+        rows = len(x)
+        for row in range(0, rows, half):
+            frames = x[row:row + half]
+            np.fft.rfft(frames, SPECTRUM_NFFT, axis=1, out=spectra[:len(frames)])
+            np.abs(spectra[:len(frames)], out=magnitudes[row:row + len(frames)])
+        del x, frames
+        picked = np.maximum.reduceat(flat, bounds[start:start + rows].ravel())
+        peaks[start:start + rows] = picked[::2].reshape(rows, -1)
+    del spectra, flat, magnitudes  # freed before the levels are made
     levels = 20.0 * np.log10(peaks + 1e-12)
     h1, h2 = levels[:, N_FORMANTS + 1], levels[:, N_FORMANTS + 2]
     return (levels[:, 1:N_FORMANTS + 1] - levels[:, :1], h1 - h2,

@@ -68,26 +68,46 @@ def frame_autocorrelation(raw_frames: np.ndarray, max_lag: int) -> np.ndarray:
     the normalizer is small next to the frame energy, the FFT's rounding
     (about 1e-15 of that energy) would dominate the ratio, so those lags
     are summed directly instead.
+
+    The rows are taken half an ACF_BLOCK at a time (_acf_rows), so only the
+    result is as tall as raw_frames.
     """
-    x = raw_frames - raw_frames.mean(axis=1, keepdims=True)
-    n = x.shape[1]
-    nfft = scipy.fft.next_fast_len(n + max_lag, real=True)
-    power = np.fft.rfft(x, nfft, axis=1)
-    power = power.real ** 2 + power.imag ** 2  # frees the complex spectrum
-    # a copy of the lags read, which frees the whole inverse transform
-    num = np.fft.irfft(power, nfft, axis=1)[:, :max_lag + 1].copy()
-    del power
+    acf = np.empty((len(raw_frames), max_lag + 1))
+    half = ACF_BLOCK // 2
+    for start in range(0, len(raw_frames), half):
+        _acf_rows(raw_frames[start:start + half], acf[start:start + half])
+    return acf
+
+
+def _acf_rows(raw_frames: np.ndarray, out: np.ndarray) -> None:
+    """frame_autocorrelation of raw_frames, written into out, whose columns
+    are the lags. The normalizer and the direct sums are taken before the
+    FFT, so the mean-removed copy is freed before the inverse transform;
+    the power spectrum is written into the forward transform's output, the
+    complex array that the inverse transform reads without a cast."""
+    n, max_lag = raw_frames.shape[1], out.shape[1] - 1
+    x = np.array(raw_frames)
+    x -= x.mean(axis=1, keepdims=True)
     cs = np.zeros((len(x), n + 1))
     np.square(x, out=cs[:, 1:])
     np.cumsum(cs[:, 1:], axis=1, out=cs[:, 1:])
-    den = cs[:, n:] - cs[:, :max_lag + 1]  # per lag tau: sum of e[tau .. n-1]
-    den *= cs[:, n - max_lag:][:, ::-1]    # per lag tau: sum of e[0 .. n-tau-1]
+    den = np.subtract(cs[:, n:], cs[:, :max_lag + 1], out=out)  # lag tau: sum of e[tau .. n-1]
+    den *= cs[:, n - max_lag:][:, ::-1]                         # lag tau: sum of e[0 .. n-tau-1]
     np.sqrt(den, out=den)
-    for row, tau in zip(*np.nonzero((den > 0) & (den < ACF_DIRECT_BELOW * cs[:, n:]))):
-        num[row, tau] = np.dot(x[row, :n - tau], x[row, tau:])
-    np.divide(num, den, out=num, where=den > 0)
-    num[den <= 0] = 0.0
-    return num
+    direct = [(row, tau, np.dot(x[row, :n - tau], x[row, tau:])) for row, tau in
+              zip(*np.nonzero((den > 0) & (den < ACF_DIRECT_BELOW * cs[:, n:])))]
+    del cs
+    nfft = scipy.fft.next_fast_len(n + max_lag, real=True)
+    power = np.fft.rfft(x, nfft, axis=1)
+    del x
+    np.square(power.real, out=power.real)
+    power.real += np.square(power.imag, out=power.imag)
+    power.imag = 0.0
+    num = np.fft.irfft(power, nfft, axis=1)
+    del power
+    for row, tau, value in direct:
+        num[row, tau] = value
+    np.divide(num[:, :max_lag + 1], den, out=den, where=den > 0)
 
 
 def parabolic_peak(y0: np.ndarray, y1: np.ndarray,
@@ -112,16 +132,24 @@ def _pick_peaks(r: np.ndarray) -> np.ndarray:
     Among near-maximal peaks, the shortest lag wins only when the
     best-correlated lag is close to an integer multiple of it; that steps
     down from period multiples without being fooled by high-frequency
-    ripple peaks next to the true period.
+    ripple peaks next to the true period. The multiple is tested only at
+    the near-maximal peaks of rows with a positive maximum.
     """
     peaks = _interior_maxima(r)
     best = np.argmax(peaks, axis=1)
     r_max = peaks[np.arange(len(r)), best]
-    ratio = (LAG_MIN + 1 + best)[:, None] / (LAG_MIN + 1 + np.arange(peaks.shape[1]))
-    # the best peak itself always qualifies, so argmax finds a candidate
-    candidate = ((peaks >= PEAK_PREFERENCE * r_max[:, None])
-                 & (np.abs(ratio - np.round(ratio)) <= 0.12))
-    return np.where(r_max > 0, np.argmax(candidate, axis=1) + 1, -1)
+    # rows without a positive maximum have no candidate and stay -1
+    floor = np.where(r_max > 0, PEAK_PREFERENCE * r_max, np.inf)
+    rows, cols = np.nonzero(peaks >= floor[:, None])
+    ratio = (LAG_MIN + 1 + best[rows]) / (LAG_MIN + 1 + cols)
+    # a row's best peak is a candidate with ratio 1, so every row left keeps one
+    ok = np.abs(ratio - np.round(ratio)) <= 0.12
+    rows, cols = rows[ok], cols[ok]
+    first = np.ones(len(rows), bool)
+    first[1:] = rows[1:] != rows[:-1]
+    chosen = np.full(len(r), -1)
+    chosen[rows[first]] = cols[first] + 1
+    return chosen
 
 
 def _harmonicity(acf: np.ndarray, f0: np.ndarray) -> np.ndarray:
@@ -161,6 +189,7 @@ def track_pitch(frames: FrameSequence) -> PitchTrack:
         f0[block], harmonicity[block] = _decide(
             acf, LAG_MIN + np.where(found, peak, 1),
             found & (frames.rms[block] >= rms_floor) & (rms_floor > 0))
+        del acf  # freed before the next block's is made
 
     # Second pass: frames far from the voiced median get re-picked within a
     # window around the median lag, which suppresses occasional period
@@ -177,5 +206,6 @@ def track_pitch(frames: FrameSequence) -> PitchTrack:
             peaks = _interior_maxima(acf[:, win_lo:win_hi + 1])
             f0[idx], harmonicity[idx] = _decide(
                 acf, win_lo + 1 + np.argmax(peaks, axis=1), np.isfinite(peaks).any(axis=1))
+            del acf, peaks
 
     return PitchTrack(f0, harmonicity)

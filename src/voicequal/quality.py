@@ -3,6 +3,8 @@ normalized weighted z-score sum that maps 25 features to 24 quality scores."""
 
 from __future__ import annotations
 
+# the codec of the utf-8-sig reads below, imported here, not by the first read
+import encodings.utf_8_sig  # noqa: F401
 import enum
 from dataclasses import dataclass, field
 from functools import cached_property

@@ -74,11 +74,29 @@ def _block_terms(raw: np.ndarray, prev_unit: np.ndarray | None,
     frame). A frame's flux term is its step from the frame before it:
     prev_unit leads the block, or the first frame itself when None.
 
-    Returns the block's last unit spectrum, a one-row copy, so that nothing
-    else of the block outlives it.
+    The spectra are taken a quarter block at a time: a quarter's windowed
+    frames, spectra and unit spectra are freed before the next quarter's
+    are made, and only its power spectra are kept, for the terms that read
+    the whole block. Returns the block's last unit spectrum, a one-row
+    copy, so that nothing else of the block outlives it.
     """
-    mag = np.abs(np.fft.rfft(raw * WINDOW, NFFT, axis=1))
-    power = mag ** 2
+    power = np.empty((len(raw), NFFT // 2 + 1))
+    quarter = FRAME_BLOCK // 4
+    for start in range(0, len(raw), quarter):
+        part = slice(start, start + quarter)
+        mag = np.abs(np.fft.rfft(raw[part] * WINDOW, NFFT, axis=1))
+        np.square(mag, out=power[part])
+        # the magnitudes become unit spectra in place; the sum of power is
+        # the one np.linalg.norm takes of the magnitudes
+        norms = np.sqrt(power[part].sum(axis=1, keepdims=True))
+        unit = np.divide(mag, np.where(norms > 0, norms, 1.0), out=mag)
+        steps = np.empty_like(unit)
+        np.subtract(unit[:1], unit[:1] if prev_unit is None else prev_unit, out=steps[:1])
+        np.subtract(unit[1:], unit[:-1], out=steps[1:])
+        out[4, part] = np.sqrt(np.square(steps, out=steps).sum(axis=1))
+        prev_unit = unit[-1:].copy()
+        del mag, unit, steps
+
     out[0] = 10.0 * np.log10(
         (power[:, ALPHA_LOW].sum(axis=1) + _EPS) / (power[:, ALPHA_HIGH].sum(axis=1) + _EPS))
     out[1] = 10.0 * np.log10(
@@ -90,16 +108,7 @@ def _block_terms(raw: np.ndarray, prev_unit: np.ndarray | None,
 
     log_mel = np.log(power @ MEL_FILTERBANK.T + _EPS)
     out[5:] = dct(log_mel, type=2, axis=1, norm="ortho")[:, 1:5].T
-
-    # the magnitudes become unit spectra in place; the sum of power is the
-    # one np.linalg.norm takes of the magnitudes
-    norms = np.sqrt(power.sum(axis=1, keepdims=True))
-    unit = np.divide(mag, np.where(norms > 0, norms, 1.0), out=mag)
-    steps = power  # the power spectrum is read no more
-    np.subtract(unit[:1], unit[:1] if prev_unit is None else prev_unit, out=steps[:1])
-    np.subtract(unit[1:], unit[:-1], out=steps[1:])
-    out[4] = np.sqrt(np.square(steps, out=steps).sum(axis=1))
-    return unit[-1:].copy()
+    return prev_unit
 
 
 def compute_spectral_llfs(frames: FrameSequence) -> dict[str, float]:
@@ -114,18 +123,20 @@ def compute_spectral_llfs(frames: FrameSequence) -> dict[str, float]:
 
     The spectrum is taken FRAME_BLOCK frames at a time (_block_terms), and
     a block's arrays are freed before the next block's are made; each
-    frame's terms are kept and averaged at the end.
+    frame's terms of the features after Loudness are kept and averaged at
+    the end. Loudness is averaged first, so its terms are not kept.
     """
     n = frames.n_frames
-    # each frame's term of each feature, in SPECTRAL_KEYS order; the flux
-    # term is a frame's step from the frame before it, 0 for the first
-    terms = np.empty((len(SPECTRAL_KEYS), n))
-    terms[0] = 20.0 * np.log10(frames.rms + _EPS)
+    loudness = float(np.mean(20.0 * np.log10(frames.rms + _EPS)))
+    # each frame's term of each feature after Loudness, in SPECTRAL_KEYS
+    # order; the flux term is a frame's step from the frame before it, 0 for
+    # the first
+    terms = np.empty((len(SPECTRAL_KEYS) - 1, n))
     last_unit = None
     for start in range(0, n, FRAME_BLOCK):
         block = slice(start, start + FRAME_BLOCK)
-        last_unit = _block_terms(frames.raw_frames[block], last_unit, terms[1:, block])
+        last_unit = _block_terms(frames.raw_frames[block], last_unit, terms[:, block])
 
-    values = dict(zip(SPECTRAL_KEYS, terms.mean(axis=1).tolist()))
-    values["spectralFlux"] = float(np.mean(terms[5, 1:])) if n > 1 else 0.0
+    values = dict(zip(SPECTRAL_KEYS, [loudness, *terms.mean(axis=1).tolist()]))
+    values["spectralFlux"] = float(np.mean(terms[4, 1:])) if n > 1 else 0.0
     return values

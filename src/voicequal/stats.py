@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+# the codec of the utf-8-sig reads below, imported here, not by the first read
+import encodings.utf_8_sig  # noqa: F401
 import math
 import os
 from dataclasses import dataclass, field

@@ -662,6 +662,20 @@ def test_extract_memory_does_not_grow_with_a_16k_wav(tmp_path):
     assert peaks[60.0] - peaks[10.0] <= 50 * 10_000, peaks
 
 
+def test_extract_of_a_10s_16k_wav_stays_below_half_a_megabyte(tmp_path):
+    # each block stage transforms a part of its block at a time, into
+    # buffers it owns, and the voiced-frame pass gathers half a block at a
+    # time: a 10 s file peaks near 0.41 MB traced, where whole-block
+    # transforms held 0.68 MB
+    path = tmp_path / "v10.wav"
+    save_wav(generate_synthetic("clean", f0=130.0, duration=10.0, seed=4), path)
+    argv = ["extract", str(path), "--output", str(tmp_path / "out.jsonl")]
+    main(argv)  # warm-up
+    rc, peak = _traced_peak(main, argv)
+    assert rc == 0
+    assert peak <= 0.52e6
+
+
 def test_extract_memory_does_not_grow_with_a_44k_wav(tmp_path):
     # a resampled WAV is buffered in a mapped temporary file, which is read
     # by range as a 16 kHz WAV is: from 10 s to 60 s, the traced peak grows

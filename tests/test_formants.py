@@ -8,9 +8,11 @@ from voicequal.errors import InsufficientVoicingError
 from voicequal.formants import (
     FORMANT_KEYS,
     LPC_BLOCK,
+    LPC_ORDER,
     _even_blocks,
     _lag_products,
     _lpc_formants,
+    _row_dots,
     estimate_formants,
     levinson_durbin,
 )
@@ -25,6 +27,19 @@ def _synthetic_vowel(f0=120.0, resonances=TARGET, seed=0, fs=16000):
     rng = np.random.default_rng(seed)
     x = vowel_filter(pulse_train(*pulse_times(f0, 1.0, fs, rng), fs, fs), fs, resonances)
     return AudioSignal(0.9 * x / np.abs(x).max(), fs, "vowel")
+
+
+def test_row_dots_sum_each_row_as_np_dot_does():
+    # the lag products and the Levinson recursion rest on these bits: each
+    # row summed as np.dot, and as the stacked matrix products that summed
+    # them before, sums it; the empty rows are the recursion's first step
+    x = np.random.default_rng(7).standard_normal((64, 400))
+    for rows in (1, 31, 32, 64):
+        for k in (*range(LPC_ORDER + 1), 399, 400):
+            a, b = x[:rows, :400 - k], x[:rows, k:]
+            got = _row_dots(a, b)
+            assert np.array_equal(got, [np.dot(u, v) for u, v in zip(a, b)])
+            assert np.array_equal(got, np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0])
 
 
 def test_lpc_recovers_ar_coefficients():

@@ -6,18 +6,27 @@ import pytest
 from voicequal import formants
 from voicequal.audio_io import AudioSignal
 from voicequal.formants import (
+    BIN_HZ,
     DEFAULT_F3_REGION,
     LPC_BLOCK,
+    LPC_ORDER,
+    N_BINS,
+    N_FORMANTS,
     PREEMPHASIS,
     SPECTRUM_BLOCK,
+    SPECTRUM_NFFT,
+    _even_blocks,
+    _lag_products,
+    _lpc_formants,
     _pole_formants,
+    _preemphasize,
     _spectrum_levels,
     estimate_formants,
     levinson_durbin,
 )
 from voicequal.framing import WINDOW, frame_signal
 from voicequal.pitch import PitchTrack, track_pitch
-from voicequal.synth import generate_synthetic
+from voicequal.synth import KINDS, generate_synthetic
 
 
 def _harmonic_series(f0, amps, fs=16000, duration=0.5):
@@ -153,6 +162,72 @@ def test_block_levels_match_per_frame_reference():
         assert set(values) == set(reference)
         for key, want in reference.items():
             assert values[key] == pytest.approx(want, rel=1e-12, abs=1e-12), key
+
+
+def _whole_block_lpc_formants(raw_frames, idx):
+    """Reference: _lpc_formants with the block's frames gathered, and its
+    companion matrices solved, all at once."""
+    r = _lag_products(_preemphasize(raw_frames[idx]), LPC_ORDER)
+    return _pole_formants(levinson_durbin(r))
+
+
+def _padded_spectrum_levels(raw_frames, idx, f0, freqs, f3_lo, f3_hi):
+    """Reference: _spectrum_levels with each sub-block's spectra taken at
+    once and their magnitudes in a padded block, whose bits the half
+    sub-block spectra and the row-after-row magnitudes must keep."""
+    f0_col = f0[:, None]
+    k_lo = np.maximum(1, np.ceil(f3_lo / f0).astype(int))
+    k_hi = (f3_hi / f0).astype(int)
+    narrow = k_hi < k_lo
+    k_lo = np.where(narrow, np.maximum(1, np.rint((f3_lo + f3_hi) / 2 / f0).astype(int)), k_lo)
+    k_hi = np.where(narrow, k_lo, k_hi)
+    harmonic = np.maximum(1, np.rint(freqs / f0_col).astype(int)) * f0_col
+    at = np.minimum(np.rint(np.hstack((f0_col, harmonic)) / BIN_HZ).astype(int), N_BINS - 1)
+    a3 = np.minimum(k_lo[:, None] + np.arange((k_hi - k_lo).max() + 1), k_hi[:, None])
+    mid = np.hstack((np.ones_like(f0_col), np.full_like(f0_col, 2.0), a3)) * f0_col
+    lo = np.maximum(0, np.floor((mid - f0_col / 4.0) / BIN_HZ).astype(int))
+    hi = np.minimum(N_BINS - 1, np.ceil((mid + f0_col / 4.0) / BIN_HZ).astype(int))
+    width = N_BINS + 1
+    offset = np.arange(len(f0))[:, None] % SPECTRUM_BLOCK * width
+    bounds = np.stack((offset + np.hstack((at, lo)), offset + np.hstack((at, hi)) + 1), axis=2)
+    peaks, padded = np.empty(bounds.shape[:2]), np.zeros((SPECTRUM_BLOCK, width))
+    for start in range(0, len(f0), SPECTRUM_BLOCK):
+        x = raw_frames[idx[start:start + SPECTRUM_BLOCK]]
+        x *= WINDOW
+        block = padded[:len(x)]
+        np.abs(np.fft.rfft(x, SPECTRUM_NFFT, axis=1), out=block[:, :N_BINS])
+        picked = np.maximum.reduceat(block.ravel(), bounds[start:start + len(x)].ravel())
+        peaks[start:start + len(x)] = picked[::2].reshape(len(x), -1)
+    levels = 20.0 * np.log10(peaks + 1e-12)
+    h1, h2 = levels[:, N_FORMANTS + 1], levels[:, N_FORMANTS + 2]
+    return (levels[:, 1:N_FORMANTS + 1] - levels[:, :1], h1 - h2,
+            h1 - levels[:, N_FORMANTS + 3:].max(axis=1))
+
+
+def _assert_block_bits(frames, pitch):
+    """Each block of the voiced-frame pass keeps the references' bits."""
+    for idx in _even_blocks(np.nonzero(pitch.voiced)[0]):
+        fitted = _lpc_formants(frames.raw_frames, idx)
+        for got, want in zip(fitted, _whole_block_lpc_formants(frames.raw_frames, idx)):
+            assert np.array_equal(got, want)
+        freqs, bws, kept = fitted
+        args = (frames.raw_frames, idx, pitch.f0_hz[idx], freqs,
+                np.where(kept, freqs[:, 2] - bws[:, 2], DEFAULT_F3_REGION[0]),
+                np.where(kept, freqs[:, 2] + bws[:, 2], DEFAULT_F3_REGION[1]))
+        for got, want in zip(_spectrum_levels(*args), _padded_spectrum_levels(*args)):
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("duration", [0.5, 0.67, 1.0, 10.0])
+@pytest.mark.parametrize("kind", KINDS)
+def test_voiced_frame_blocks_keep_the_whole_block_bits(kind, duration):
+    frames = frame_signal(generate_synthetic(kind, f0=130.0, duration=duration, seed=4))
+    pitch = track_pitch(frames)
+    _assert_block_bits(frames, pitch)
+    # f0 alternating 55 and 1000 Hz: the most A3 harmonics and the widest
+    # windows in every sub-block
+    f0 = np.where(np.cumsum(pitch.voiced) % 2, 55.0, 1000.0) * pitch.voiced
+    _assert_block_bits(frames, PitchTrack(f0, pitch.harmonicity))
 
 
 def _partly_voiced(n_voiced):

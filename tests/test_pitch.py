@@ -3,10 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scipy.fft
+
 import voicequal.pitch
 from voicequal.audio_io import CANONICAL_RATE, AudioSignal
 from voicequal.framing import FRAME_LENGTH, HOP, frame_signal
-from voicequal.pitch import F0_MAX, F0_MIN, _harmonicity, frame_autocorrelation, track_pitch
+from voicequal.pitch import (ACF_BLOCK, ACF_DIRECT_BELOW, F0_MAX, F0_MIN, LAG_MAX, LAG_MIN,
+                             MAX_LAG, PEAK_PREFERENCE, _harmonicity, _interior_maxima,
+                             _pick_peaks, frame_autocorrelation, track_pitch)
 from voicequal.synth import KINDS, generate_synthetic, pulse_train, vowel_filter
 
 from conftest import raw_pulse_train, sine_signal
@@ -101,6 +105,100 @@ def test_frame_autocorrelation_matches_direct_reference_at_any_lag(n, data, seed
     assert acf.shape == (3, max_lag + 1)
     for row, frame in zip(acf, frames):
         np.testing.assert_allclose(row, _direct_acf(frame)[:max_lag + 1], rtol=0, atol=1e-12)
+
+
+def _whole_block_autocorrelation(raw_frames, max_lag):
+    """Reference: frame_autocorrelation with every row transformed at once
+    and the power spectrum cast back to complex by the inverse transform,
+    whose bits the half-block transforms must keep."""
+    x = raw_frames - raw_frames.mean(axis=1, keepdims=True)
+    n = x.shape[1]
+    nfft = scipy.fft.next_fast_len(n + max_lag, real=True)
+    power = np.fft.rfft(x, nfft, axis=1)
+    power = power.real ** 2 + power.imag ** 2
+    num = np.fft.irfft(power, nfft, axis=1)[:, :max_lag + 1].copy()
+    cs = np.zeros((len(x), n + 1))
+    np.square(x, out=cs[:, 1:])
+    np.cumsum(cs[:, 1:], axis=1, out=cs[:, 1:])
+    den = cs[:, n:] - cs[:, :max_lag + 1]
+    den *= cs[:, n - max_lag:][:, ::-1]
+    np.sqrt(den, out=den)
+    for row, tau in zip(*np.nonzero((den > 0) & (den < ACF_DIRECT_BELOW * cs[:, n:]))):
+        num[row, tau] = np.dot(x[row, :n - tau], x[row, tau:])
+    np.divide(num, den, out=num, where=den > 0)
+    num[den <= 0] = 0.0
+    return num
+
+
+def _dense_pick_peaks(r):
+    """Reference: _pick_peaks with the multiple tested at every column."""
+    peaks = _interior_maxima(r)
+    best = np.argmax(peaks, axis=1)
+    r_max = peaks[np.arange(len(r)), best]
+    ratio = (LAG_MIN + 1 + best)[:, None] / (LAG_MIN + 1 + np.arange(peaks.shape[1]))
+    candidate = ((peaks >= PEAK_PREFERENCE * r_max[:, None])
+                 & (np.abs(ratio - np.round(ratio)) <= 0.12))
+    return np.where(r_max > 0, np.argmax(candidate, axis=1) + 1, -1)
+
+
+def _assert_block_bits(block, max_lag=MAX_LAG):
+    acf = frame_autocorrelation(block, max_lag)
+    assert np.array_equal(acf, _whole_block_autocorrelation(block, max_lag))
+    if max_lag > LAG_MAX:
+        r = acf[:, LAG_MIN:LAG_MAX + 1]
+        assert np.array_equal(_pick_peaks(r), _dense_pick_peaks(r))
+
+
+@pytest.mark.parametrize("duration", [0.5, 0.67, 1.0, 10.0])
+@pytest.mark.parametrize("kind", KINDS)
+def test_autocorrelation_blocks_keep_the_whole_block_bits(kind, duration):
+    # every first-pass block of track_pitch, and the frames its second pass
+    # re-picks, gathered as it gathers them
+    frames = frame_signal(generate_synthetic(kind, f0=130.0, duration=duration, seed=4))
+    for start in range(0, frames.n_frames, ACF_BLOCK):
+        _assert_block_bits(frames.raw_frames[start:start + ACF_BLOCK])
+    f0 = track_pitch(frames).f0_hz
+    median = np.median(f0[f0 > 0])
+    far = np.nonzero((f0 > 0) & (np.abs(f0 - median) > 0.2 * median))[0]
+    for start in range(0, len(far), ACF_BLOCK):
+        _assert_block_bits(frames.raw_frames[far[start:start + ACF_BLOCK]])
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(kinds=st.lists(st.sampled_from(["normal", "constant", "quiet head", "quiet tail",
+                                       "silent"]), min_size=1, max_size=ACF_BLOCK),
+       seed=st.integers(0, 2**32 - 1), quiet=st.floats(0.05, 0.95),
+       max_lag=st.sampled_from([MAX_LAG, 2, 150, FRAME_LENGTH - 1]))
+def test_autocorrelation_block_of_any_height_keeps_the_whole_block_bits(kinds, seed, quiet,
+                                                                       max_lag):
+    # 1 to ACF_BLOCK rows, across the half-block edge; a quiet head or tail
+    # leaves lags whose normalizer is small next to the frame energy, which
+    # take the direct sums
+    block = np.random.default_rng(seed).standard_normal((len(kinds), FRAME_LENGTH))
+    cut = int(quiet * FRAME_LENGTH)
+    for row, kind in zip(block, kinds):
+        if kind == "constant":
+            row[:] = row[0]
+        elif kind == "quiet head":
+            row[:cut] *= 1e-7
+        elif kind == "quiet tail":
+            row[cut:] *= 1e-7
+        elif kind == "silent":
+            row[:] = 0.0
+    _assert_block_bits(block, max_lag)
+
+
+def test_quiet_heads_take_the_direct_sums():
+    # the case the property test above relies on to reach the direct sums
+    block = np.random.default_rng(5).standard_normal((ACF_BLOCK, FRAME_LENGTH))
+    block[:, :300] *= 1e-7
+    x = block - block.mean(axis=1, keepdims=True)
+    energy = np.cumsum(x * x, axis=1)
+    tail = energy[:, -1:] - np.hstack((np.zeros((ACF_BLOCK, 1)), energy[:, :MAX_LAG]))
+    head = energy[:, FRAME_LENGTH - 1 - MAX_LAG:][:, ::-1]
+    den = np.sqrt(tail * head)
+    assert np.count_nonzero((den > 0) & (den < ACF_DIRECT_BELOW * energy[:, -1:])) > 0
+    _assert_block_bits(block)
 
 
 def test_harmonicity_reads_no_lag_beyond_the_autocorrelation(monkeypatch):

@@ -4,9 +4,11 @@ from scipy.fft import dct
 
 from voicequal.audio_io import AudioSignal
 from voicequal.framing import FRAME_BLOCK, FRAME_LENGTH, HOP, WINDOW, frame_signal
-from voicequal.spectral import (MEL_FILTERBANK, NFFT, N_MEL_BANDS, SPECTRAL_KEYS, _band_slope,
-                                compute_spectral_llfs, mel_filterbank)
-from voicequal.synth import generate_synthetic
+from voicequal.spectral import (ALPHA_HIGH, ALPHA_LOW, MEL_FILTERBANK, NFFT, N_MEL_BANDS,
+                                PEAK_HIGH, PEAK_LOW, SLOPE_BINS, SLOPE_HIGH, SLOPE_LOW,
+                                SPECTRAL_KEYS, _band_slope, _block_terms, compute_spectral_llfs,
+                                mel_filterbank)
+from voicequal.synth import KINDS, generate_synthetic
 
 from conftest import sine_signal
 
@@ -140,3 +142,58 @@ def test_blocked_spectrum_matches_all_frame_reference(n_frames):
         assert got[key] == pytest.approx(want[key], rel=1e-12, abs=0.0), key
     if n_frames > FRAME_BLOCK:
         assert got["spectralFlux"] > 0
+
+
+def _whole_block_terms(raw, prev_unit, out):
+    """Reference: _block_terms with the whole block's spectra taken at once,
+    whose bits the quarter-block spectra must keep."""
+    eps = 1e-12
+    mag = np.abs(np.fft.rfft(raw * WINDOW, NFFT, axis=1))
+    power = mag ** 2
+    out[0] = 10.0 * np.log10(
+        (power[:, ALPHA_LOW].sum(axis=1) + eps) / (power[:, ALPHA_HIGH].sum(axis=1) + eps))
+    out[1] = 10.0 * np.log10(
+        (power[:, PEAK_LOW].max(axis=1) + eps) / (power[:, PEAK_HIGH].max(axis=1) + eps))
+    db = 10.0 * np.log10(power[:, :SLOPE_BINS] + eps)
+    out[2] = _band_slope(db, SLOPE_LOW)
+    out[3] = _band_slope(db, SLOPE_HIGH)
+    log_mel = np.log(power @ MEL_FILTERBANK.T + eps)
+    out[5:] = dct(log_mel, type=2, axis=1, norm="ortho")[:, 1:5].T
+    norms = np.sqrt(power.sum(axis=1, keepdims=True))
+    unit = np.divide(mag, np.where(norms > 0, norms, 1.0), out=mag)
+    steps = power
+    np.subtract(unit[:1], unit[:1] if prev_unit is None else prev_unit, out=steps[:1])
+    np.subtract(unit[1:], unit[:-1], out=steps[1:])
+    out[4] = np.sqrt(np.square(steps, out=steps).sum(axis=1))
+    return unit[-1:].copy()
+
+
+def _assert_blocks_keep_bits(frames):
+    """Every block's terms and last unit spectrum, each block led by the
+    unit spectrum the block before it left, keep the reference's bits."""
+    got, want = np.empty((9, frames.n_frames)), np.empty((9, frames.n_frames))
+    got_unit = want_unit = None
+    for start in range(0, frames.n_frames, FRAME_BLOCK):
+        block = slice(start, start + FRAME_BLOCK)
+        got_unit = _block_terms(frames.raw_frames[block], got_unit, got[:, block])
+        want_unit = _whole_block_terms(frames.raw_frames[block], want_unit, want[:, block])
+        assert np.array_equal(got_unit, want_unit)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("duration", [0.5, 0.67, 1.0, 10.0])
+@pytest.mark.parametrize("kind", KINDS)
+def test_spectral_blocks_keep_the_whole_block_bits(kind, duration):
+    # the last block short
+    frames = frame_signal(generate_synthetic(kind, f0=130.0, duration=duration, seed=4))
+    _assert_blocks_keep_bits(frames)
+
+
+def test_spectral_blocks_keep_the_whole_block_bits_across_silence():
+    # zero spectra, whose unit spectra stay zero, on both sides of a
+    # quarter-block edge and of the first block's end
+    x = generate_synthetic("breathy", f0=170.0, duration=1.5, seed=6).samples.copy()
+    for first, last in ((10, 20), (FRAME_BLOCK - 2, FRAME_BLOCK + 2)):
+        x[first * HOP:last * HOP + FRAME_LENGTH] = 0.0
+    frames = frame_signal(AudioSignal(x, 16000, "gaps"))
+    _assert_blocks_keep_bits(frames)

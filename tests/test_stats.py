@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import voicequal
 from voicequal.errors import StatsError
 from voicequal.llf import LLF_KEYS
 from voicequal.stats import MIN_SIGMA, FeatureStats, fit_stats, load_stats, save_stats
@@ -241,3 +247,16 @@ def test_malformed_directive_exits_with_stats_code(tmp_path, capsys, bad_line):
     save_wav(generate_synthetic("clean", f0=140.0, seed=0), wav)
     assert main(["score", str(wav), "--stats", str(path)]) == 5
     assert f"stats.txt:{target + 1}" in capsys.readouterr().err
+
+
+def test_importing_the_package_loads_the_utf_8_sig_codec():
+    # stats, tables and manifests are read as utf-8-sig; with its codec
+    # imported with the package, a process's first read imports nothing, so
+    # it holds no more traced memory than any later read
+    path = [str(Path(voicequal.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    code = ("import sys; before = 'encodings.utf_8_sig' in sys.modules; import voicequal; "
+            "print(before, 'encodings.utf_8_sig' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout.split() == ["False", "True"]
