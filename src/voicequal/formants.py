@@ -124,6 +124,7 @@ def _pole_formants(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     companion[:, 0, :] = -a[:, 1:]
     companion[:, np.arange(1, order), np.arange(order - 1)] = 1.0
     roots = np.linalg.eigvals(companion)
+    del companion  # freed before the roots' temporaries are made
     freqs = np.angle(roots) * CANONICAL_RATE / (2.0 * np.pi)
     bws = -(CANONICAL_RATE / np.pi) * np.log(np.clip(np.abs(roots), 1e-12, None))
     valid = ((np.imag(roots) > 0) & (freqs >= FORMANT_FMIN) & (freqs <= FORMANT_FMAX)
@@ -152,15 +153,13 @@ def _lpc_formants(raw_frames, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
 
     The frames are taken in two halves: each is gathered once,
     pre-emphasized in that copy and reduced to its lag products before the
-    next is gathered. The polynomials are fitted all at once, and their
-    companion matrices are built and solved a half at a time. A zero-energy
-    frame keeps the polynomial [1, 0, ..., 0], whose roots at 0 are no
-    valid poles.
+    next is gathered. The polynomials are then fitted, and their poles found,
+    for the whole block at once. A zero-energy frame keeps the polynomial
+    [1, 0, ..., 0], whose roots at 0 are no valid poles.
     """
     r = np.concatenate([_lag_products(_preemphasize(raw_frames[half]), LPC_ORDER)
                         for half in np.array_split(idx, 2)])  # indexing copies
-    poles = map(_pole_formants, np.array_split(levinson_durbin(r), 2))
-    return tuple(np.concatenate(parts) for parts in zip(*poles))
+    return _pole_formants(levinson_durbin(r))
 
 
 def _level_windows(f0: np.ndarray, freqs: np.ndarray, f3_lo: np.ndarray,

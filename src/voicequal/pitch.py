@@ -86,8 +86,7 @@ def _acf_rows(raw_frames: np.ndarray, out: np.ndarray) -> None:
     the power spectrum is written into the forward transform's output, the
     complex array that the inverse transform reads without a cast."""
     n, max_lag = raw_frames.shape[1], out.shape[1] - 1
-    x = np.array(raw_frames)
-    x -= x.mean(axis=1, keepdims=True)
+    x = raw_frames - raw_frames.mean(axis=1, keepdims=True)
     cs = np.zeros((len(x), n + 1))
     np.square(x, out=cs[:, 1:])
     np.cumsum(cs[:, 1:], axis=1, out=cs[:, 1:])
