@@ -23,18 +23,18 @@ FORMANT_FMAX = 5500.0
 MAX_BANDWIDTH = 700.0
 N_FORMANTS = 3
 LPC_ORDER = 2 + CANONICAL_RATE // 1000
-# At most this many voiced frames per LPC block: the block's gathered frames,
-# pre-emphasized in place, and its stacked companion matrices stay near
-# 200 kB each, and neither lives while the block's spectra are taken.
+# At most this many voiced frames per LPC block, whose poles are found in one
+# batched eigvals: its stacked companion matrices stay near 160 kB and a half
+# block's gathered frames near 100 kB, and neither lives while the block's
+# spectra are taken.
 LPC_BLOCK = 64
 
 SPECTRUM_NFFT = 4096
 BIN_HZ = CANONICAL_RATE / SPECTRUM_NFFT
 N_BINS = SPECTRUM_NFFT // 2 + 1
-# Voiced frames per spectrum sub-block of an LPC block: one sub-block's
-# complex spectrum and magnitudes stay near 0.2 MB, so with two LPC blocks in
-# flight both stay near 0.4 MB, below the pitch stage's traced peak
-# (0.64 MB), which sets extraction's.
+# Voiced frames per spectrum sub-block of an LPC block, whose bin windows are
+# read with one reduceat: its magnitudes and half its complex spectra, 66 kB
+# each, are held at once, so a block's spectra stay below its pole fit.
 SPECTRUM_BLOCK = 4
 # F3 search region used for a frame without three formants
 DEFAULT_F3_REGION = (2000.0, 4000.0)
@@ -49,8 +49,9 @@ FORMANT_KEYS = (
 # Most threads in a voiced-frame pass, the caller's included, and so LPC
 # blocks in flight. Batched eigvals and rfft release the GIL, so two blocks
 # run on two CPUs.
-# A block holds at most about 0.23 MB at once, so two stay below the pitch
-# stage's traced peak (0.64 MB); three gathering at once would not.
+# A block holds at most about 0.21 MB at once, in its pole fit, so two in
+# flight set extraction's traced peak (0.42 MB at 10 s); a third would raise
+# it by half.
 MAX_WORKERS = 2
 
 

@@ -17,9 +17,9 @@ WINDOW = np.hamming(FRAME_LENGTH)
 WINDOW.setflags(write=False)
 # Frames per block for the passes over every frame (RMS here, the 512-point
 # spectrum in spectral): their temporaries stay a fixed size, about 0.2 MB per
-# array, whatever the utterance length. One spectral block, its windowed
-# frames and their complex spectrum, peaks near 0.47 MB traced, below the
-# pitch stage's 0.64 MB.
+# array, whatever the utterance length. A spectral block takes its spectra a
+# quarter block at a time and peaks near 0.29 MB traced, below the
+# voiced-frame pass on two threads.
 FRAME_BLOCK = 64
 
 

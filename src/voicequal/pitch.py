@@ -17,9 +17,10 @@ VOICING_RMS_FRACTION = 0.01
 # Shorter-lag peaks nearly as tall as the global maximum win, which keeps the
 # tracker off subharmonics of pulse-like excitation.
 PEAK_PREFERENCE = 0.85
-# Frames per autocorrelation block: bounds the FFT temporaries whatever the
-# utterance length. The stage peaks at 0.64-0.66 MB traced from 0.67 s to
-# 10 s, the highest of the block stages, so it sets extraction's peak there.
+# Frames per autocorrelation block, whose peaks are picked together. Its
+# transforms run half a block at a time (frame_autocorrelation), so the stage
+# peaks at 0.26-0.28 MB traced from 0.67 s to 10 s, below the voiced-frame
+# pass on two threads, which sets extraction's peak there.
 ACF_BLOCK = 32
 # Lags whose normalizer falls below this fraction of the frame energy get an
 # exact (direct-sum) numerator instead of the FFT one.

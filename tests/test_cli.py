@@ -665,7 +665,7 @@ def test_extract_memory_does_not_grow_with_a_16k_wav(tmp_path):
 def test_extract_of_a_10s_16k_wav_stays_below_half_a_megabyte(tmp_path):
     # each block stage transforms a part of its block at a time, into
     # buffers it owns, and the voiced-frame pass gathers half a block at a
-    # time: a 10 s file peaks near 0.41 MB traced, where whole-block
+    # time: a 10 s file peaks near 0.46 MB traced, where whole-block
     # transforms held 0.68 MB
     path = tmp_path / "v10.wav"
     save_wav(generate_synthetic("clean", f0=130.0, duration=10.0, seed=4), path)

@@ -16,10 +16,8 @@ from voicequal.formants import (
     SPECTRUM_BLOCK,
     SPECTRUM_NFFT,
     _even_blocks,
-    _lag_products,
     _lpc_formants,
     _pole_formants,
-    _preemphasize,
     _spectrum_levels,
     estimate_formants,
     levinson_durbin,
@@ -165,9 +163,16 @@ def test_block_levels_match_per_frame_reference():
 
 
 def _whole_block_lpc_formants(raw_frames, idx):
-    """Reference: _lpc_formants with the block's frames gathered, and its
-    companion matrices solved, all at once."""
-    r = _lag_products(_preemphasize(raw_frames[idx]), LPC_ORDER)
+    """Reference: _lpc_formants with the block's frames gathered,
+    pre-emphasized, windowed and reduced to lag products all at once, each
+    row's products summed as stacked matrix products."""
+    x = raw_frames[idx]
+    x[:, 1:] -= PREEMPHASIS * x[:, :-1]
+    x *= WINDOW
+    n = x.shape[1]
+    r = np.stack([np.matmul(x[:, None, :n - k], x[:, k:, None])[:, 0, 0]
+                  for k in range(LPC_ORDER + 1)], axis=1)
+    r[:, 0] *= 1.0 + 1e-9
     return _pole_formants(levinson_durbin(r))
 
 

@@ -240,9 +240,10 @@ def test_widest_voiced_frame_windows_stay_within_the_memory_budget(stage_peaks):
 
 def test_spectral_memory_grows_only_by_its_per_frame_terms(stage_peaks):
     # a spectral block's arrays are freed before the next block's are made,
-    # so from 1 s (two blocks) on the stage's peak grows by its ten terms per
-    # frame (80 B) only, plus at most 4 kB: the one-row unit spectrum (2 kB)
-    # that carries the flux from one block to the next
+    # so from 1 s (two blocks) on the stage's peak grows by its per-frame
+    # terms only (nine, 72 B a frame, within the 80 B allowed), plus at most
+    # 4 kB: the one-row unit spectrum (2 kB) that carries the flux from one
+    # block to the next
     at_1s = stage_peaks[1.0][1]["spectral"]
     n_1s = frame_signal(stage_peaks[1.0][0]).n_frames
     for duration in (2.0, 10.0):
@@ -261,7 +262,7 @@ def test_extraction_memory_below_half_the_signal(stage_peaks):
 def test_stage_memory_does_not_grow_with_the_signal(stage_peaks):
     # no temporary the size of the signal: from 10 s to 40 s, a stage's peak
     # grows only by its per-frame or per-period results, at most 10 kB per
-    # second of audio (spectral's ten terms a frame are 8 kB), where a
+    # second of audio (spectral's nine terms a frame are 7.2 kB), where a
     # float64 copy of the signal would add 128 kB
     (short, at_10s), (long, at_40s) = stage_peaks[10.0], stage_peaks[40.0]
     added_s = long.duration_s - short.duration_s
