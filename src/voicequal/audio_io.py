@@ -68,39 +68,44 @@ _SCALES = {
     np.dtype(np.float32): (0.0, 1.0),
     np.dtype(np.float64): (0.0, 1.0),
 }
-# Sample frames per chunk when a WAV is decoded and resampled, and samples
-# per |x| block in the period search: no float64 copy of the file, or of
-# every channel, is held in memory.
+# Sample frames per chunk when a WAV is decoded, about as many per chunk
+# when it is resampled (_resampled), and samples per |x| block in the period
+# search: no float64 copy of the file, or of every channel, is held in
+# memory, and a chunk's temporaries do not grow with the sample rate.
 DECODE_BLOCK = 8192
-
-
-def _convert(channel: np.ndarray, offset: float, scale: float) -> np.ndarray:
-    x = channel.astype(np.float64)
-    if offset:  # subtracting 0 and dividing by 1 leave every float as it is
-        x -= offset
-    if scale != 1.0:
-        x /= scale
-    return x
 
 
 def _decode(data: np.ndarray, offset: float, scale: float) -> np.ndarray:
     """(data - offset) / scale as float64, with channels averaged: summed in
-    order, then divided by their count, as a mean over them would."""
+    order, then divided by their count, as a mean over them would.
+
+    The channels are summed before the offset and the scale are applied,
+    one pass each for the whole sum: for integer samples every step up to
+    the division by the count is exact, as their sums are integers well
+    within float64's 53 bits, each offset an integer and each scale a
+    power of two; float samples have no offset and a scale of 1."""
     if data.ndim == 1:
-        return _convert(data, offset, scale)
-    x = _convert(data[:, 0], offset, scale)
-    for c in range(1, data.shape[1]):
-        x += _convert(data[:, c], offset, scale)
-    x /= data.shape[1]
+        data = data[:, None]  # a mono WAV as one column
+    channels = data.shape[1]
+    x = data[:, 0].astype(np.float64)
+    for c in range(1, channels):
+        x += data[:, c]  # cast exactly to float64 as it is added
+    if offset:  # subtracting 0 and dividing by 1 leave every float as it is
+        x -= offset * channels
+    if scale != 1.0:
+        x /= scale
+    if channels > 1:
+        x /= channels
     return x
 
 
 def _checked_range(data: np.ndarray, path, lo: int, hi: int) -> np.ndarray:
     """Decoded data[lo:hi], or AudioIOError if a sample in it is not finite."""
     raw = data[lo:hi]
-    # NaN propagates through both extremes; checked before the channel mean
-    # and the resampler, which would warn on inf
-    if not (np.isfinite(raw.min()) and np.isfinite(raw.max())):
+    # integer PCM cannot hold NaN or inf; in float data, NaN propagates
+    # through both extremes. Checked before the channel mean and the
+    # resampler, which would warn on inf
+    if raw.dtype.kind == "f" and not (np.isfinite(raw.min()) and np.isfinite(raw.max())):
         raise AudioIOError(f"{path}: non-finite samples")
     return _decode(raw, *_SCALES[data.dtype])
 
@@ -121,8 +126,11 @@ def _resampling_filter(up: int, down: int) -> np.ndarray:
 
 def _resampled(data: np.ndarray, rate: int, path):
     """The decoded data resampled from rate to CANONICAL_RATE, equal to
-    scipy's resample_poly with _resampling_filter, DECODE_BLOCK outputs at
-    a time.
+    scipy's resample_poly with _resampling_filter, in chunks sized by what
+    they read: min(DECODE_BLOCK, DECODE_BLOCK * up // down) outputs (at
+    least one), which read at most DECODE_BLOCK input frames plus the
+    filter's span (len(h) / up inputs, and up to down more that put m0 on
+    the output grid), whatever the rate.
 
     resample_poly filters with h, its filter scaled by up and zero-padded:
     output o is upfirdn(h, x, up, down)[o + pre]. So outputs [o0, o1) come
@@ -144,8 +152,9 @@ def _resampled(data: np.ndarray, rate: int, path):
     post_pad = max(0, (n_out + pre - 1) * down + 1 - (n_in - 1) * up - len(window) - pre_pad)
     h = np.concatenate((np.zeros(pre_pad), window * up, np.zeros(post_pad)))
 
-    for o0 in range(0, n_out, DECODE_BLOCK):
-        o1 = min(o0 + DECODE_BLOCK, n_out)
+    step = max(1, min(DECODE_BLOCK, DECODE_BLOCK * up // down))
+    for o0 in range(0, n_out, step):
+        o1 = min(o0 + step, n_out)
         m_lo = -(-((o0 + pre) * down - len(h) + 1) // up)
         m0 = max(0, m_lo // down * down)
         m_hi = n_in - 1 if o1 == n_out else (o1 + pre - 1) * down // up

@@ -18,9 +18,10 @@ VOICING_RMS_FRACTION = 0.01
 # tracker off subharmonics of pulse-like excitation.
 PEAK_PREFERENCE = 0.85
 # Frames per autocorrelation block, whose peaks are picked together. Its
-# transforms run half a block at a time (frame_autocorrelation), so the stage
-# peaks at 0.26-0.28 MB traced from 0.67 s to 10 s, below the voiced-frame
-# pass on two threads, which sets extraction's peak there.
+# transforms run half a block at a time (frame_autocorrelation), as do the
+# second pass's gathers, so the stage peaks at 0.26-0.30 MB traced from
+# 0.67 s to 10 s, jittered vowels included, below the voiced-frame pass on
+# two threads, which sets extraction's peak there.
 ACF_BLOCK = 32
 # Lags whose normalizer falls below this fraction of the frame energy get an
 # exact (direct-sum) numerator instead of the FFT one.
@@ -195,13 +196,16 @@ def track_pitch(frames: FrameSequence) -> PitchTrack:
     # window around the median lag, which suppresses occasional period
     # multiples/submultiples on heavily perturbed signals. The median f0 is
     # at most F0_MAX, so the window spans at least 4 lags (16..20 at F0_MAX).
+    # The far frames are gathered, a copy, half an ACF_BLOCK at a time: the
+    # rows frame_autocorrelation transforms together, so the pass peaks no
+    # higher than the first.
     if f0.any():
         median_f0 = float(np.median(f0[f0 > 0]))
         win_lo = max(LAG_MIN, int(CANONICAL_RATE / (median_f0 * 1.25)))
         win_hi = min(LAG_MAX, int(np.ceil(CANONICAL_RATE / (median_f0 * 0.8))))
         far = np.nonzero((f0 > 0) & (np.abs(f0 - median_f0) > 0.2 * median_f0))[0]
-        for start in range(0, len(far), ACF_BLOCK):
-            idx = far[start:start + ACF_BLOCK]
+        for start in range(0, len(far), ACF_BLOCK // 2):
+            idx = far[start:start + ACF_BLOCK // 2]
             acf = frame_autocorrelation(frames.raw_frames[idx], MAX_LAG)
             peaks = _interior_maxima(acf[:, win_lo:win_hi + 1])
             f0[idx], harmonicity[idx] = _decide(

@@ -7,6 +7,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -234,25 +235,30 @@ def _encode(x, dtype):
 
 
 @pytest.mark.parametrize("block", [1000, 4096, 16384])
-@pytest.mark.parametrize("rate", [8000, 11025, 22050, 32000, 44100, 48000])
+@pytest.mark.parametrize("rate", [8000, 11025, 22050, 32000, 44100, 48000, 96000, 192000,
+                                  384000])
 def test_resampling_chunk_by_chunk_matches_whole_file_resample_poly(tmp_path, monkeypatch,
                                                                     rate, block):
-    # outputs are resampled `block` at a time, each chunk from about its own
-    # share of the inputs, and equal resample_poly over the whole file
-    # across every chunk edge
+    # each chunk reads at most `block` input frames plus the filter's span
+    # (its taps over the inputs, and up to `down` more that align the
+    # chunk's first input to the output grid), at any rate, and the chunks
+    # equal resample_poly over the whole file across every chunk edge
     monkeypatch.setattr(audio_io, "DECODE_BLOCK", block)
-    lengths = []
+    calls = []
     upfirdn = audio_io.upfirdn
-    monkeypatch.setattr(audio_io, "upfirdn",
-                        lambda h, x, up, down: lengths.append(len(x)) or upfirdn(h, x, up, down))
+    monkeypatch.setattr(audio_io, "upfirdn", lambda h, x, up, down: calls.append(
+        (len(x), len(h), up, down)) or upfirdn(h, x, up, down))
     rng = np.random.default_rng(rate)
     x = np.clip(rng.standard_normal((int(3.2 * rate), 2)) / 3, -1, 1)
     path = tmp_path / "r.wav"
     wavfile.write(path, rate, _encode(x, np.int16))
     want = _reference_load(path)
     assert np.array_equal(load_audio(path).samples, want)
-    assert len(lengths) == -(-len(want) // block) > 3
-    assert max(lengths) < block * rate / CANONICAL_RATE + 1000
+    up, down = calls[0][2:]
+    step = max(1, min(block, block * up // down))  # outputs per chunk
+    assert len(calls) == -(-len(want) // step) > 3
+    for n_in, h_len, _, _ in calls:
+        assert n_in <= block + -(-h_len // up) + down
 
 
 # (dtype, channels, rate) cases that are also extracted at 30 s
@@ -309,6 +315,36 @@ def test_load_peak_memory_below_twice_the_signal(tmp_path):
     assert peak < 0.25 * sig.samples.nbytes
 
 
+def _load_peak(path):
+    """tracemalloc peak of loading path, after a load that designs and
+    caches its resampling filter."""
+    import tracemalloc
+
+    load_audio(path)
+    tracemalloc.start()
+    try:
+        load_audio(path)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_resampling_memory_does_not_grow_with_the_sample_rate(tmp_path):
+    # each resampling chunk reads about DECODE_BLOCK input frames whatever
+    # the rate, so a 1 s stereo int16 WAV loads within 16 kB of the 48 kHz
+    # one's peak at up to 8 times its rate, and a 44.1 kHz one, whose
+    # filter has 8,821 taps, below 0.32 MB
+    peaks = {}
+    for rate in (44100, 48000, 96000, 192000, 384000):
+        x = generate_synthetic("clean", f0=130.0, duration=1.0, seed=4, sample_rate=rate).samples
+        path = tmp_path / f"v{rate}.wav"
+        _write_int16(path, rate, np.stack([x, 0.8 * x], axis=1))
+        peaks[rate] = _load_peak(path)
+    for rate in (96000, 192000, 384000):
+        assert peaks[rate] < peaks[48000] + 16_000, (rate, peaks)
+    assert peaks[44100] < 320_000, peaks
+
+
 def test_resampled_audio_leaves_nothing_in_the_temporary_directory(tmp_path, monkeypatch):
     # a 16 kHz WAV, which needs no resampling, is buffered the same way
     buffers = tmp_path / "tmp"
@@ -323,6 +359,24 @@ def test_resampled_audio_leaves_nothing_in_the_temporary_directory(tmp_path, mon
         del sig
         gc.collect()
         assert list(buffers.iterdir()) == []
+
+
+@pytest.mark.parametrize("rate", [16000, 44100, 384000])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("bad_value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_float_samples_exit_3_from_any_chunk(tmp_path, capsys, rate, dtype,
+                                                        bad_value):
+    # only float data can hold NaN or inf, and every chunk of it is checked:
+    # the first sample, one past the first chunk edge and the last sample
+    path = tmp_path / "bad.wav"
+    for at in (0, DECODE_BLOCK + 1, rate - 1):
+        x = np.full(rate, 0.1, dtype=dtype)
+        x[at] = bad_value
+        wavfile.write(path, rate, x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no warning from the channel mean or the resampler
+            assert main(["extract", str(path)]) == 3
+        assert f"error: {path}: non-finite samples" in capsys.readouterr().err
 
 
 def test_unsupported_sample_type_rejected(tmp_path):

@@ -266,6 +266,27 @@ def test_second_pass_repicks_frames_far_from_the_median(monkeypatch):
     assert pitch.n_voiced == 871
 
 
+def test_second_pass_peaks_within_64_kb_of_a_clean_vowel():
+    # the second pass gathers the frames it re-picks, a copy, half an
+    # ACF_BLOCK at a time, so a vowel whose far frames it re-picks (438 of
+    # 998 here) peaks about as high as a clean one, whose first pass sets
+    # the peak
+    import tracemalloc
+
+    peaks = {}
+    for kind in ("clean", "jittered"):
+        frames = frame_signal(generate_synthetic(kind, f0=120.0, duration=10.0, seed=1,
+                                                 jitter_pct=5.0))
+        track_pitch(frames)  # one-off allocations do not count
+        tracemalloc.start()
+        try:
+            track_pitch(frames)
+            peaks[kind] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks["jittered"] < peaks["clean"] + 64_000, peaks
+
+
 def _glide(f_start, f_end, duration=2.0, fs=CANONICAL_RATE):
     """A clean vowel whose f0 moves exponentially from f_start to f_end Hz,
     and the true f0 at the centre of each of its frames.
