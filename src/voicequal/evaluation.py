@@ -13,7 +13,7 @@ import numpy as np
 
 from .audio_io import AudioSignal
 from .errors import ManifestError
-from .llf import LLF_KEYS, LlfVector, extract_llf_vector, llf_matrix
+from .llf import LlfVector, extract_llf_vector, llf_fault, llf_matrix
 from .quality import QUALITY_IDS, CorrelationTable, scores_from_z
 from .stats import FeatureStats
 from .synth import generate_synthetic
@@ -97,10 +97,10 @@ def evaluate_pairs(grid: PairGrid, stats: FeatureStats,
     samples = grid.positives + grid.negatives
     try:
         values = llf_matrix([s.llf for s in samples])
-    except KeyError:
-        sample, key = next((s, k) for s in samples for k in LLF_KEYS if k not in s.llf)
+    except (KeyError, ValueError):
+        sample, fault = next((s, f) for s in samples if (f := llf_fault(s.llf)))
         raise ManifestError(f"scoring failed for {sample.source_id}: "
-                            f"feature vector missing key {key!r}") from None
+                            f"feature vector {fault}") from None
     z = (values - stats.mu_vector) / stats.sigma_vector
     scores = scores_from_z(z, table)[:, QUALITY_IDS.index(grid.quality)]
     positive, negative = np.split(scores, [len(grid.positives)])

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import operator
-from itertools import chain
+import reprlib
+import struct
+from itertools import starmap
 from typing import Sequence
 
 import numpy as np
@@ -28,12 +30,50 @@ LlfVector = dict[str, float]
 # raises KeyError naming the first one missing
 llf_values = operator.itemgetter(*LLF_KEYS)
 
+# one vector's values as its 200-byte float64 row, packed in C
+_pack_row = struct.Struct(f"{len(LLF_KEYS)}d").pack
+
+
+def llf_row(vector: LlfVector) -> bytes:
+    """The vector's float64 row as bytes; a missing key raises KeyError as
+    ``llf_values`` does, and a value that is not a real number (None, a
+    string, an int beyond float64) ValueError naming the first such key."""
+    values = llf_values(vector)
+    try:
+        return _pack_row(*values)
+    except struct.error:
+        for key, value in zip(LLF_KEYS, values):
+            try:
+                struct.pack("d", value)
+            except struct.error:
+                raise ValueError(f"value of {key!r} is not a real number: "
+                                 f"{reprlib.repr(value)}") from None
+        raise
+
+
+def llf_fault(vector: LlfVector) -> str | None:
+    """Why ``llf_row`` rejects the vector ("missing key 'X'" or its
+    ValueError's message), or None when it packs."""
+    try:
+        llf_row(vector)
+    except KeyError as exc:
+        return f"missing key {exc.args[0]!r}"
+    except ValueError as exc:
+        return str(exc)
+    return None
+
 
 def llf_matrix(vectors: Sequence[LlfVector]) -> np.ndarray:
     """The vectors as the rows of an (n, 25) float64 array in LLF_KEYS order,
-    gathered in C; a missing key raises KeyError as ``llf_values`` does."""
-    values = chain.from_iterable(map(llf_values, vectors))
-    return np.fromiter(values, float, len(vectors) * len(LLF_KEYS)).reshape(-1, len(LLF_KEYS))
+    packed in C and returned as a read-only view of the joined rows; the
+    first vector ``llf_row`` rejects raises its KeyError or ValueError."""
+    try:
+        rows = b"".join(starmap(_pack_row, map(llf_values, vectors)))
+    except struct.error:
+        for vector in vectors:
+            llf_row(vector)
+        raise
+    return np.frombuffer(rows, float).reshape(-1, len(LLF_KEYS))
 
 
 def validate_llf(vector: LlfVector) -> None:

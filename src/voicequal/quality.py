@@ -14,7 +14,7 @@ from operator import attrgetter
 import numpy as np
 
 from .errors import TableError
-from .llf import LLF_KEYS, LlfVector, llf_values
+from .llf import LLF_KEYS, LlfVector, llf_fault, llf_row
 from .stats import FeatureStats
 
 QUALITY_IDS = (
@@ -184,11 +184,12 @@ class QualityScores:
 
 
 def z_scores(vector: LlfVector, stats: FeatureStats) -> np.ndarray:
-    """z_j = (v_j - mu_j) / sigma_j in LLF_KEYS order; a missing key raises ValueError."""
+    """z_j = (v_j - mu_j) / sigma_j in LLF_KEYS order; a missing key or a
+    value that is not a real number raises ValueError."""
     try:
-        values = np.fromiter(llf_values(vector), float, len(LLF_KEYS))
-    except KeyError as exc:
-        raise ValueError(f"feature vector missing key {exc.args[0]!r}") from None
+        values = np.frombuffer(llf_row(vector), float)
+    except (KeyError, ValueError):
+        raise ValueError(f"feature vector {llf_fault(vector)}") from None
     return (values - stats.mu_vector) / stats.sigma_vector
 
 

@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import StatsError
-from .llf import LLF_KEYS, LlfVector, llf_matrix, llf_values
+from .llf import LLF_KEYS, LlfVector, llf_fault, llf_matrix, llf_row
 
 SCHEMA_VERSION = 1
 MIN_SIGMA = 1e-9
@@ -34,11 +34,12 @@ class FeatureStats:
     def __post_init__(self):
         for name, d in (("mu", self.mu), ("sigma", self.sigma)):
             try:
-                vector = np.fromiter(llf_values(d), float, len(LLF_KEYS))
+                vector = np.frombuffer(llf_row(d), float)
             except KeyError:
                 missing = [k for k in LLF_KEYS if k not in d]
                 raise StatsError(f"stats {name} missing keys: {missing}") from None
-            vector.flags.writeable = False
+            except ValueError as exc:
+                raise StatsError(f"stats {name} {exc}") from None
             object.__setattr__(self, f"{name}_vector", vector)
         if not (np.fromiter(self.sigma.values(), float, len(self.sigma)) >= MIN_SIGMA).all():
             bad = [k for k, s in self.sigma.items() if not s >= MIN_SIGMA]
@@ -48,18 +49,18 @@ class FeatureStats:
 def fit_stats(vectors: Sequence[LlfVector], corpus: str = "") -> FeatureStats:
     """Sample mean and (n-1)-denominator standard deviation per feature.
 
-    A vector missing a key is named by its index. A feature whose spread
-    collapses below 1e-9 makes the reference corpus unusable for z-scoring
-    and is rejected.
+    A vector missing a key, or holding a value that is not a real number, is
+    named by its index. A feature whose spread collapses below 1e-9 makes
+    the reference corpus unusable for z-scoring and is rejected.
     """
     vectors = list(vectors)
     if len(vectors) < 2:
         raise StatsError(f"fewer than 2 vectors: got {len(vectors)}")
     try:
         data = llf_matrix(vectors)
-    except KeyError:
-        i, key = next((i, k) for i, v in enumerate(vectors) for k in LLF_KEYS if k not in v)
-        raise StatsError(f"vector {i} missing key {key!r}") from None
+    except (KeyError, ValueError):
+        i, fault = next((i, f) for i, v in enumerate(vectors) if (f := llf_fault(v)))
+        raise StatsError(f"vector {i} {fault}") from None
     mu = data.mean(axis=0)
     sigma = data.std(axis=0, ddof=1)
     if (sigma < MIN_SIGMA).any():

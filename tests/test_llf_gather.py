@@ -1,6 +1,6 @@
-"""The C-level gathers of LLF vectors (`llf_values`, `llf_matrix`) against the
-per-key dict loops they replace: every fitted value, score and pair count is
-bit-identical, and every error names the same keys and samples."""
+"""The C-level gathers of LLF vectors (`llf_values`, `llf_row`, `llf_matrix`)
+against the per-key dict loops they replace: every fitted value, score and
+pair count is bit-identical, and every error names the same keys and samples."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from voicequal.errors import ManifestError, StatsError
 from voicequal.evaluation import NEUTRAL_LABEL, LabeledSample, evaluate_pairs, form_pairs
-from voicequal.llf import LLF_KEYS, llf_matrix, llf_values, validate_llf
+from voicequal.llf import LLF_KEYS, llf_matrix, llf_row, llf_values, validate_llf
 from voicequal.quality import QUALITY_IDS, score_all, z_scores
 from voicequal.stats import MIN_SIGMA, FeatureStats, fit_stats
 
@@ -206,3 +206,71 @@ def test_validate_llf_lists_every_non_finite_value(vector, bad):
 @given(vector=llf_vectors())
 def test_validate_llf_accepts_a_complete_finite_vector(vector):
     validate_llf({k: v for k, v in vector.items() if k in LLF_KEYS})
+
+
+# every kind of value that converts to float64: ints and bools, numpy
+# scalars, signed zeros, NaN, infinities and subnormals
+_MIXED = [3, True, False, -7, 2**60 + 1, np.float32(1.1), np.float64(-2.5), -0.0,
+          np.float32(-0.0), np.nan, np.float32(np.nan), np.inf, -np.inf, np.float32(-np.inf),
+          5e-324, -2.225e-308, np.float32(1e-45), np.float64(1e-310), 1e308, -1e-300,
+          np.float32(3.4e38), 0.1, np.float64(np.nan), 0, 1.0]
+
+
+def test_mixed_values_pack_to_the_bits_of_fromiter():
+    vector = dict(zip(LLF_KEYS[::-1], _MIXED[::-1]))  # keys in reverse order
+    want = np.fromiter(llf_values(vector), float).tobytes()
+    assert llf_row(vector) == want
+    matrix = llf_matrix([vector, dict(zip(LLF_KEYS, _MIXED[::-1]))])
+    assert matrix[0].tobytes() == want
+    assert matrix[1].tobytes() == np.array(_MIXED[::-1], dtype=float).tobytes()
+    assert not matrix.flags.writeable
+
+
+def test_no_vectors_give_an_empty_matrix():
+    matrix = llf_matrix([])
+    assert matrix.shape == (0, len(LLF_KEYS)) and matrix.dtype == np.float64
+
+
+# each value and how the message shows it: a long one is cut
+_NOT_REAL = [pytest.param(None, "None", id="None"), pytest.param("1.5", "'1.5'", id="str"),
+             pytest.param(10**400, "1" + "0" * 17 + "..." + "0" * 19, id="10**400")]
+
+
+def _finite(shift):
+    return dict(zip(LLF_KEYS, (np.linspace(-1.0, 1.0, len(LLF_KEYS)) + shift).tolist()))
+
+
+def _broken(key, value):
+    """A finite vector whose ``key`` holds ``value``, and a later key None."""
+    vector = _finite(0.0)
+    vector[key] = value
+    vector[LLF_KEYS[-1]] = None
+    return vector
+
+
+@pytest.mark.parametrize("value, shown", _NOT_REAL)
+@pytest.mark.parametrize("key", ["Loudness", "mfcc2"])
+def test_a_value_that_is_not_a_real_number_is_named_at_every_entry_point(
+        default_table, key, value, shown):
+    reason = f"value of {key!r} is not a real number: {shown}"
+    vectors = [_finite(0.0), _finite(0.5)]
+    stats = fit_stats(vectors)
+    vectors.insert(1, _broken(key, value))
+    vectors.append({})  # a later vector missing every key is not the one named
+    with pytest.raises(ValueError) as caught:
+        llf_matrix(vectors)
+    assert str(caught.value) == reason
+    with pytest.raises(ValueError) as caught:
+        z_scores(vectors[1], stats)
+    assert str(caught.value) == f"feature vector {reason}"
+    with pytest.raises(StatsError) as caught:
+        fit_stats(vectors)
+    assert str(caught.value) == f"vector 1 {reason}"
+    with pytest.raises(StatsError) as caught:
+        FeatureStats(mu=vectors[1], sigma=dict.fromkeys(LLF_KEYS, 1.0))
+    assert str(caught.value) == f"stats mu {reason}"
+    samples = [LabeledSample(f"s{i:02d}", "Jit" if i == 0 else NEUTRAL_LABEL, v)
+               for i, v in enumerate(vectors)]
+    with pytest.raises(ManifestError) as caught:
+        evaluate_pairs(form_pairs(samples, "Jit"), stats, default_table)
+    assert str(caught.value) == f"scoring failed for s01: feature vector {reason}"
