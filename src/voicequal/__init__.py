@@ -1,5 +1,8 @@
 """Objective voice-quality scoring from low-level acoustic features."""
 
+# the codec of every utf-8-sig read, imported with the package, not by the first read
+import encodings.utf_8_sig  # noqa: F401
+
 from .audio_io import CANONICAL_RATE, AudioSignal, load_audio, save_wav
 from .errors import (
     AudioIOError,

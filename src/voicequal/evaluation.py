@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import csv
-# the codec of the utf-8-sig reads below, imported here, not by the first read
-import encodings.utf_8_sig  # noqa: F401
 import os
 from dataclasses import dataclass
 from typing import Iterator
@@ -13,7 +11,7 @@ import numpy as np
 
 from .audio_io import AudioSignal
 from .errors import ManifestError
-from .llf import LlfVector, extract_llf_vector, llf_fault, llf_matrix
+from .llf import LlfVector, extract_llf_vector, llf_matrix
 from .quality import QUALITY_IDS, CorrelationTable, scores_from_z
 from .stats import FeatureStats
 from .synth import generate_synthetic
@@ -97,10 +95,9 @@ def evaluate_pairs(grid: PairGrid, stats: FeatureStats,
     samples = grid.positives + grid.negatives
     try:
         values = llf_matrix([s.llf for s in samples])
-    except (KeyError, ValueError):
-        sample, fault = next((s, f) for s in samples if (f := llf_fault(s.llf)))
-        raise ManifestError(f"scoring failed for {sample.source_id}: "
-                            f"feature vector {fault}") from None
+    except ValueError as exc:
+        raise ManifestError(f"scoring failed for {samples[exc.index].source_id}: "
+                            f"feature vector {exc}") from None
     z = (values - stats.mu_vector) / stats.sigma_vector
     scores = scores_from_z(z, table)[:, QUALITY_IDS.index(grid.quality)]
     positive, negative = np.split(scores, [len(grid.positives)])

@@ -81,15 +81,10 @@ class FormantTrack:
         return self.n_frames
 
 
-def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per row, the dot product of a and b, summed exactly as np.dot sums one row."""
-    return np.vecdot(a, b)
-
-
 def _lag_products(x: np.ndarray, order: int) -> np.ndarray:
     """Per row, r[k] = sum(x[n] x[n+k]) for k = 0..order, r[0] slightly loaded."""
     n = x.shape[1]
-    r = np.stack([_row_dots(x[:, :n - k], x[:, k:]) for k in range(order + 1)], axis=1)
+    r = np.stack([np.vecdot(x[:, :n - k], x[:, k:]) for k in range(order + 1)], axis=1)
     r[:, 0] *= 1.0 + 1e-9  # slight diagonal loading for numerical safety
     return r
 
@@ -108,7 +103,7 @@ def levinson_durbin(r: np.ndarray) -> np.ndarray:
     active = err > 0
     reversed_r = np.ascontiguousarray(r[:, ::-1])  # r[m-1], ..., r[1] as one slice
     for m in range(1, order + 1):
-        acc = r[:, m] + _row_dots(a[:, 1:m], reversed_r[:, order - m + 1:order])
+        acc = r[:, m] + np.vecdot(a[:, 1:m], reversed_r[:, order - m + 1:order])
         # k = 0 leaves a stopped row's coefficients and error unchanged
         k = np.where(active, -acc / np.where(active, err, 1.0), 0.0)
         a[:, 1:m + 1] += k[:, None] * a[:, m - 1::-1][:, :m]

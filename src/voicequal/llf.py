@@ -35,10 +35,13 @@ _pack_row = struct.Struct(f"{len(LLF_KEYS)}d").pack
 
 
 def llf_row(vector: LlfVector) -> bytes:
-    """The vector's float64 row as bytes; a missing key raises KeyError as
-    ``llf_values`` does, and a value that is not a real number (None, a
-    string, an int beyond float64) ValueError naming the first such key."""
-    values = llf_values(vector)
+    """The vector's float64 row as bytes; ValueError names the first key
+    missing ("missing key 'X'") or the first value that is not a real number,
+    such as None, a string or an int beyond float64 ("value of 'X' is ...")."""
+    try:
+        values = llf_values(vector)
+    except KeyError as exc:
+        raise ValueError(f"missing key {exc.args[0]!r}") from None
     try:
         return _pack_row(*values)
     except struct.error:
@@ -51,27 +54,19 @@ def llf_row(vector: LlfVector) -> bytes:
         raise
 
 
-def llf_fault(vector: LlfVector) -> str | None:
-    """Why ``llf_row`` rejects the vector ("missing key 'X'" or its
-    ValueError's message), or None when it packs."""
-    try:
-        llf_row(vector)
-    except KeyError as exc:
-        return f"missing key {exc.args[0]!r}"
-    except ValueError as exc:
-        return str(exc)
-    return None
-
-
 def llf_matrix(vectors: Sequence[LlfVector]) -> np.ndarray:
     """The vectors as the rows of an (n, 25) float64 array in LLF_KEYS order,
-    packed in C and returned as a read-only view of the joined rows; the
-    first vector ``llf_row`` rejects raises its KeyError or ValueError."""
+    packed in C and returned as a read-only view of the joined rows; the first
+    vector with no row raises ``llf_row``'s ValueError, its position as ``index``."""
     try:
         rows = b"".join(starmap(_pack_row, map(llf_values, vectors)))
-    except struct.error:
-        for vector in vectors:
-            llf_row(vector)
+    except (KeyError, struct.error):
+        for index, vector in enumerate(vectors):
+            try:
+                llf_row(vector)
+            except ValueError as exc:
+                exc.index = index
+                raise
         raise
     return np.frombuffer(rows, float).reshape(-1, len(LLF_KEYS))
 
@@ -79,16 +74,18 @@ def llf_matrix(vectors: Sequence[LlfVector]) -> np.ndarray:
 def validate_llf(vector: LlfVector) -> None:
     """Check key completeness and finiteness; raises ValueError on failure."""
     try:
-        values = llf_values(vector)
-    except KeyError:
+        row = np.frombuffer(llf_row(vector), float)
+    except ValueError:
         missing = [k for k in LLF_KEYS if k not in vector]
-        raise ValueError(f"missing feature keys: {missing}") from None
+        if missing:
+            raise ValueError(f"missing feature keys: {missing}") from None
+        raise
     if len(vector) > len(LLF_KEYS):
         extra = [k for k in vector if k not in LLF_KEYS]
         raise ValueError(f"unknown feature keys: {extra}")
-    if not np.isfinite(values).all():
-        bad = [k for k, v in vector.items() if not np.isfinite(v)]
-        raise ValueError(f"non-finite feature values: {bad}")
+    finite = dict(zip(LLF_KEYS, np.isfinite(row).tolist()))
+    if not all(finite.values()):
+        raise ValueError(f"non-finite feature values: {[k for k in vector if not finite[k]]}")
 
 
 def extract_llf_vector(signal: AudioSignal) -> LlfVector:

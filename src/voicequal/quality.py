@@ -3,8 +3,6 @@ normalized weighted z-score sum that maps 25 features to 24 quality scores."""
 
 from __future__ import annotations
 
-# the codec of the utf-8-sig reads below, imported here, not by the first read
-import encodings.utf_8_sig  # noqa: F401
 import enum
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -14,7 +12,7 @@ from operator import attrgetter
 import numpy as np
 
 from .errors import TableError
-from .llf import LLF_KEYS, LlfVector, llf_fault, llf_row
+from .llf import LLF_KEYS, LlfVector, llf_row
 from .stats import FeatureStats
 
 QUALITY_IDS = (
@@ -188,8 +186,8 @@ def z_scores(vector: LlfVector, stats: FeatureStats) -> np.ndarray:
     value that is not a real number raises ValueError."""
     try:
         values = np.frombuffer(llf_row(vector), float)
-    except (KeyError, ValueError):
-        raise ValueError(f"feature vector {llf_fault(vector)}") from None
+    except ValueError as exc:
+        raise ValueError(f"feature vector {exc}") from None
     return (values - stats.mu_vector) / stats.sigma_vector
 
 

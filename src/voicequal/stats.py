@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import json
-# the codec of the utf-8-sig reads below, imported here, not by the first read
-import encodings.utf_8_sig  # noqa: F401
 import math
 import os
 from dataclasses import dataclass, field
@@ -13,7 +11,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import StatsError
-from .llf import LLF_KEYS, LlfVector, llf_fault, llf_matrix, llf_row
+from .llf import LLF_KEYS, LlfVector, llf_matrix, llf_row
 
 SCHEMA_VERSION = 1
 MIN_SIGMA = 1e-9
@@ -35,32 +33,41 @@ class FeatureStats:
         for name, d in (("mu", self.mu), ("sigma", self.sigma)):
             try:
                 vector = np.frombuffer(llf_row(d), float)
-            except KeyError:
-                missing = [k for k in LLF_KEYS if k not in d]
-                raise StatsError(f"stats {name} missing keys: {missing}") from None
             except ValueError as exc:
+                missing = [k for k in LLF_KEYS if k not in d]
+                if missing:
+                    raise StatsError(f"stats {name} missing keys: {missing}") from None
                 raise StatsError(f"stats {name} {exc}") from None
             object.__setattr__(self, f"{name}_vector", vector)
-        if not (np.fromiter(self.sigma.values(), float, len(self.sigma)) >= MIN_SIGMA).all():
-            bad = [k for k, s in self.sigma.items() if not s >= MIN_SIGMA]
+        finite = np.isfinite(self.mu_vector)
+        if not finite.all():
+            j = finite.argmin()
+            raise StatsError(f"stats mu value of {LLF_KEYS[j]!r} is not finite: "
+                             f"{float(self.mu_vector[j])}")
+        if not (self.sigma_vector >= MIN_SIGMA).all():
+            bad = [k for k, s in zip(LLF_KEYS, self.sigma_vector.tolist()) if not s >= MIN_SIGMA]
             raise StatsError(f"sigma below {MIN_SIGMA:g} for: {bad}")
 
 
 def fit_stats(vectors: Sequence[LlfVector], corpus: str = "") -> FeatureStats:
     """Sample mean and (n-1)-denominator standard deviation per feature.
 
-    A vector missing a key, or holding a value that is not a real number, is
-    named by its index. A feature whose spread collapses below 1e-9 makes
-    the reference corpus unusable for z-scoring and is rejected.
+    A vector missing a key, or holding a value that is not a finite real
+    number, is named by its index. A feature whose spread collapses below
+    1e-9 makes the reference corpus unusable for z-scoring and is rejected.
     """
     vectors = list(vectors)
     if len(vectors) < 2:
         raise StatsError(f"fewer than 2 vectors: got {len(vectors)}")
     try:
         data = llf_matrix(vectors)
-    except (KeyError, ValueError):
-        i, fault = next((i, f) for i, v in enumerate(vectors) if (f := llf_fault(v)))
-        raise StatsError(f"vector {i} {fault}") from None
+    except ValueError as exc:
+        raise StatsError(f"vector {exc.index} {exc}") from None
+    finite = np.isfinite(data)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0].tolist()
+        raise StatsError(f"vector {i} value of {LLF_KEYS[j]!r} is not finite: "
+                         f"{float(data[i, j])}")
     mu = data.mean(axis=0)
     sigma = data.std(axis=0, ddof=1)
     if (sigma < MIN_SIGMA).any():
@@ -154,7 +161,7 @@ def load_stats(path: str | os.PathLike) -> FeatureStats:
         else:
             raise StatsError(f"{where}: unknown directive {directive!r}")
 
-    missing = [k for k in LLF_KEYS if k not in mu]
-    if missing:
-        raise StatsError(f"{path}: missing keys {missing}")
-    return FeatureStats(mu=mu, sigma=sigma, corpus=corpus, n_utterances=n_utt)
+    try:
+        return FeatureStats(mu=mu, sigma=sigma, corpus=corpus, n_utterances=n_utt)
+    except StatsError as exc:
+        raise StatsError(f"{path}: {exc}") from None

@@ -167,6 +167,7 @@ def test_score_with_denormal_sigma_exits_5(corpus, tmp_path, capsys):
     assert code == 5
     captured = capsys.readouterr()
     assert "Loudness" in captured.err and not captured.out
+    assert f"{stats_path}: " in captured.err
     assert not scores_path.exists()
 
 

@@ -2,6 +2,8 @@
 against the per-key dict loops they replace: every fitted value, score and
 pair count is bit-identical, and every error names the same keys and samples."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -175,6 +177,18 @@ def test_evaluate_pairs_names_the_sample_missing_a_key(default_table, vectors, s
 
 
 @_SETTINGS
+@given(vectors=st.lists(llf_vectors(), min_size=1, max_size=8), missing=_MISSING, data=st.data())
+def test_llf_matrix_names_the_vector_missing_a_key(vectors, missing, data):
+    index = data.draw(st.integers(0, len(vectors) - 1))
+    vectors[index] = _drop(vectors[index], missing)
+    vectors.append({})  # a later vector missing every key is not the one named
+    with pytest.raises(ValueError) as caught:
+        llf_matrix(vectors)
+    assert str(caught.value) == f"missing key {next(k for k in LLF_KEYS if k in missing)!r}"
+    assert caught.value.index == index
+
+
+@_SETTINGS
 @given(vector=llf_vectors(), missing=_MISSING)
 def test_validate_llf_lists_every_missing_key(vector, missing):
     with pytest.raises(ValueError) as caught:
@@ -260,6 +274,10 @@ def test_a_value_that_is_not_a_real_number_is_named_at_every_entry_point(
     with pytest.raises(ValueError) as caught:
         llf_matrix(vectors)
     assert str(caught.value) == reason
+    assert caught.value.index == 1
+    with pytest.raises(ValueError) as caught:
+        validate_llf(vectors[1])
+    assert str(caught.value) == reason
     with pytest.raises(ValueError) as caught:
         z_scores(vectors[1], stats)
     assert str(caught.value) == f"feature vector {reason}"
@@ -274,3 +292,24 @@ def test_a_value_that_is_not_a_real_number_is_named_at_every_entry_point(
     with pytest.raises(ManifestError) as caught:
         evaluate_pairs(form_pairs(samples, "Jit"), stats, default_table)
     assert str(caught.value) == f"scoring failed for s01: feature vector {reason}"
+
+
+@pytest.mark.parametrize("value", [0.0, "abc"])
+def test_feature_stats_ignores_a_key_outside_the_vector(value):
+    mu, sigma = _finite(0.0), dict.fromkeys(LLF_KEYS, 1.0)
+    stats = FeatureStats(mu=mu, sigma={**sigma, "extra": value})
+    assert _bits(stats.sigma_vector) == _bits(list(sigma.values()))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=str)
+def test_a_value_that_is_not_finite_is_named_by_fit_stats_and_feature_stats(value):
+    vectors = [_finite(0.0), _finite(0.5), _finite(1.0)]
+    vectors[1]["mfcc2"] = vectors[1]["F3bandwidth"] = vectors[2]["Loudness"] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning of the mean or spread escapes
+        with pytest.raises(StatsError) as caught:
+            fit_stats(vectors)
+    assert str(caught.value) == f"vector 1 value of 'mfcc2' is not finite: {float(value)}"
+    with pytest.raises(StatsError) as caught:
+        FeatureStats(mu=vectors[1], sigma=dict.fromkeys(LLF_KEYS, 1.0))
+    assert str(caught.value) == f"stats mu value of 'mfcc2' is not finite: {float(value)}"
