@@ -3,9 +3,8 @@
 All downstream analysis runs at a single canonical sample rate; multichannel
 input is averaged to mono and out-of-range samples trigger peak normalization.
 Every WAV is decoded once, chunk by chunk (and resampled, unless it is at the
-canonical rate already), into an unlinked temporary file in TMPDIR, which is
-then mapped: the signal is not held in memory, and the source WAV is not read
-again once it is loaded.
+canonical rate already), into one anonymous map sized before the first chunk;
+the source WAV is not read again once it is loaded.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ import functools
 import math
 import mmap
 import os
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,10 +30,10 @@ MAX_RATE = 384000
 @dataclass(frozen=True)
 class AudioSignal:
     """Mono PCM samples in [-1, 1] at a fixed sample rate, held read-only as
-    a float64 array. The array of a loaded WAV lies over its mapped
-    temporary file. A C-contiguous float64 array is kept as given, not
-    copied, so the caller's array becomes read-only too; any other array is
-    copied, and the caller's stays writable."""
+    a float64 array. The array of a loaded WAV lies over its anonymous map.
+    A C-contiguous float64 array is kept as given, not copied, so the
+    caller's array becomes read-only too; any other array is copied, and the
+    caller's stays writable."""
 
     samples: np.ndarray
     sample_rate_hz: int
@@ -124,13 +122,14 @@ def _resampling_filter(up: int, down: int) -> np.ndarray:
     return h
 
 
-def _resampled(data: np.ndarray, rate: int, path):
-    """The decoded data resampled from rate to CANONICAL_RATE, equal to
-    scipy's resample_poly with _resampling_filter, in chunks sized by what
-    they read: min(DECODE_BLOCK, DECODE_BLOCK * up // down) outputs (at
-    least one), which read at most DECODE_BLOCK input frames plus the
-    filter's span (len(h) / up inputs, and up to down more that put m0 on
-    the output grid), whatever the rate.
+def _resampled(data: np.ndarray, rate: int, n_out: int, path):
+    """The decoded data resampled from rate to CANONICAL_RATE, its n_out =
+    ceil(len(data) * up / down) samples equal to scipy's resample_poly with
+    _resampling_filter, in chunks sized by what they read:
+    min(DECODE_BLOCK, DECODE_BLOCK * up // down) outputs (at least one),
+    which read at most DECODE_BLOCK input frames plus the filter's span
+    (len(h) / up inputs, and up to down more that put m0 on the output
+    grid), whatever the rate.
 
     resample_poly filters with h, its filter scaled by up and zero-padded:
     output o is upfirdn(h, x, up, down)[o + pre]. So outputs [o0, o1) come
@@ -143,7 +142,6 @@ def _resampled(data: np.ndarray, rate: int, path):
     g = math.gcd(rate, CANONICAL_RATE)
     up, down = CANONICAL_RATE // g, rate // g
     n_in = len(data)
-    n_out = -(-n_in * up // down)
     window = _resampling_filter(up, down)
     half_len = (len(window) - 1) // 2
     pre_pad = down - half_len % down
@@ -162,27 +160,20 @@ def _resampled(data: np.ndarray, rate: int, path):
         yield upfirdn(h, _checked_range(data, path, m0, m_hi + 1), up, down)[skip:skip + o1 - o0]
 
 
-def _buffered(chunks, path) -> tuple[np.ndarray, float]:
-    """The float64 chunks, one after another, as a writable array over an
-    unlinked temporary file, and the largest magnitude among them.
-
-    Each chunk is written to the file, which is mapped only once it is
-    full: a full disk then fails a write, raised as AudioIOError, where a
-    store into an unallocated page of a mapped file would kill the process.
-    """
-    peak = 0.0
+def _buffered(chunks, n: int, path) -> tuple[np.ndarray, float]:
+    """The n float64 samples of the chunks, one after another, as a writable
+    array over an anonymous map, and the largest magnitude among them."""
     try:
-        with tempfile.TemporaryFile() as f:
-            for chunk in chunks:
-                f.write(chunk)
-                peak = max(peak, chunk.max(), -chunk.min())
-                del chunk  # freed before the next chunk is made
-            f.flush()
-            # the map keeps the unlinked file after f closes
-            buffer = mmap.mmap(f.fileno(), 0)
+        samples = np.frombuffer(mmap.mmap(-1, 8 * n), dtype=np.float64)
     except OSError as exc:
         raise AudioIOError(f"{path}: cannot buffer audio: {exc.strerror or exc}") from None
-    return np.frombuffer(buffer, dtype=np.float64), peak
+    peak, at = 0.0, 0
+    for chunk in chunks:
+        samples[at:at + len(chunk)] = chunk
+        at += len(chunk)
+        peak = max(peak, chunk.max(), -chunk.min())
+        del chunk  # freed before the next chunk is made
+    return samples, peak
 
 
 def _read_wav(path: str) -> tuple[int, np.ndarray]:
@@ -203,14 +194,9 @@ def load_audio(path: str | os.PathLike) -> AudioSignal:
     averaged, the result is resampled with a polyphase (band-limited)
     resampler unless it is at CANONICAL_RATE, and peak-normalized only if
     any sample exceeds full scale. The WAV is decoded once, range by range,
-    into a mapped temporary file (128 kB of TMPDIR per second of audio
-    while the signal lives), and not read again; the peak taken as it is
-    written is the one scan for silence and for full scale. The
-    signal holds one open file descriptor through its map until it is
-    freed, so a caller that keeps many signals alive at once can reach the
-    process's open-file limit; one that drops each signal after use, as
-    the command line does, holds one at a time. Every error reads
-    "<path>: <reason>".
+    into an anonymous map (128 kB per second of audio while the signal
+    lives), and not read again; the peak taken as it is written is the one
+    scan for silence and for full scale. Every error reads "<path>: <reason>".
     """
     try:
         rate, data = _read_wav(os.fspath(path))
@@ -228,9 +214,10 @@ def load_audio(path: str | os.PathLike) -> AudioSignal:
     if data.size == 0:
         raise AudioIOError(f"{path}: zero-length audio")
 
-    chunks = _decoded(data, path) if rate == CANONICAL_RATE else _resampled(data, rate, path)
+    n = -(-len(data) * CANONICAL_RATE // rate)
+    chunks = _decoded(data, path) if rate == CANONICAL_RATE else _resampled(data, rate, n, path)
     del data  # the WAV is unmapped once its last chunk is read
-    samples, peak = _buffered(chunks, path)
+    samples, peak = _buffered(chunks, n, path)
     if peak == 0.0:
         raise SilentInputError(f"{path}: silent input")
     if peak > 1.0:

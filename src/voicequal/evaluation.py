@@ -98,7 +98,9 @@ def evaluate_pairs(grid: PairGrid, stats: FeatureStats,
     except ValueError as exc:
         raise ManifestError(f"scoring failed for {samples[exc.index].source_id}: "
                             f"feature vector {exc}") from None
-    z = (values - stats.mu_vector) / stats.sigma_vector
+    z = values - stats.mu_vector
+    del values  # freed before the division, which runs in place
+    z /= stats.sigma_vector
     scores = scores_from_z(z, table)[:, QUALITY_IDS.index(grid.quality)]
     positive, negative = np.split(scores, [len(grid.positives)])
     positive = positive[~np.isnan(positive)]  # a NaN wins no pair, as under `>`

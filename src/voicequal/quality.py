@@ -196,7 +196,9 @@ def scores_from_z(z: np.ndarray, table: CorrelationTable) -> np.ndarray:
     row multiplied alone, so a row of a matrix scores the bits of score_all."""
     if z.ndim == 1:  # the same one-row product, without the stacked form's views
         return z @ table.coefficients.T / table.active_counts
-    return (z[:, None, :] @ table.coefficients.T)[:, 0, :] / table.active_counts
+    scores = (z[:, None, :] @ table.coefficients.T)[:, 0, :]
+    scores /= table.active_counts
+    return scores
 
 
 def score_all(vector: LlfVector, stats: FeatureStats,

@@ -39,14 +39,17 @@ class FeatureStats:
                     raise StatsError(f"stats {name} missing keys: {missing}") from None
                 raise StatsError(f"stats {name} {exc}") from None
             object.__setattr__(self, f"{name}_vector", vector)
-        finite = np.isfinite(self.mu_vector)
-        if not finite.all():
-            j = finite.argmin()
-            raise StatsError(f"stats mu value of {LLF_KEYS[j]!r} is not finite: "
-                             f"{float(self.mu_vector[j])}")
         if not (self.sigma_vector >= MIN_SIGMA).all():
             bad = [k for k, s in zip(LLF_KEYS, self.sigma_vector.tolist()) if not s >= MIN_SIGMA]
             raise StatsError(f"sigma below {MIN_SIGMA:g} for: {bad}")
+        # an infinite sigma would read every z of its feature as 0; a NaN one
+        # is named above, as below the floor
+        for name, vector in (("mu", self.mu_vector), ("sigma", self.sigma_vector)):
+            finite = np.isfinite(vector)
+            if not finite.all():
+                j = finite.argmin()
+                raise StatsError(f"stats {name} value of {LLF_KEYS[j]!r} is not finite: "
+                                 f"{float(vector[j])}")
 
 
 def fit_stats(vectors: Sequence[LlfVector], corpus: str = "") -> FeatureStats:
@@ -54,7 +57,8 @@ def fit_stats(vectors: Sequence[LlfVector], corpus: str = "") -> FeatureStats:
 
     A vector missing a key, or holding a value that is not a finite real
     number, is named by its index. A feature whose spread collapses below
-    1e-9 makes the reference corpus unusable for z-scoring and is rejected.
+    1e-9 makes the reference corpus unusable for z-scoring and is rejected,
+    and so is one whose mean or spread overflows to infinity.
     """
     vectors = list(vectors)
     if len(vectors) < 2:
@@ -68,8 +72,9 @@ def fit_stats(vectors: Sequence[LlfVector], corpus: str = "") -> FeatureStats:
         i, j = np.argwhere(~finite)[0].tolist()
         raise StatsError(f"vector {i} value of {LLF_KEYS[j]!r} is not finite: "
                          f"{float(data[i, j])}")
-    mu = data.mean(axis=0)
-    sigma = data.std(axis=0, ddof=1)
+    with np.errstate(over="ignore"):  # an overflow to inf is named by FeatureStats
+        mu = data.mean(axis=0)
+        sigma = data.std(axis=0, ddof=1)
     if (sigma < MIN_SIGMA).any():
         degenerate = [k for k, s in zip(LLF_KEYS, sigma) if s < MIN_SIGMA]
         raise StatsError(f"degenerate feature (zero variance): {degenerate}")

@@ -1,8 +1,8 @@
 import errno
 import gc
 import json
+import mmap
 import os
-import tempfile
 import warnings
 from importlib import resources
 from pathlib import Path
@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from scipy.io import wavfile
 
+from voicequal import audio_io
 from voicequal.audio_io import AudioSignal, load_audio, save_wav
 from voicequal.cli import main
 from voicequal.llf import LLF_KEYS, extract_llf_vector
@@ -66,36 +67,24 @@ def _write_stereo_44k(path, duration, seed=3):
     wavfile.write(path, 44100, np.round(np.stack([x, 0.8 * x], axis=1) * 32767).astype(np.int16))
 
 
-class _FullDisk:
-    """A temporary file on a full disk: every write fails with ENOSPC."""
-
-    def __init__(self, file):
-        self._file = file
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self._file.close()
-
-    def write(self, data):
-        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-
-
-def test_a_full_buffer_disk_exits_3_and_keeps_the_earlier_lines(tmp_path, capsys, monkeypatch):
+def test_a_failed_audio_buffer_exits_3_and_keeps_the_earlier_lines(tmp_path, capsys, monkeypatch):
     good, bad, out = tmp_path / "good16k.wav", tmp_path / "bad44k.wav", tmp_path / "out.jsonl"
     save_wav(generate_synthetic("clean", f0=130.0, duration=1.0, seed=3), good)
     _write_stereo_44k(bad, 1.0)
-    temporary_file, opened = tempfile.TemporaryFile, []
+    anonymous_map, opened = mmap.mmap, []
 
-    def second_buffer_full(*args, **kwargs):
-        # the disk fills once the first file's buffer is written
-        opened.append(temporary_file(*args, **kwargs))
-        return opened[-1] if len(opened) == 1 else _FullDisk(opened[-1])
+    def second_buffer_fails(fileno, *args, **kwargs):
+        # memory runs out once the first file's buffer is mapped; scipy maps
+        # each WAV file itself, which is left alone
+        if fileno == -1:
+            opened.append(fileno)
+            if len(opened) == 2:
+                raise OSError(errno.ENOMEM, os.strerror(errno.ENOMEM))
+        return anonymous_map(fileno, *args, **kwargs)
 
-    monkeypatch.setattr(tempfile, "TemporaryFile", second_buffer_full)
+    monkeypatch.setattr(audio_io.mmap, "mmap", second_buffer_fails)
     assert main(["extract", str(good), str(bad), "--output", str(out)]) == 3
-    reason = os.strerror(errno.ENOSPC)
+    reason = os.strerror(errno.ENOMEM)
     assert f"error: {bad}: cannot buffer audio: {reason}" in capsys.readouterr().err
     assert len(opened) == 2
     assert [json.loads(line)["source"] for line in out.read_text().splitlines()] == [str(good)]

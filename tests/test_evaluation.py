@@ -214,7 +214,7 @@ def test_large_grid_evaluates_in_bounded_memory(default_table):
         tracemalloc.stop()
     assert result.total_pairs == len(grid) == 4_000_000
     assert 0 < result.correct < result.total_pairs
-    assert peak < 8e6, f"traced peak {peak / 1e6:.2f} MB"
+    assert peak < 3e6, f"traced peak {peak / 1e6:.2f} MB"
 
 
 def test_scoring_failure_names_the_sample(default_table):

@@ -313,3 +313,27 @@ def test_a_value_that_is_not_finite_is_named_by_fit_stats_and_feature_stats(valu
     with pytest.raises(StatsError) as caught:
         FeatureStats(mu=vectors[1], sigma=dict.fromkeys(LLF_KEYS, 1.0))
     assert str(caught.value) == f"stats mu value of 'mfcc2' is not finite: {float(value)}"
+
+
+@pytest.mark.parametrize("loudness", [[-1.7e308, 0.0, 1.7e308], [1.7e308, 1.7e308, 0.0]],
+                         ids=["spread", "mean"])
+def test_a_fit_that_overflows_to_inf_is_named_without_a_warning(loudness):
+    vectors = [_finite(shift) for shift in (0.0, 0.5, 1.0)]
+    for vector, value in zip(vectors, loudness):
+        vector["Loudness"] = value
+    name = "sigma" if loudness[0] < 0 else "mu"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the overflow warns only if it escapes
+        with pytest.raises(StatsError) as caught:
+            fit_stats(vectors)
+    assert str(caught.value) == f"stats {name} value of 'Loudness' is not finite: inf"
+
+
+def test_feature_stats_names_an_infinite_sigma():
+    # inf passes the floor, and would read every z of its feature as 0
+    sigma = {**dict.fromkeys(LLF_KEYS, 1.0), "mfcc2": np.inf}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StatsError) as caught:
+            FeatureStats(mu=_finite(0.0), sigma=sigma)
+    assert str(caught.value) == "stats sigma value of 'mfcc2' is not finite: inf"
