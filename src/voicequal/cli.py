@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import itertools
 import json
 import os
@@ -92,6 +93,19 @@ def _refuse_input(path: str, inputs) -> None:
         raise OutputError(f"cannot write {path}: it is one of the inputs")
 
 
+def _check_writable(path: str) -> None:
+    """Raise OutputError naming ``path`` if it is a directory or its
+    directory is missing or not writable; neither creates nor truncates it."""
+    parent = os.path.dirname(path) or "."
+    with _writing(path):
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        if not os.path.isdir(parent):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+        if not os.access(path if os.path.exists(path) else parent, os.W_OK):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+
+
 def _open_output(path: str | None, inputs=()):
     """The file at ``path``, truncated now, or stdout for None or "-".
 
@@ -116,6 +130,7 @@ def cmd_fit_stats(args) -> int:
     paths = ([path for path, _ in read_manifest(args.manifest)] if args.manifest
              else _collect_audio_paths(args.inputs))
     _refuse_input(args.output, [args.manifest, *paths] if args.manifest else paths)
+    _check_writable(args.output)  # written only once every file is extracted
     vectors = [vector for _, vector in _extract_each(paths, skip=bool(args.manifest))]
     stats = fit_stats(vectors, corpus=args.corpus_label)
     save_stats(stats, args.output)

@@ -21,7 +21,7 @@ class InsufficientVoicingError(VoiceQualityError):
 
 
 class StatsError(VoiceQualityError):
-    """Reference statistics could not be fitted, saved, or loaded."""
+    """Reference statistics could not be fitted or loaded."""
     exit_code = 5
 
 

@@ -4,14 +4,14 @@ from __future__ import annotations
 
 import csv
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
 
 from .audio_io import AudioSignal
 from .errors import ManifestError
-from .llf import LlfVector, extract_llf_vector, llf_matrix
+from .llf import LLF_KEYS, LlfVector, extract_llf_vector, llf_row
 from .quality import QUALITY_IDS, CorrelationTable, scores_from_z
 from .stats import FeatureStats
 from .synth import generate_synthetic
@@ -21,17 +21,29 @@ NEUTRAL_LABEL = "NEUTRAL-VOICE"
 
 @dataclass(frozen=True)
 class LabeledSample:
-    """One utterance with its dominant quality label and cached features."""
+    """One utterance with its dominant quality label and cached features.
+
+    The features are read once, when the sample is made: ``row`` holds the
+    vector's float64 row (``llf_row``), packed then, so a later edit of the
+    ``llf`` dict is not seen. A vector with no row still makes a sample;
+    ``row`` then holds ``llf_row``'s reason, which ``evaluate_pairs`` raises.
+    """
 
     source_id: str
     dominant_quality: str  # a quality id or NEUTRAL_LABEL
     llf: LlfVector
+    row: bytes | str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dominant_quality not in QUALITY_IDS and self.dominant_quality != NEUTRAL_LABEL:
             raise ManifestError(
                 f"unknown quality label {self.dominant_quality!r} "
                 f"for {self.source_id}")
+        try:
+            row = llf_row(self.llf)
+        except ValueError as exc:
+            row = str(exc)
+        object.__setattr__(self, "row", row)
 
 
 @dataclass(frozen=True)
@@ -87,18 +99,21 @@ def evaluate_pairs(grid: PairGrid, stats: FeatureStats,
     """Score each sample of the grid once and count the pairs whose dominant
     sample scores strictly higher (ties count as wrong): the Mann-Whitney U
     statistic without credit for ties, from one sort of the negatives' scores
-    and one binary search per positive."""
+    and one binary search per positive. The samples' rows, packed when they
+    were made, are joined into the score matrix; the first sample, in grid
+    order, whose vector has no row raises ManifestError naming it."""
     if grid.quality not in QUALITY_IDS:
         raise ManifestError(f"unknown quality id {grid.quality!r} in pair grid")
     if not len(grid):
         raise ManifestError("no pairs to evaluate")
     samples = grid.positives + grid.negatives
     try:
-        values = llf_matrix([s.llf for s in samples])
-    except ValueError as exc:
-        raise ManifestError(f"scoring failed for {samples[exc.index].source_id}: "
-                            f"feature vector {exc}") from None
-    z = values - stats.mu_vector
+        values = np.frombuffer(b"".join([s.row for s in samples]), float)
+    except TypeError:  # a sample holds a reason in place of its row
+        bad = next(s for s in samples if isinstance(s.row, str))
+        raise ManifestError(f"scoring failed for {bad.source_id}: "
+                            f"feature vector {bad.row}") from None
+    z = values.reshape(-1, len(LLF_KEYS)) - stats.mu_vector
     del values  # freed before the division, which runs in place
     z /= stats.sigma_vector
     scores = scores_from_z(z, table)[:, QUALITY_IDS.index(grid.quality)]

@@ -10,7 +10,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import StatsError
+from .errors import OutputError, StatsError
 from .llf import LLF_KEYS, LlfVector, llf_matrix, llf_row
 
 SCHEMA_VERSION = 1
@@ -91,6 +91,7 @@ def save_stats(stats: FeatureStats, path: str | os.PathLike) -> None:
 
     A corpus label of words joined by single spaces is written as it is;
     any other, which that line would not give back, as an ASCII JSON string.
+    A path that cannot be written raises OutputError naming it.
     """
     corpus = stats.corpus
     plain = corpus == " ".join(corpus.split()) and not any(
@@ -107,7 +108,7 @@ def save_stats(stats: FeatureStats, path: str | os.PathLike) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
     except OSError as exc:
-        raise StatsError(f"cannot write stats {path}: {exc}")
+        raise OutputError(f"cannot write {path}: {exc}")
 
 
 def load_stats(path: str | os.PathLike) -> FeatureStats:

@@ -113,10 +113,30 @@ def test_fit_stats_writes_identical_bytes_run_to_run(corpus, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("target", ["missing/s.txt", "."], ids=["no-directory", "a-directory"])
-def test_fit_stats_to_unwritable_path_exits_5(corpus, tmp_path, capsys, target):
+def test_fit_stats_to_unwritable_path_exits_8(corpus, tmp_path, capsys, monkeypatch, target):
     path = tmp_path / target
-    assert main(["fit-stats", *corpus, "--output", str(path)]) == 5
-    assert str(path) in capsys.readouterr().err
+    calls = _count_extractions(monkeypatch)
+    assert main(["fit-stats", *corpus, "--output", str(path)]) == 8
+    assert f"error: cannot write {path}: " in capsys.readouterr().err
+    assert calls == []
+    assert not (tmp_path / "missing").exists()
+
+
+def test_fit_stats_keeps_an_existing_stats_file_when_a_file_fails(corpus, tmp_path, capsys):
+    stats = tmp_path / "stats.txt"
+    assert main(["fit-stats", *corpus, "--output", str(stats)]) == 0
+    before = stats.read_bytes()
+    noise = _noise_wav(tmp_path / "noise.wav")
+    assert main(["fit-stats", corpus[0], noise, corpus[1], "--output", str(stats)]) == 4
+    assert stats.read_bytes() == before
+
+
+def test_fit_stats_write_that_fails_at_the_end_exits_8(corpus, tmp_path, capsys, monkeypatch):
+    import voicequal.cli as cli
+    # as if the path passed the check and could no longer be written at the end
+    monkeypatch.setattr(cli, "_check_writable", lambda path: None)
+    assert main(["fit-stats", *corpus, "--output", str(tmp_path)]) == 8
+    assert f"error: cannot write {tmp_path}: " in capsys.readouterr().err
 
 
 def test_main_leaves_no_cyclic_garbage(corpus, tmp_path):

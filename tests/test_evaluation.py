@@ -20,7 +20,7 @@ from voicequal.evaluation import (
     format_report,
     read_manifest,
 )
-from voicequal.llf import LLF_KEYS
+from voicequal.llf import LLF_KEYS, llf_row
 from voicequal.quality import QUALITY_IDS, score_all
 from voicequal.stats import MIN_SIGMA, FeatureStats, load_stats
 from voicequal.synth import generate_synthetic
@@ -225,6 +225,23 @@ def test_scoring_failure_names_the_sample(default_table):
                     (_sample("partial", NEUTRAL_LABEL, partial),))
     with pytest.raises(ManifestError, match="partial.*HNRdBACF"):
         evaluate_pairs(grid, stats, default_table)
+
+
+def test_a_sample_packs_its_row_once_when_made(default_table):
+    rng = np.random.default_rng(5)
+    stats = random_stats(rng)
+    samples = [_sample(f"s{i}", "Jit" if i < 3 else NEUTRAL_LABEL,
+                       dict(zip(LLF_KEYS, row)))
+               for i, row in enumerate(rng.normal(size=(8, len(LLF_KEYS))).tolist())]
+    rows = [llf_row(s.llf) for s in samples]
+    copies = [_sample(s.source_id, s.dominant_quality, dict(s.llf)) for s in samples]
+    for s in samples:  # an edit after the sample is made, before any read, is not seen
+        s.llf.update(dict.fromkeys(LLF_KEYS, 0.0) if s.dominant_quality == "Jit"
+                     else dict.fromkeys(LLF_KEYS, 1e6))
+        del s.llf["HNRdBACF"]
+    assert [s.row for s in samples] == rows
+    assert (evaluate_pairs(form_pairs(samples, "Jit"), stats, default_table)
+            == evaluate_pairs(form_pairs(copies, "Jit"), stats, default_table))
 
 
 def test_report_mean_is_unweighted():

@@ -163,12 +163,12 @@ def test_fit_stats_names_the_vector_missing_a_key(vectors, missing, data):
 def test_evaluate_pairs_names_the_sample_missing_a_key(default_table, vectors, stats,
                                                        missing, data):
     labels = ["Jit"] + [NEUTRAL_LABEL] * (len(vectors) - 1)
+    index = data.draw(st.integers(0, len(vectors) - 1))
+    vectors[index] = _drop(vectors[index], missing)  # a sample reads its vector when made
     samples = [LabeledSample(f"s{i:02d}", label, v)
                for i, (label, v) in enumerate(zip(labels, vectors))]
     grid = form_pairs(samples, "Jit")
-    broken = data.draw(st.sampled_from(samples))
-    for key in missing:
-        del broken.llf[key]
+    broken = samples[index]
     first = next(k for k in LLF_KEYS if k in missing)
     with pytest.raises(ManifestError) as caught:
         evaluate_pairs(grid, stats, default_table)
