@@ -129,7 +129,7 @@ def cmd_extract(args) -> int:
 def cmd_fit_stats(args) -> int:
     paths = ([path for path, _ in read_manifest(args.manifest)] if args.manifest
              else _collect_audio_paths(args.inputs))
-    _refuse_input(args.output, [args.manifest, *paths] if args.manifest else paths)
+    _refuse_input(args.output, [args.manifest, *paths])
     _check_writable(args.output)  # written only once every file is extracted
     vectors = [vector for _, vector in _extract_each(paths, skip=bool(args.manifest))]
     stats = fit_stats(vectors, corpus=args.corpus_label)
@@ -157,14 +157,11 @@ def cmd_score(args) -> int:
 
 def cmd_evaluate(args) -> int:
     table = load_table(args.table)
-    stats_path = args.stats or os.environ.get(STATS_ENV_VAR)
-    stats = load_stats(stats_path) if stats_path else None
+    stats = load_stats(args.stats) if args.stats else None
     if not (args.suite or args.manifest):
         raise ManifestError("evaluate needs --manifest or --suite")
-    rows = None if args.suite else read_manifest(args.manifest)
-    inputs = [stats_path, args.table]
-    if rows is not None:
-        inputs += [args.manifest, *(path for path, _ in rows)]
+    rows = read_manifest(args.manifest) if args.manifest else []
+    inputs = [args.stats, args.table, args.manifest, *(path for path, _ in rows)]
 
     with (_open_output(args.output, inputs) if args.output else contextlib.nullcontext()) as out:
         samples = (build_synthetic_suite(args.suite, seed=args.seed) if args.suite
@@ -235,9 +232,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", help="output file (default stdout)")
     p.set_defaults(func=cmd_extract)
 
-    p = sub.add_parser("fit-stats", help="fit reference statistics over a corpus")
-    p.add_argument("inputs", nargs="*", help="WAV files or directories")
-    p.add_argument("--manifest", help="CSV manifest instead of raw files")
+    # usage spelled out: argparse leaves out a group that holds a positional
+    p = sub.add_parser("fit-stats", help="fit reference statistics over a corpus",
+                       usage="%(prog)s [-h] [inputs ... | --manifest MANIFEST] "
+                             "--output OUTPUT [--corpus-label CORPUS_LABEL]")
+    source = p.add_mutually_exclusive_group()
+    # default=[]: argparse counts the [] of an absent "*" positional as given unless it is the default
+    source.add_argument("inputs", nargs="*", default=[], help="WAV files or directories")
+    source.add_argument("--manifest", help="CSV manifest instead of raw files")
     p.add_argument("--output", required=True, help="stats file to write")
     p.add_argument("--corpus-label", default="")
     p.set_defaults(func=cmd_fit_stats)
@@ -252,29 +254,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("evaluate", help="pairwise ranking evaluation")
-    p.add_argument("--manifest", help="CSV manifest of `path,label` rows")
-    p.add_argument("--suite", choices=sorted(SUITE_QUALITY),
-                   help="built-in synthetic suite instead of a manifest")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--manifest", help="CSV manifest of `path,label` rows")
+    source.add_argument("--suite", choices=sorted(SUITE_QUALITY),
+                        help="built-in synthetic suite instead of a manifest")
     p.add_argument("--stats", help="stats file (default: fit on the eval set)")
     p.add_argument("--table", help="correlation table file (default bundled)")
     p.add_argument("--output", help="machine-readable JSON report path")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="seed of the --suite voices")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("synth", help="generate synthetic test vowels")
-    p.add_argument("--kind", choices=KINDS, default="clean")
-    p.add_argument("--f0", type=float, default=150.0)
-    p.add_argument("--duration", type=float, default=1.0)
+    one = "(one file; ignored under --suite)"
+    p.add_argument("--kind", choices=KINDS, default="clean", help=f"vowel kind {one}")
+    p.add_argument("--f0", type=float, default=150.0, help=f"pitch in Hz {one}")
+    p.add_argument("--duration", type=float, default=1.0, help=f"length in s {one}")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jitter-pct", type=float, default=2.0)
-    p.add_argument("--shimmer-db", type=float, default=1.0)
-    p.add_argument("--noise-ratio", type=float, default=0.25)
-    p.add_argument("--output", default="synth.wav", help="WAV file to write")
+    p.add_argument("--jitter-pct", type=float, default=2.0, help=f"jitter in %% {one}")
+    p.add_argument("--shimmer-db", type=float, default=1.0, help=f"shimmer in dB {one}")
+    p.add_argument("--noise-ratio", type=float, default=0.25, help=f"noise ratio {one}")
+    p.add_argument("--output", default="synth.wav", help=f"WAV file to write {one}")
     p.add_argument("--suite", choices=sorted(SUITE_QUALITY),
                    help="write a full suite of WAVs plus manifest.csv")
-    p.add_argument("--output-dir", help="directory for --suite output")
+    p.add_argument("--output-dir", help="directory for the --suite output (--suite only)")
     p.add_argument("--count", type=int, default=8,
-                   help="positives (and negatives) per --suite")
+                   help="positives (and negatives) per --suite (--suite only)")
     p.set_defaults(func=cmd_synth)
     return parser
 

@@ -25,14 +25,14 @@ class LabeledSample:
 
     The features are read once, when the sample is made: ``row`` holds the
     vector's float64 row (``llf_row``), packed then, so a later edit of the
-    ``llf`` dict is not seen. A vector with no row still makes a sample;
-    ``row`` then holds ``llf_row``'s reason, which ``evaluate_pairs`` raises.
+    ``llf`` dict is not seen. A vector with no row raises ManifestError
+    naming the sample, with ``llf_row``'s reason.
     """
 
     source_id: str
     dominant_quality: str  # a quality id or NEUTRAL_LABEL
     llf: LlfVector
-    row: bytes | str = field(init=False, repr=False, compare=False)
+    row: bytes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dominant_quality not in QUALITY_IDS and self.dominant_quality != NEUTRAL_LABEL:
@@ -40,10 +40,10 @@ class LabeledSample:
                 f"unknown quality label {self.dominant_quality!r} "
                 f"for {self.source_id}")
         try:
-            row = llf_row(self.llf)
+            object.__setattr__(self, "row", llf_row(self.llf))
         except ValueError as exc:
-            row = str(exc)
-        object.__setattr__(self, "row", row)
+            raise ManifestError(f"scoring failed for {self.source_id}: "
+                                f"feature vector {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -100,19 +100,12 @@ def evaluate_pairs(grid: PairGrid, stats: FeatureStats,
     sample scores strictly higher (ties count as wrong): the Mann-Whitney U
     statistic without credit for ties, from one sort of the negatives' scores
     and one binary search per positive. The samples' rows, packed when they
-    were made, are joined into the score matrix; the first sample, in grid
-    order, whose vector has no row raises ManifestError naming it."""
+    were made, are joined into the score matrix."""
     if grid.quality not in QUALITY_IDS:
         raise ManifestError(f"unknown quality id {grid.quality!r} in pair grid")
     if not len(grid):
         raise ManifestError("no pairs to evaluate")
-    samples = grid.positives + grid.negatives
-    try:
-        values = np.frombuffer(b"".join([s.row for s in samples]), float)
-    except TypeError:  # a sample holds a reason in place of its row
-        bad = next(s for s in samples if isinstance(s.row, str))
-        raise ManifestError(f"scoring failed for {bad.source_id}: "
-                            f"feature vector {bad.row}") from None
+    values = np.frombuffer(b"".join([s.row for s in grid.positives + grid.negatives]), float)
     z = values.reshape(-1, len(LLF_KEYS)) - stats.mu_vector
     del values  # freed before the division, which runs in place
     z /= stats.sigma_vector

@@ -528,6 +528,40 @@ def test_output_that_is_an_input_exits_8_and_leaves_it_intact(corpus, tmp_path, 
     assert calls == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["evaluate", "--suite", "jittered", "--manifest", "{manifest}", "--output", "{manifest}"],
+    ["fit-stats", "{wav}", "--manifest", "{manifest}", "--output", "{stats}"],
+], ids=["evaluate", "fit-stats"])
+def test_two_sample_sources_exit_2_before_anything_is_read(corpus, tmp_path, capsys,
+                                                          monkeypatch, argv):
+    manifest, stats = tmp_path / "m.csv", tmp_path / "s.txt"
+    manifest.write_text("v0.wav,Jit\nv1.wav,NEUTRAL-VOICE\n")
+    before = manifest.read_bytes()
+    calls = _count_extractions(monkeypatch)
+    with pytest.raises(SystemExit) as caught:
+        main([a.format(wav=corpus[0], manifest=manifest, stats=stats) for a in argv])
+    assert caught.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert manifest.read_bytes() == before
+    assert not stats.exists()
+    assert calls == []
+
+
+def test_evaluate_reads_no_stats_from_the_environment(tmp_path, capsys, monkeypatch):
+    stats, report = tmp_path / "stats.txt", tmp_path / "r.json"
+    vowels = [str(tmp_path / f"s{i}.wav") for i in range(3)]
+    for i, (path, shimmer_db) in enumerate(zip(vowels, (0.2, 2.0, 6.0))):
+        save_wav(generate_synthetic("shimmered", shimmer_db=shimmer_db, seed=i), path)
+    assert main(["fit-stats", *vowels, "--output", str(stats)]) == 0  # Jit ranks 39 % with it
+    monkeypatch.delenv("VOICEQUAL_STATS", raising=False)
+    reports = []
+    for _ in range(2):
+        assert main(["evaluate", "--suite", "jittered", "--output", str(report)]) == 0
+        reports.append(report.read_bytes())
+        monkeypatch.setenv("VOICEQUAL_STATS", str(stats))
+    assert reports[0] == reports[1]
+
+
 def test_extract_dir_collects_only_wavs_in_sorted_order(tmp_path, capsys):
     vowel = generate_synthetic("clean", f0=150.0, duration=0.5, seed=0)
     for name in ("b.wav", "a.wav", "C.WAV"):

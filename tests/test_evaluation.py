@@ -217,14 +217,13 @@ def test_large_grid_evaluates_in_bounded_memory(default_table):
     assert peak < 3e6, f"traced peak {peak / 1e6:.2f} MB"
 
 
-def test_scoring_failure_names_the_sample(default_table):
+def test_scoring_failure_names_the_sample():
     stats = random_stats(np.random.default_rng(4))
     partial = dict(stats.mu)
     del partial["HNRdBACF"]
-    grid = PairGrid("Brea", (_sample("whole", "Brea", dict(stats.mu)),),
-                    (_sample("partial", NEUTRAL_LABEL, partial),))
+    _sample("whole", "Brea", dict(stats.mu))
     with pytest.raises(ManifestError, match="partial.*HNRdBACF"):
-        evaluate_pairs(grid, stats, default_table)
+        _sample("partial", NEUTRAL_LABEL, partial)
 
 
 def test_a_sample_packs_its_row_once_when_made(default_table):

@@ -158,21 +158,14 @@ def test_fit_stats_names_the_vector_missing_a_key(vectors, missing, data):
 
 
 @_SETTINGS
-@given(vectors=st.lists(llf_vectors(), min_size=2, max_size=8), stats=feature_stats(),
-       missing=_MISSING, data=st.data())
-def test_evaluate_pairs_names_the_sample_missing_a_key(default_table, vectors, stats,
-                                                       missing, data):
-    labels = ["Jit"] + [NEUTRAL_LABEL] * (len(vectors) - 1)
+@given(vectors=st.lists(llf_vectors(), min_size=2, max_size=8), missing=_MISSING, data=st.data())
+def test_making_a_sample_names_the_sample_missing_a_key(vectors, missing, data):
     index = data.draw(st.integers(0, len(vectors) - 1))
-    vectors[index] = _drop(vectors[index], missing)  # a sample reads its vector when made
-    samples = [LabeledSample(f"s{i:02d}", label, v)
-               for i, (label, v) in enumerate(zip(labels, vectors))]
-    grid = form_pairs(samples, "Jit")
-    broken = samples[index]
+    vectors[index] = _drop(vectors[index], missing)
     first = next(k for k in LLF_KEYS if k in missing)
     with pytest.raises(ManifestError) as caught:
-        evaluate_pairs(grid, stats, default_table)
-    assert str(caught.value) == (f"scoring failed for {broken.source_id}: "
+        [LabeledSample(f"s{i:02d}", NEUTRAL_LABEL, v) for i, v in enumerate(vectors)]
+    assert str(caught.value) == (f"scoring failed for s{index:02d}: "
                                  f"feature vector missing key {first!r}")
 
 
@@ -264,8 +257,7 @@ def _broken(key, value):
 
 @pytest.mark.parametrize("value, shown", _NOT_REAL)
 @pytest.mark.parametrize("key", ["Loudness", "mfcc2"])
-def test_a_value_that_is_not_a_real_number_is_named_at_every_entry_point(
-        default_table, key, value, shown):
+def test_a_value_that_is_not_a_real_number_is_named_at_every_entry_point(key, value, shown):
     reason = f"value of {key!r} is not a real number: {shown}"
     vectors = [_finite(0.0), _finite(0.5)]
     stats = fit_stats(vectors)
@@ -287,10 +279,9 @@ def test_a_value_that_is_not_a_real_number_is_named_at_every_entry_point(
     with pytest.raises(StatsError) as caught:
         FeatureStats(mu=vectors[1], sigma=dict.fromkeys(LLF_KEYS, 1.0))
     assert str(caught.value) == f"stats mu {reason}"
-    samples = [LabeledSample(f"s{i:02d}", "Jit" if i == 0 else NEUTRAL_LABEL, v)
-               for i, v in enumerate(vectors)]
     with pytest.raises(ManifestError) as caught:
-        evaluate_pairs(form_pairs(samples, "Jit"), stats, default_table)
+        [LabeledSample(f"s{i:02d}", "Jit" if i == 0 else NEUTRAL_LABEL, v)
+         for i, v in enumerate(vectors)]
     assert str(caught.value) == f"scoring failed for s01: feature vector {reason}"
 
 
