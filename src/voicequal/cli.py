@@ -1,4 +1,4 @@
-"""Batch command-line front end: extract, fit-stats, score, evaluate, synth."""
+"""Batch command-line front end: extract, fit-stats, score, evaluate, synth, suite."""
 
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ from .evaluation import (
 )
 from .llf import extract_llf_vector
 from .quality import load_table, score_all
-from .stats import fit_stats, load_stats, save_stats
+from .stats import fit_stats, load_stats, save_stats, stats_text
 from .synth import KINDS, generate_synthetic
 
 STATS_ENV_VAR = "VOICEQUAL_STATS"
@@ -129,12 +129,18 @@ def cmd_extract(args) -> int:
 def cmd_fit_stats(args) -> int:
     paths = ([path for path, _ in read_manifest(args.manifest)] if args.manifest
              else _collect_audio_paths(args.inputs))
-    _refuse_input(args.output, [args.manifest, *paths])
-    _check_writable(args.output)  # written only once every file is extracted
+    to_stdout = args.output == "-"
+    if not to_stdout:
+        _refuse_input(args.output, [args.manifest, *paths])
+        _check_writable(args.output)  # written only once every file is extracted
     vectors = [vector for _, vector in _extract_each(paths, skip=bool(args.manifest))]
     stats = fit_stats(vectors, corpus=args.corpus_label)
-    save_stats(stats, args.output)
-    print(f"fitted stats over {len(vectors)} utterances -> {args.output}")
+    if to_stdout:
+        sys.stdout.write(stats_text(stats))
+    else:
+        save_stats(stats, args.output)
+    print(f"fitted stats over {len(vectors)} utterances -> {args.output}",
+          file=sys.stderr if to_stdout else sys.stdout)
     return 0
 
 
@@ -190,26 +196,6 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    if args.suite:
-        if not args.output_dir:
-            raise ManifestError("--suite needs --output-dir")
-        if args.count < 1:
-            raise ManifestError(f"--count must be at least 1, got {args.count}")
-        manifest = os.path.join(args.output_dir, "manifest.csv")
-        pairs = synthetic_suite_pairs(args.suite, args.count, args.seed)
-        pairs = itertools.chain([next(pairs)], pairs)  # a bad argument raises here
-        with _writing(args.output_dir):
-            os.makedirs(args.output_dir, exist_ok=True)
-            with open(manifest, "w", encoding="utf-8") as fh:
-                for i, (pos, neg) in enumerate(pairs):
-                    for signal, name, label in (
-                            (pos, f"{args.suite}_{i:02d}.wav", SUITE_QUALITY[args.suite]),
-                            (neg, f"clean_{i:02d}.wav", NEUTRAL_LABEL)):
-                        save_wav(signal, os.path.join(args.output_dir, name))
-                        fh.write(f"{name},{label}\n")
-        print(f"wrote {2 * args.count} files and {manifest}")
-        return 0
-
     signal = generate_synthetic(
         args.kind, f0=args.f0, duration=args.duration, seed=args.seed,
         jitter_pct=args.jitter_pct, shimmer_db=args.shimmer_db,
@@ -217,6 +203,25 @@ def cmd_synth(args) -> int:
     with _writing(args.output):
         save_wav(signal, args.output)
     print(f"wrote {args.output}")
+    return 0
+
+
+def cmd_suite(args) -> int:
+    if args.count < 1:
+        raise ManifestError(f"--count must be at least 1, got {args.count}")
+    manifest = os.path.join(args.output_dir, "manifest.csv")
+    pairs = synthetic_suite_pairs(args.kind, args.count, args.seed)
+    pairs = itertools.chain([next(pairs)], pairs)  # a bad argument raises here
+    with _writing(args.output_dir):
+        os.makedirs(args.output_dir, exist_ok=True)
+        with open(manifest, "w", encoding="utf-8") as fh:
+            for i, (pos, neg) in enumerate(pairs):
+                for signal, name, label in (
+                        (pos, f"{args.kind}_{i:02d}.wav", SUITE_QUALITY[args.kind]),
+                        (neg, f"clean_{i:02d}.wav", NEUTRAL_LABEL)):
+                    save_wav(signal, os.path.join(args.output_dir, name))
+                    fh.write(f"{name},{label}\n")
+    print(f"wrote {2 * args.count} files and {manifest}")
     return 0
 
 
@@ -240,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     # default=[]: argparse counts the [] of an absent "*" positional as given unless it is the default
     source.add_argument("inputs", nargs="*", default=[], help="WAV files or directories")
     source.add_argument("--manifest", help="CSV manifest instead of raw files")
-    p.add_argument("--output", required=True, help="stats file to write")
+    p.add_argument("--output", required=True, help="stats file to write (- for stdout)")
     p.add_argument("--corpus-label", default="")
     p.set_defaults(func=cmd_fit_stats)
 
@@ -264,22 +269,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="seed of the --suite voices")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("synth", help="generate synthetic test vowels")
-    one = "(one file; ignored under --suite)"
-    p.add_argument("--kind", choices=KINDS, default="clean", help=f"vowel kind {one}")
-    p.add_argument("--f0", type=float, default=150.0, help=f"pitch in Hz {one}")
-    p.add_argument("--duration", type=float, default=1.0, help=f"length in s {one}")
+    p = sub.add_parser("synth", help="generate one synthetic test vowel")
+    p.add_argument("--kind", choices=KINDS, default="clean", help="vowel kind")
+    p.add_argument("--f0", type=float, default=150.0, help="pitch in Hz")
+    p.add_argument("--duration", type=float, default=1.0, help="length in s")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jitter-pct", type=float, default=2.0, help=f"jitter in %% {one}")
-    p.add_argument("--shimmer-db", type=float, default=1.0, help=f"shimmer in dB {one}")
-    p.add_argument("--noise-ratio", type=float, default=0.25, help=f"noise ratio {one}")
-    p.add_argument("--output", default="synth.wav", help=f"WAV file to write {one}")
-    p.add_argument("--suite", choices=sorted(SUITE_QUALITY),
-                   help="write a full suite of WAVs plus manifest.csv")
-    p.add_argument("--output-dir", help="directory for the --suite output (--suite only)")
-    p.add_argument("--count", type=int, default=8,
-                   help="positives (and negatives) per --suite (--suite only)")
+    p.add_argument("--jitter-pct", type=float, default=2.0, help="jitter in %%")
+    p.add_argument("--shimmer-db", type=float, default=1.0, help="shimmer in dB")
+    p.add_argument("--noise-ratio", type=float, default=0.25, help="noise ratio")
+    p.add_argument("--output", default="synth.wav", help="WAV file to write")
     p.set_defaults(func=cmd_synth)
+
+    p = sub.add_parser("suite", help="write a labeled synthetic suite of WAVs plus manifest.csv")
+    p.add_argument("kind", choices=sorted(SUITE_QUALITY), help="suite kind")
+    p.add_argument("--output-dir", required=True, help="directory to write")
+    p.add_argument("--count", type=int, default=8, help="positives (and negatives) to write")
+    p.add_argument("--seed", type=int, default=0)
+    p.set_defaults(func=cmd_suite)
     return parser
 
 

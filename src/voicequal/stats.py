@@ -86,12 +86,11 @@ def fit_stats(vectors: Sequence[LlfVector], corpus: str = "") -> FeatureStats:
     )
 
 
-def save_stats(stats: FeatureStats, path: str | os.PathLike) -> None:
-    """Write stats as a human-readable key/value file; floats keep full precision.
+def stats_text(stats: FeatureStats) -> str:
+    """Stats as a human-readable key/value text; floats keep full precision.
 
     A corpus label of words joined by single spaces is written as it is;
     any other, which that line would not give back, as an ASCII JSON string.
-    A path that cannot be written raises OutputError naming it.
     """
     corpus = stats.corpus
     plain = corpus == " ".join(corpus.split()) and not any(
@@ -104,9 +103,14 @@ def save_stats(stats: FeatureStats, path: str | os.PathLike) -> None:
     ]
     for key in LLF_KEYS:
         lines.append(f"stat {key} {stats.mu[key]!r} {stats.sigma[key]!r}")
+    return "\n".join(lines) + "\n"
+
+
+def save_stats(stats: FeatureStats, path: str | os.PathLike) -> None:
+    """Write stats_text(stats) to ``path``; OutputError names a path it cannot write."""
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(stats_text(stats))
     except OSError as exc:
         raise OutputError(f"cannot write {path}: {exc}")
 

@@ -153,6 +153,17 @@ def test_main_leaves_no_cyclic_garbage(corpus, tmp_path):
         gc.enable()
 
 
+def test_fit_stats_output_dash_writes_the_stats_to_stdout(corpus, tmp_path, capsysbinary, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["fit-stats", *corpus, "--output", "s.txt"]) == 0
+    capsysbinary.readouterr()
+    assert main(["fit-stats", *corpus, "--output", "-"]) == 0
+    captured = capsysbinary.readouterr()
+    assert captured.out == (tmp_path / "s.txt").read_bytes()
+    assert captured.err == b"fitted stats over 3 utterances -> -\n"
+    assert not (tmp_path / "-").exists()
+
+
 def test_fit_stats_single_file_errors(corpus, tmp_path, capsys):
     code = main(["fit-stats", corpus[0], "--output", str(tmp_path / "s.txt")])
     assert code == 5
@@ -227,7 +238,7 @@ def test_a_corpus_label_of_any_text_reaches_score(corpus, tmp_path, capsys, labe
 
 def test_synth_and_evaluate_manifest(tmp_path, capsys):
     suite_dir = tmp_path / "suite"
-    assert main(["synth", "--suite", "jittered", "--output-dir", str(suite_dir),
+    assert main(["suite", "jittered", "--output-dir", str(suite_dir),
                  "--count", "4", "--seed", "11"]) == 0
     manifest = suite_dir / "manifest.csv"
     assert manifest.exists()
@@ -436,15 +447,15 @@ def test_synth_accepts_the_largest_shimmer_on_the_shortest_vowel(tmp_path):
 
 def test_a_bad_synth_suite_seed_writes_nothing(tmp_path, capsys):
     suite_dir = tmp_path / "suite"
-    assert main(["synth", "--suite", "jittered", "--output-dir", str(suite_dir),
+    assert main(["suite", "jittered", "--output-dir", str(suite_dir),
                  "--seed", "-5"]) == 2
     assert "seed must be nonnegative, got -5" in capsys.readouterr().err
     assert not suite_dir.exists()
     # an earlier suite's manifest is left as it was
-    assert main(["synth", "--suite", "jittered", "--output-dir", str(suite_dir),
+    assert main(["suite", "jittered", "--output-dir", str(suite_dir),
                  "--count", "1"]) == 0
     manifest = (suite_dir / "manifest.csv").read_bytes()
-    assert main(["synth", "--suite", "jittered", "--output-dir", str(suite_dir),
+    assert main(["suite", "jittered", "--output-dir", str(suite_dir),
                  "--count", "1", "--seed", "-5"]) == 2
     assert (suite_dir / "manifest.csv").read_bytes() == manifest
 
@@ -455,14 +466,27 @@ def test_unwritable_synth_output_exits_8(tmp_path, capsys):
     assert str(target) in capsys.readouterr().err
     a_file = tmp_path / "file"
     a_file.write_text("")
-    assert main(["synth", "--suite", "jittered", "--output-dir", str(a_file), "--count", "1"]) == 8
+    assert main(["suite", "jittered", "--output-dir", str(a_file), "--count", "1"]) == 8
     assert str(a_file) in capsys.readouterr().err
+
+
+def test_synth_takes_no_suite_and_suite_needs_an_output_dir(tmp_path, capsys, monkeypatch):
+    # a suite is its own command, and a suite with no directory is a usage error
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["synth", "--suite", "jittered", "--output-dir", "d"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["suite", "jittered"])
+    assert exc.value.code == 2
+    assert "--output-dir" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("count", ["0", "-1"])
 def test_synth_suite_count_below_1_exits_7(tmp_path, capsys, count):
     suite_dir = tmp_path / "suite"
-    assert main(["synth", "--suite", "jittered", "--output-dir", str(suite_dir),
+    assert main(["suite", "jittered", "--output-dir", str(suite_dir),
                  "--count", count]) == 7
     assert f"--count must be at least 1, got {count}" in capsys.readouterr().err
     assert not suite_dir.exists()
