@@ -97,6 +97,20 @@ def _decode(data: np.ndarray, offset: float, scale: float) -> np.ndarray:
     return x
 
 
+def _page_release(data: np.ndarray):
+    """A function of lo that releases the mapped WAV's pages wholly before
+    data[lo]; the map is private and never written, so a page touched again
+    reads the file's bits back. It does nothing for a WAV read into memory,
+    or where the platform has no MADV_DONTNEED."""
+    mm = data
+    while isinstance(mm, np.ndarray):  # a stereo WAV's memmap is a reshaped one
+        mm = mm.base
+    if not (hasattr(mm, "madvise") and hasattr(mmap, "MADV_DONTNEED")):
+        return lambda lo: None
+    at, page = data.ctypes.data - np.frombuffer(mm, np.uint8, 1).ctypes.data, mmap.PAGESIZE
+    return lambda lo: mm.madvise(mmap.MADV_DONTNEED, 0, (at + lo * data.strides[0]) // page * page)
+
+
 def _checked_range(data: np.ndarray, path, lo: int, hi: int) -> np.ndarray:
     """Decoded data[lo:hi], or AudioIOError if a sample in it is not finite."""
     raw = data[lo:hi]
@@ -110,8 +124,10 @@ def _checked_range(data: np.ndarray, path, lo: int, hi: int) -> np.ndarray:
 
 def _decoded(data: np.ndarray, path):
     """The decoded data, DECODE_BLOCK sample frames at a time."""
+    release = _page_release(data)
     for lo in range(0, len(data), DECODE_BLOCK):
         yield _checked_range(data, path, lo, lo + DECODE_BLOCK)
+        release(lo)
 
 
 @functools.lru_cache(maxsize=16)
@@ -151,6 +167,7 @@ def _resampled(data: np.ndarray, rate: int, n_out: int, path):
     h = np.concatenate((np.zeros(pre_pad), window * up, np.zeros(post_pad)))
 
     step = max(1, min(DECODE_BLOCK, DECODE_BLOCK * up // down))
+    release = _page_release(data)
     for o0 in range(0, n_out, step):
         o1 = min(o0 + step, n_out)
         m_lo = -(-((o0 + pre) * down - len(h) + 1) // up)
@@ -158,6 +175,7 @@ def _resampled(data: np.ndarray, rate: int, n_out: int, path):
         m_hi = n_in - 1 if o1 == n_out else (o1 + pre - 1) * down // up
         skip = o0 + pre - m0 * up // down
         yield upfirdn(h, _checked_range(data, path, m0, m_hi + 1), up, down)[skip:skip + o1 - o0]
+        release(m0)  # no later chunk starts before m0
 
 
 def _buffered(chunks, n: int, path) -> tuple[np.ndarray, float]:

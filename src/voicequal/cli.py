@@ -167,24 +167,27 @@ def cmd_evaluate(args) -> int:
     if not (args.suite or args.manifest):
         raise ManifestError("evaluate needs --manifest or --suite")
     rows = read_manifest(args.manifest) if args.manifest else []
-    inputs = [args.stats, args.table, args.manifest, *(path for path, _ in rows)]
+    if args.output not in (None, "-"):
+        _refuse_input(args.output, [args.stats, args.table, args.manifest,
+                                    *(path for path, _ in rows)])
+        _check_writable(args.output)  # written only once the report exists
 
-    with (_open_output(args.output, inputs) if args.output else contextlib.nullcontext()) as out:
-        samples = (build_synthetic_suite(args.suite, seed=args.seed) if args.suite
-                   else [LabeledSample(path, label, vector) for path, label in rows
-                         for _, vector in _extract_each([path], skip=True)])
-        qualities = sorted({s.dominant_quality for s in samples} - {NEUTRAL_LABEL})
-        if not qualities:
-            raise ManifestError(f"{args.manifest}: no sample labeled with a quality")
-        if stats is None:
-            stats = fit_stats([s.llf for s in samples], corpus="evaluation set")
+    samples = (build_synthetic_suite(args.suite, seed=args.seed) if args.suite
+               else [LabeledSample(path, label, vector) for path, label in rows
+                     for _, vector in _extract_each([path], skip=True)])
+    qualities = sorted({s.dominant_quality for s in samples} - {NEUTRAL_LABEL})
+    if not qualities:
+        raise ManifestError(f"{args.manifest}: no sample labeled with a quality")
+    if stats is None:
+        stats = fit_stats([s.llf for s in samples], corpus="evaluation set")
 
-        per_quality = {}
-        for quality in qualities:
-            per_quality.update(evaluate_pairs(form_pairs(samples, quality), stats, table).per_quality)
-        report = PairwiseEvalReport(per_quality)
-        print(format_report(report))
-        if out is not None:
+    per_quality = {}
+    for quality in qualities:
+        per_quality.update(evaluate_pairs(form_pairs(samples, quality), stats, table).per_quality)
+    report = PairwiseEvalReport(per_quality)
+    print(format_report(report))
+    if args.output:
+        with _open_output(args.output) as out:
             print(json.dumps({
                 "per_quality": {q: {"total_pairs": r.total_pairs,
                                     "correct": r.correct,

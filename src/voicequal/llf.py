@@ -71,23 +71,6 @@ def llf_matrix(vectors: Sequence[LlfVector]) -> np.ndarray:
     return np.frombuffer(rows, float).reshape(-1, len(LLF_KEYS))
 
 
-def validate_llf(vector: LlfVector) -> None:
-    """Check key completeness and finiteness; raises ValueError on failure."""
-    try:
-        row = np.frombuffer(llf_row(vector), float)
-    except ValueError:
-        missing = [k for k in LLF_KEYS if k not in vector]
-        if missing:
-            raise ValueError(f"missing feature keys: {missing}") from None
-        raise
-    if len(vector) > len(LLF_KEYS):
-        extra = [k for k in vector if k not in LLF_KEYS]
-        raise ValueError(f"unknown feature keys: {extra}")
-    finite = dict(zip(LLF_KEYS, np.isfinite(row).tolist()))
-    if not all(finite.values()):
-        raise ValueError(f"non-finite feature values: {[k for k in vector if not finite[k]]}")
-
-
 def extract_llf_vector(signal: AudioSignal) -> LlfVector:
     """Run the full pipeline and return the complete 25-entry vector.
 
@@ -113,5 +96,8 @@ def extract_llf_vector(signal: AudioSignal) -> LlfVector:
     values: LlfVector = {**compute_spectral_llfs(frames),
                          **compute_period_llfs(signal, pitch),
                          **estimate_formants(frames, pitch).values}
-    validate_llf(values)
+    finite = np.isfinite(np.frombuffer(llf_row(values), float))
+    if not finite.all():
+        raise ValueError(f"non-finite feature values: "
+                         f"{[k for k, ok in zip(LLF_KEYS, finite) if not ok]}")
     return values

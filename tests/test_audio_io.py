@@ -461,3 +461,37 @@ def test_a_loaded_wav_is_not_read_again(tmp_path, rate):
         lines.append(result.stdout)
     assert path.stat().st_size == 0
     assert lines[0] == lines[1] and len(lines[0].split()) == 25
+
+
+_LOAD_GROWTH = """
+import sys
+from voicequal.audio_io import load_audio
+
+
+def resident_peak():
+    # this process image's peak resident set; unlike ru_maxrss, it does not
+    # start from the peak of the process that started this one
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")) * 1024
+
+
+before = resident_peak()
+signal = load_audio(sys.argv[1])
+print(resident_peak() - before, signal.samples.nbytes)
+"""
+
+
+def test_a_long_wav_is_not_held_resident_beside_its_signal(tmp_path):
+    # each WAV range's mapped pages are released once it is decoded, so a
+    # fresh process's resident peak grows by the signal and at most half
+    # the WAV, not by the whole of both
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("needs /proc/self/status")
+    x = generate_synthetic("clean", f0=130.0, duration=10.0, seed=4, sample_rate=48000).samples
+    pcm = np.round(np.stack([x, 0.8 * x], axis=1) * 32767).astype(np.int16)
+    path = tmp_path / "long.wav"
+    wavfile.write(path, 48000, np.tile(pcm, (12, 1)))  # 2 minutes, stereo int16
+    result = _run_python(_LOAD_GROWTH, str(path))
+    assert result.returncode == 0, result.stderr
+    growth, signal_bytes = map(int, result.stdout.split())
+    assert growth <= signal_bytes + path.stat().st_size / 2, (growth, signal_bytes)

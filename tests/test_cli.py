@@ -131,6 +131,19 @@ def test_fit_stats_keeps_an_existing_stats_file_when_a_file_fails(corpus, tmp_pa
     assert stats.read_bytes() == before
 
 
+def test_evaluate_keeps_an_existing_report_when_no_labeled_sample_loads(corpus, tmp_path,
+                                                                       capsys):
+    manifest, report = tmp_path / "m.csv", tmp_path / "report.json"
+    manifest.write_text("v0.wav,Jit\nv1.wav,NEUTRAL-VOICE\nv2.wav,NEUTRAL-VOICE\n")
+    assert main(["evaluate", "--manifest", str(manifest), "--output", str(report)]) == 0
+    before = report.read_bytes()
+    wavfile.write(tmp_path / "silent.wav", 16000, np.zeros(16000, dtype=np.float32))
+    manifest.write_text("silent.wav,Jit\nv1.wav,NEUTRAL-VOICE\nv2.wav,NEUTRAL-VOICE\n")
+    assert main(["evaluate", "--manifest", str(manifest), "--output", str(report)]) == 7
+    assert "no sample labeled with a quality" in capsys.readouterr().err
+    assert report.read_bytes() == before
+
+
 def test_fit_stats_write_that_fails_at_the_end_exits_8(corpus, tmp_path, capsys, monkeypatch):
     import voicequal.cli as cli
     # as if the path passed the check and could no longer be written at the end

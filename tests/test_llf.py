@@ -11,12 +11,12 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from voicequal import formants
+from voicequal import formants, llf
 from voicequal.audio_io import AudioSignal
 from voicequal.errors import AudioIOError, InsufficientVoicingError
 from voicequal.formants import LPC_BLOCK, MAX_WORKERS, estimate_formants
 from voicequal.framing import frame_signal
-from voicequal.llf import LLF_KEYS, extract_llf_vector, validate_llf
+from voicequal.llf import LLF_KEYS, extract_llf_vector
 from voicequal.periods import compute_period_llfs
 from voicequal.pitch import PitchTrack, track_pitch
 from voicequal.spectral import compute_spectral_llfs
@@ -135,16 +135,13 @@ def test_jitter_monotone_in_perturbation():
     assert all(b >= a for a, b in zip(measured, measured[1:])), measured
 
 
-def test_validate_llf_rejects_bad_vectors(vowel):
-    vector = extract_llf_vector(vowel)
-    incomplete = dict(vector)
-    del incomplete["HNRdBACF"]
-    with pytest.raises(ValueError, match="HNRdBACF"):
-        validate_llf(incomplete)
-    nonfinite = dict(vector)
-    nonfinite["mfcc1"] = float("nan")
-    with pytest.raises(ValueError, match="mfcc1"):
-        validate_llf(nonfinite)
+def test_extraction_rejects_a_stage_that_returns_nan(vowel, monkeypatch):
+    spectral = llf.compute_spectral_llfs
+    monkeypatch.setattr(llf, "compute_spectral_llfs",
+                        lambda frames: {**spectral(frames), "mfcc1": float("nan")})
+    with pytest.raises(ValueError) as caught:
+        extract_llf_vector(vowel)
+    assert str(caught.value) == "non-finite feature values: ['mfcc1']"
 
 
 def _peak_bytes(fn, *args):

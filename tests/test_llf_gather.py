@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from voicequal.errors import ManifestError, StatsError
 from voicequal.evaluation import NEUTRAL_LABEL, LabeledSample, evaluate_pairs, form_pairs
-from voicequal.llf import LLF_KEYS, llf_matrix, llf_row, llf_values, validate_llf
+from voicequal.llf import LLF_KEYS, llf_matrix, llf_row, llf_values
 from voicequal.quality import QUALITY_IDS, score_all, z_scores
 from voicequal.stats import MIN_SIGMA, FeatureStats, fit_stats
 
@@ -181,40 +181,6 @@ def test_llf_matrix_names_the_vector_missing_a_key(vectors, missing, data):
     assert caught.value.index == index
 
 
-@_SETTINGS
-@given(vector=llf_vectors(), missing=_MISSING)
-def test_validate_llf_lists_every_missing_key(vector, missing):
-    with pytest.raises(ValueError) as caught:
-        validate_llf(_drop(vector, missing))
-    assert str(caught.value) == f"missing feature keys: {[k for k in LLF_KEYS if k in missing]}"
-
-
-@_SETTINGS
-@given(vector=llf_vectors(), extra=st.dictionaries(_EXTRA_KEY, _VALUE, min_size=1, max_size=3))
-def test_validate_llf_lists_every_unknown_key(vector, extra):
-    vector.update(extra)
-    with pytest.raises(ValueError) as caught:
-        validate_llf(vector)
-    assert str(caught.value) == f"unknown feature keys: {[k for k in vector if k not in LLF_KEYS]}"
-
-
-@_SETTINGS
-@given(vector=llf_vectors(), bad=st.dictionaries(
-    st.sampled_from(LLF_KEYS), st.sampled_from([np.nan, np.inf, -np.inf]), min_size=1, max_size=4))
-def test_validate_llf_lists_every_non_finite_value(vector, bad):
-    vector = {k: v for k, v in vector.items() if k in LLF_KEYS}
-    vector.update(bad)
-    with pytest.raises(ValueError) as caught:
-        validate_llf(vector)
-    assert str(caught.value) == f"non-finite feature values: {[k for k in vector if k in bad]}"
-
-
-@_SETTINGS
-@given(vector=llf_vectors())
-def test_validate_llf_accepts_a_complete_finite_vector(vector):
-    validate_llf({k: v for k, v in vector.items() if k in LLF_KEYS})
-
-
 # every kind of value that converts to float64: ints and bools, numpy
 # scalars, signed zeros, NaN, infinities and subnormals
 _MIXED = [3, True, False, -7, 2**60 + 1, np.float32(1.1), np.float64(-2.5), -0.0,
@@ -267,9 +233,6 @@ def test_a_value_that_is_not_a_real_number_is_named_at_every_entry_point(key, va
         llf_matrix(vectors)
     assert str(caught.value) == reason
     assert caught.value.index == 1
-    with pytest.raises(ValueError) as caught:
-        validate_llf(vectors[1])
-    assert str(caught.value) == reason
     with pytest.raises(ValueError) as caught:
         z_scores(vectors[1], stats)
     assert str(caught.value) == f"feature vector {reason}"
